@@ -318,12 +318,10 @@ def _cmd_verify(args, manifest):
         manifest.seed = args.seed
         scope = verifier.Scope("randomized", trials=args.random, seed=args.seed,
                                params=params)
-        report = verifier.verify(args.statement, scope, cert_dir=args.cert_dir,
-                                 jobs=args.jobs)
+        report = verifier.verify(args.statement, scope, cert_dir=args.cert_dir)
     elif args.exhaustive:
         scope = verifier.Scope("exhaustive", params=params)
-        report = verifier.verify(args.statement, scope, cert_dir=args.cert_dir,
-                                 jobs=args.jobs)
+        report = verifier.verify(args.statement, scope, cert_dir=args.cert_dir)
     else:
         raise _UsageError("choose one of --exhaustive, --random T, or --stdin")
     _report_out(report, args, manifest)
@@ -338,7 +336,7 @@ def _cmd_hunt(args, manifest):
     manifest.seed = args.seed
     params = _parse_params(args.param)
     report = verifier.hunt(args.statement, args.budget, args.seed, params=params,
-                           cert_dir=args.cert_dir, jobs=args.jobs)
+                           cert_dir=args.cert_dir)
     _report_out(report, args, manifest)
     if report.violations:
         print("counterexample candidates recorded", file=sys.stderr)
@@ -355,8 +353,7 @@ def _cmd_suite(args, manifest):
     def progress(report):
         _report_out(report, args, manifest)
 
-    _, clean = verifier.run_theorem_suite(cert_dir=args.cert_dir, progress=progress,
-                                          jobs=args.jobs)
+    _, clean = verifier.run_theorem_suite(cert_dir=args.cert_dir, progress=progress)
     if not clean:
         exit_code = 1
         print("theorem suite: VIOLATIONS FOUND", file=sys.stderr)
@@ -440,7 +437,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--cert-dir", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["json", "summary"], default="json")
     p.set_defaults(func=_cmd_verify)
 
@@ -450,14 +446,12 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--cert-dir", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["json", "summary"], default="json")
     p.set_defaults(func=_cmd_hunt)
 
     p = sub.add_parser("suite", help="run the zero-violation theorem catalog")
     p.add_argument("--theorems", action="store_true")
     p.add_argument("--cert-dir", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["json", "summary"], default="json")
     p.set_defaults(func=_cmd_suite)
 

@@ -50,12 +50,6 @@ class BipartiteGraph:
             degs[u] += 1
         return degs
 
-    def right_degrees(self):
-        degs = [0] * self.right_size
-        for _, w in self.edges:
-            degs[w] += 1
-        return degs
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -79,13 +73,6 @@ class Graph:
 
     def sorted_edges(self):
         return sorted(self.edges)
-
-    def adjacency(self):
-        adj = {v: set() for v in range(self.n)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
     def degrees(self):
         degs = [0] * self.n

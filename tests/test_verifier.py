@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import random
 
 import pytest
 
 from trimatch import verifier
 from trimatch.errors import InfeasibleScopeError
+from trimatch.solver import SolveResult
 from trimatch.verifier import (
     ALL_STATEMENT_IDS,
     CONJECTURE_IDS,
@@ -19,13 +22,33 @@ from trimatch.verifier import (
 )
 
 
+def plant_conclusion(monkeypatch, sid, conclusion):
+    rec = dataclasses.replace(verifier.STATEMENTS[sid], conclusion=conclusion)
+    monkeypatch.setitem(verifier.STATEMENTS, sid, rec)
+
+
 class TestCatalog:
     def test_every_id_has_predicates_and_streams(self):
+        assert tuple(verifier.STATEMENTS) == ALL_STATEMENT_IDS
         for sid in ALL_STATEMENT_IDS:
-            assert sid in verifier._HYPOTHESES
-            assert sid in verifier._CONCLUSIONS
-            assert sid in verifier._RANDOMIZED
-            assert sid in verifier._INSTANCE_KIND
+            rec = verifier.STATEMENTS[sid]
+            assert callable(rec.hypothesis)
+            assert callable(rec.conclusion)
+            assert callable(rec.randomized)
+            assert rec.codec is not None
+
+    def test_ids_scopes_and_caps_derive_from_the_registry(self):
+        assert THEOREM_IDS[0] == "DRISKO_1_5" and len(THEOREM_IDS) == 10
+        assert CONJECTURE_IDS[0] == "CONJ_RBS_1_1" and len(CONJECTURE_IDS) == 9
+        assert tuple(verifier.SHIPPED_SCOPES) == THEOREM_IDS
+        assert verifier.feasibility_caps() == {
+            "ETA_GE_PSI_2_5": {"max_vertices": 7},
+            "CAMWAN_1_10": {"max_order": 4},
+            "STRONG_CAMWAN_1_12": {"max_order": 4},
+            "ACCOMMODATING_1_8": {"max_n": 3},
+            "CONJ_FRACD_5_1": {"max_n": 3, "max_d": 2},
+            "MAX_RANDOM_TRIALS": 1_000_000,
+        }
 
     def test_kinds_partition(self):
         assert set(THEOREM_IDS) & set(CONJECTURE_IDS) == set()
@@ -89,36 +112,62 @@ class TestVerify:
         assert report.hypothesis_hits > 0
 
 
-class TestSerialization:
-    @pytest.mark.parametrize("sid,scope", [
-        ("DRISKO_1_5", Scope("randomized", trials=3, seed=1, params={"n_values": [2]})),
-        ("ALMOST_DRISKO_1_9", Scope("randomized", trials=3, seed=1, params={"n_values": [2]})),
-        ("CAMWAN_1_10", Scope("randomized", trials=3, seed=1, params={"n": 3})),
-        ("TOPHALL_2_3", Scope("randomized", trials=3, seed=1, params={})),
-        ("ETA_GE_PSI_2_5", Scope("randomized", trials=3, seed=1, params={"vertices": 5})),
-        ("LEMMA_3_1", Scope("randomized", trials=3, seed=1, params={"ells": [2]})),
-    ])
-    def test_round_trip_preserves_judgement(self, sid, scope):
-        import random as _random
+def _small(**params):
+    return Scope("randomized", trials=3, seed=1, params=params)
 
-        rng = _random.Random(scope.seed)
-        stream = verifier._RANDOMIZED[sid](rng, scope.trials, scope.params)
+
+# one small randomized scope per statement; the first six keep their
+# original order, and with it their test ids
+ROUND_TRIP_SCOPES = [
+    ("DRISKO_1_5", _small(n_values=[2])),
+    ("ALMOST_DRISKO_1_9", _small(n_values=[2])),
+    ("CAMWAN_1_10", _small(n=3)),
+    ("TOPHALL_2_3", _small()),
+    ("ETA_GE_PSI_2_5", _small(vertices=5)),
+    ("LEMMA_3_1", _small(ells=[2])),
+    ("IMPROVED_1_7", _small(n_values=[2])),
+    ("ACCOMMODATING_1_8", _small(n=2)),
+    ("STRONG_CAMWAN_1_12", _small(n=3)),
+    ("TOPHALL_DEF_2_4", _small()),
+    ("CONJ_RBS_1_1", _small(n=3)),
+    ("CONJ_STEIN_1_2", _small(n=3)),
+    ("CONJ_SYM_1_3", _small(n=3)),
+    ("CONJ_AB_1_4", _small(n_values=[2])),
+    ("CONJ_DRISKO_1_6", _small(n=2)),
+    ("CONJ_FRACD_5_1", _small(n=3, d=2)),
+    ("CONJ_ASYM_5_2", _small()),
+    ("CONJ_GEN_5_3", _small(n=2)),
+    ("REMARK_5_DOUBLE_DELTA", _small()),
+]
+
+
+class TestSerialization:
+    def test_round_trip_scopes_cover_every_statement(self):
+        assert sorted(sid for sid, _ in ROUND_TRIP_SCOPES) == sorted(ALL_STATEMENT_IDS)
+
+    @pytest.mark.parametrize("sid,scope", ROUND_TRIP_SCOPES)
+    def test_round_trip_preserves_judgement(self, sid, scope):
+        rec = verifier.STATEMENTS[sid]
+        stream = rec.randomized(random.Random(scope.seed), scope.trials, scope.params)
         for inst in stream:
             payload = serialize_instance(sid, inst)
             payload2 = json.loads(json.dumps(payload))
             inst2 = deserialize_instance(sid, payload2)
-            assert verifier._HYPOTHESES[sid](inst) == verifier._HYPOTHESES[sid](inst2)
+            assert serialize_instance(sid, inst2) == payload2
+            hyp = rec.hypothesis(inst)
+            assert hyp == rec.hypothesis(inst2)
+            if hyp:
+                solve = rec.codec.solve
+                assert rec.conclusion(inst, solve) == rec.conclusion(inst2, solve)
 
 
 class TestStdinStream:
     def test_judges_serialized_instances(self):
         scope = Scope("randomized", trials=4, seed=2, params={"n_values": [2]})
-        import random as _random
-
-        rng = _random.Random(scope.seed)
+        rng = random.Random(scope.seed)
         payloads = [
             serialize_instance("DRISKO_1_5", inst)
-            for inst in verifier._RANDOMIZED["DRISKO_1_5"](rng, 4, scope.params)
+            for inst in verifier.STATEMENTS["DRISKO_1_5"].randomized(rng, 4, scope.params)
         ]
         report = verify_serialized_stream("DRISKO_1_5", payloads)
         assert report.instances_checked == 4
@@ -156,8 +205,9 @@ class TestHunt:
         assert report.violations == []
 
     def test_planted_violation_detected(self, monkeypatch):
-        # simulate a solver bug: the conclusion flips on every instance
-        monkeypatch.setitem(verifier._CONCLUSIONS, "CONJ_SYM_1_3", lambda inst: False)
+        # simulate a solver bug: the matching number reads 0 on every instance
+        monkeypatch.setattr(verifier, "max_matching_size",
+                            lambda H, **kw: SolveResult(0, None, 0))
         report = hunt("CONJ_SYM_1_3", 5, 13, params={"n": 2})
         assert len(report.violations) == 5
         for record in report.violations:
@@ -167,12 +217,61 @@ class TestHunt:
             assert record["recheck"]["oracle_agrees"] is False
 
     def test_certificates_written(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(verifier._CONCLUSIONS, "CONJ_SYM_1_3", lambda inst: False)
+        plant_conclusion(monkeypatch, "CONJ_SYM_1_3", lambda inst, optimum: False)
         hunt("CONJ_SYM_1_3", 2, 13, params={"n": 2}, cert_dir=tmp_path)
         files = sorted(tmp_path.glob("*.json"))
         assert len(files) == 2
         data = json.loads(files[0].read_text())
         assert "instance" in data and "recheck" in data
+
+    def test_candidate_kept_when_recheck_disagrees(self, monkeypatch):
+        calls = []
+
+        def flaky(inst, optimum):
+            calls.append(inst)
+            return len(calls) > 1  # False on the first call only
+
+        plant_conclusion(monkeypatch, "CONJ_SYM_1_3", flaky)
+        report = hunt("CONJ_SYM_1_3", 3, 13, params={"n": 2})
+        assert report.hypothesis_hits == 3
+        (record,) = report.violations
+        assert record["recheck"]["hypothesis"] is True
+        assert record["recheck"]["conclusion"] is True
+
+
+class TestGraphOracleViews:
+    def test_planted_eta_psi_violation_disagrees_with_oracle(self, monkeypatch):
+        monkeypatch.setattr(verifier, "psi", lambda G, **kw: 99)
+        report = verify("ETA_GE_PSI_2_5", Scope("exhaustive", params={"max_vertices": 5}))
+        assert report.violations
+        viewed = 0
+        for record in report.violations:
+            edges = record["instance"]["graph"]["edges"]
+            if len(edges) <= verifier.PSI_ORACLE_EDGE_LIMIT:
+                assert record["recheck"]["oracle_agrees"] is False
+                viewed += 1
+            else:  # beyond the gate the oracle gives no view
+                assert "oracle_agrees" not in record["recheck"]
+        assert viewed > 0
+
+    def test_planted_lemma31_violation_disagrees_with_oracle(self, monkeypatch):
+        monkeypatch.setattr(verifier, "psi_at_least", lambda G, k, **kw: False)
+        scope = Scope("randomized", trials=6, seed=3, params={"ells": [2], "max_edges": 5})
+        report = verify("LEMMA_3_1", scope)
+        assert len(report.violations) == report.hypothesis_hits == 6
+        for record in report.violations:
+            assert record["recheck"]["oracle_agrees"] is False
+
+    def test_passing_instances_agree_with_oracle(self):
+        for sid, inst in [
+            ("ETA_GE_PSI_2_5", {"graph": enumerate_graphs_up_to_iso(4)[-1]}),
+            ("LEMMA_3_1", next(verifier.STATEMENTS["LEMMA_3_1"].randomized(
+                random.Random(3), 1, {"ells": [2], "max_edges": 5}))),
+        ]:
+            recheck = verifier._revalidate(verifier.STATEMENTS[sid],
+                                           serialize_instance(sid, inst))
+            assert recheck == {"hypothesis": True, "conclusion": True,
+                               "oracle_agrees": True}
 
 
 class TestTheoremSuite:
