@@ -307,9 +307,9 @@ def _cmd_verify(args, manifest):
     params = _parse_params(args.param)
     if args.stdin:
         payloads = []
-        for _, data in _read_json_lines(sys.stdin):
+        for lineno, data in _read_json_lines(sys.stdin):
             manifest.note_input(data)
-            payloads.append(data)
+            payloads.append((lineno, data))
         report = verifier.verify_serialized_stream(args.statement, payloads,
                                                    cert_dir=args.cert_dir)
     elif args.random is not None:

@@ -17,6 +17,16 @@ labelled keys above that, splits states into connected components (the value
 is additive over components, by induction on the recursion), and skips the
 deletion branch of an edge whenever the explosion branch already caps the
 min below the running max.  All three devices preserve the exact value.
+
+A memo table holds values of canonical states only, so one table may be
+shared by any number of calls (a sweep over many graphs passes the same
+dict to each) without changing a value.  The budget is per call: `memo_limit`
+bounds the entries one call adds, not the size of the table it was given,
+so a shared table never makes a call fail that would succeed alone.  Bounding
+the table itself is up to whoever shares it.  Within one call psi also
+caches the key of each labelled state it meets; that cache is emptied
+whenever it reaches `memo_limit` entries, so it is bounded as well without
+ever failing a call.
 """
 
 from dataclasses import dataclass
@@ -37,6 +47,9 @@ class GameState:
 
     def __post_init__(self):
         vertices = frozenset(int(v) for v in self.vertices)
+        if any(v < 0 for v in vertices):
+            # the engines hold vertex sets as bitmasks
+            raise ValueError(f"negative vertex {min(vertices)}")
         edges = set()
         for u, v in self.edges:
             u, v = int(u), int(v)
@@ -71,16 +84,36 @@ def explode(state, e):
     e = _normalize_edge(e)
     if e not in state.edges:
         raise ValueError(f"edge {e} is not active")
+    after_v, after_e = _explode(_vertex_mask(state.vertices), state.edges, e)
+    return GameState(_mask_vertices(after_v), after_e)
+
+
+def _vertex_mask(vertices):
+    vmask = 0
+    for v in vertices:
+        vmask |= 1 << v
+    return vmask
+
+
+def _mask_vertices(vmask):
+    verts = []
+    while vmask:
+        b = vmask & -vmask
+        verts.append(b.bit_length() - 1)
+        vmask ^= b
+    return verts
+
+
+def _explode(vmask, edges, e):
+    """Bitmask form of explode: (vertex mask, edges in their given order)."""
     u, v = e
-    removed = {u, v}
-    for x, y in state.edges:
-        if x in (u, v):
-            removed.add(y)
-        if y in (u, v):
-            removed.add(x)
-    vertices = state.vertices - removed
-    edges = frozenset((x, y) for x, y in state.edges if x not in removed and y not in removed)
-    return GameState(vertices, edges)
+    removed = (1 << u) | (1 << v)
+    for x, y in edges:
+        if x == u or x == v or y == u or y == v:
+            removed |= (1 << x) | (1 << y)
+    after_v = vmask & ~removed
+    after_e = tuple((x, y) for x, y in edges if not (removed >> x & 1 or removed >> y & 1))
+    return after_v, after_e
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +211,7 @@ def canonical_graph_key(n, edges):
 
 
 def _state_key(vmask, edges):
-    verts = []
-    m = vmask
-    while m:
-        b = m & -m
-        verts.append(b.bit_length() - 1)
-        m ^= b
+    verts = _mask_vertices(vmask)
     relabel = {v: i for i, v in enumerate(verts)}
     rel_edges = tuple(sorted((relabel[u], relabel[v]) for u, v in edges))
     k = len(verts)
@@ -220,10 +248,20 @@ def _components(vmask, edges):
     return comps
 
 
+def _check_budget(added, memo_limit):
+    if added >= memo_limit:
+        raise BudgetExceededError(
+            f"memo table exceeded {memo_limit} entries", nodes=added)
+
+
 class _PsiEngine:
     def __init__(self, memo, memo_limit):
         self.memo = memo
         self.memo_limit = memo_limit
+        self.added = 0
+        # key per labelled state: different deletion orders reach the same
+        # labelled state, and this skips canonical_graph_key then
+        self.keys = {}
 
     def value(self, vmask, edges):
         if vmask == 0:
@@ -244,7 +282,11 @@ class _PsiEngine:
         return total
 
     def component_value(self, vmask, edges):
-        key = _state_key(vmask, edges)
+        key = self.keys.get((vmask, edges))
+        if key is None:
+            if len(self.keys) >= self.memo_limit:
+                self.keys.clear()
+            key = self.keys[vmask, edges] = _state_key(vmask, edges)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
@@ -252,7 +294,7 @@ class _PsiEngine:
         # order edges by how much an explosion removes, largest first
         ordered = []
         for e in edges:
-            after_v, after_e = self._explode(vmask, edges, e)
+            after_v, after_e = _explode(vmask, edges, e)
             removed = bin(vmask).count("1") - bin(after_v).count("1")
             ordered.append((-removed, e, after_v, after_e))
         ordered.sort(key=lambda t: (t[0], t[1]))
@@ -269,41 +311,25 @@ class _PsiEngine:
             if best == INFINITY:
                 break
 
-        if len(self.memo) >= self.memo_limit:
-            raise BudgetExceededError(
-                f"memo table exceeded {self.memo_limit} entries", nodes=len(self.memo)
-            )
+        _check_budget(self.added, self.memo_limit)
+        self.added += 1
         self.memo[key] = best
         return best
-
-    @staticmethod
-    def _explode(vmask, edges, e):
-        u, v = e
-        removed = (1 << u) | (1 << v)
-        for x, y in edges:
-            if x == u or x == v or y == u or y == v:
-                removed |= (1 << x) | (1 << y)
-        after_v = vmask & ~removed
-        after_e = tuple((x, y) for x, y in edges if not (removed >> x & 1 or removed >> y & 1))
-        return after_v, after_e
 
 
 def psi(graph, *, memo=None, memo_limit=DEFAULT_MEMO_LIMIT):
     """Exact game value of a Graph or GameState; 0 for the empty graph.
 
     An explicit memo dict may be passed to share work across many calls;
-    sharing never changes the value.
+    sharing never changes the value.  BudgetExceededError is raised once
+    this call would add more than `memo_limit` entries to the table.
     """
     if isinstance(graph, Graph):
         state = GameState.from_graph(graph)
     else:
         state = graph
-    vmask = 0
-    for v in state.vertices:
-        vmask |= 1 << v
-    edges = tuple(sorted(state.edges))
     engine = _PsiEngine({} if memo is None else memo, memo_limit)
-    return engine.value(vmask, edges)
+    return engine.value(_vertex_mask(state.vertices), tuple(sorted(state.edges)))
 
 
 class _PsiDecisionEngine:
@@ -322,6 +348,7 @@ class _PsiDecisionEngine:
         self.memo_limit = memo_limit
         self.node_budget = node_budget
         self.nodes = 0
+        self.added = 0
 
     def decide(self, vmask, edges, k):
         if k <= 0:
@@ -369,7 +396,7 @@ class _PsiDecisionEngine:
         # has material left to work with
         ordered = []
         for e in edges:
-            after_v, after_e = _PsiEngine._explode(vmask, edges, e)
+            after_v, after_e = _explode(vmask, edges, e)
             ordered.append((-bin(after_v).count("1"), e, after_v, after_e))
         ordered.sort(key=lambda t: (t[0], t[1]))
 
@@ -380,27 +407,25 @@ class _PsiDecisionEngine:
             if self.decide(vmask, tuple(x for x in edges if x != e), k):
                 answer = True
                 break
-        if len(self.memo) >= self.memo_limit:
-            raise BudgetExceededError(
-                f"memo table exceeded {self.memo_limit} entries", nodes=len(self.memo)
-            )
+        _check_budget(self.added, self.memo_limit)
+        self.added += 1
         self.memo[key] = answer
         return answer
 
 
 def psi_at_least(graph, k, *, memo=None, memo_limit=DEFAULT_MEMO_LIMIT,
                  node_budget=10_000_000):
-    """Exact test of psi(graph) >= k without computing the full value."""
+    """Exact test of psi(graph) >= k without computing the full value.
+
+    The memo and its per-call budget work as in psi; its entries are keyed
+    by (state, threshold).
+    """
     if isinstance(graph, Graph):
         state = GameState.from_graph(graph)
     else:
         state = graph
-    vmask = 0
-    for v in state.vertices:
-        vmask |= 1 << v
-    edges = tuple(sorted(state.edges))
     engine = _PsiDecisionEngine({} if memo is None else memo, memo_limit, node_budget)
-    return engine.decide(vmask, edges, k)
+    return engine.decide(_vertex_mask(state.vertices), tuple(sorted(state.edges)), k)
 
 
 def line_graph(G):

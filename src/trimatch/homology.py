@@ -229,39 +229,45 @@ class TopologicalHallReport:
     optimum: int = 0
 
 
-def check_topological_hall(P, deficiency=0, face_limit=DEFAULT_FACE_LIMIT):
-    """Evaluate the connectivity hypothesis and the transversal conclusion.
+def topological_hall_subsets(P, deficiency=0, face_limit=DEFAULT_FACE_LIMIT):
+    """Yield (members, eta, ok) for every subset I of the parts, in mask order.
 
-    For every subset I of the parts, the hypothesis asks that the
-    independence complex of the graph induced on the union of those parts
-    has connectivity at least |I| - deficiency.  The conclusion asks for an
-    independent set meeting at least m - deficiency parts.  A report with
-    violated=True would falsify the implication (or expose a bug).
+    The connectivity hypothesis asks that the independence complex of the
+    graph induced on the union of the parts in I has eta at least
+    |I| - deficiency; `ok` says whether this subset meets it.  Being lazy,
+    a caller that only needs the hypothesis can stop at the first failure.
     """
-    from .solver import find_independent_transversal
-
     m = len(P.parts)
-    hypothesis = True
-    subset_values = []
     for mask in range(1 << m):
-        members = [i for i in range(m) if mask >> i & 1]
+        members = tuple(i for i in range(m) if mask >> i & 1)
         union = set()
         for i in members:
             union |= set(P.parts[i])
         sub = _induced_graph(P.graph, sorted(union))
         eta = eta_homological(independence_complex(sub, face_limit))
-        ok = eta >= len(members) - deficiency
-        subset_values.append((tuple(members), eta, ok))
-        if not ok:
-            hypothesis = False
+        yield members, eta, eta >= len(members) - deficiency
+
+
+def check_topological_hall(P, deficiency=0, face_limit=DEFAULT_FACE_LIMIT):
+    """Evaluate the connectivity hypothesis and the transversal conclusion.
+
+    The hypothesis holds when every subset of the parts meets it (see
+    topological_hall_subsets).  The conclusion asks for an independent set
+    meeting at least m - deficiency of the m parts.  A report with
+    violated=True would falsify the implication (or expose a bug).
+    """
+    from .solver import find_independent_transversal
+
+    subset_values = tuple(topological_hall_subsets(P, deficiency, face_limit))
+    hypothesis = all(ok for _, _, ok in subset_values)
     result = find_independent_transversal(P, deficiency=deficiency)
-    conclusion = result.optimum >= m - deficiency
+    conclusion = result.optimum >= len(P.parts) - deficiency
     return TopologicalHallReport(
         deficiency=deficiency,
         hypothesis_holds=hypothesis,
         conclusion_holds=conclusion,
         violated=hypothesis and not conclusion,
-        subset_values=tuple(subset_values),
+        subset_values=subset_values,
         optimum=result.optimum,
     )
 

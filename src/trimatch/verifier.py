@@ -17,6 +17,7 @@ from its serialized form by the solver and, when the instance is small
 enough, by the oracle, through the same predicate.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -28,7 +29,7 @@ from . import constructions as cons
 from . import oracle
 from .errors import InfeasibleScopeError
 from .game import canonical_graph_key, line_graph, psi, psi_at_least
-from .homology import check_topological_hall, eta_homological, independence_complex
+from .homology import eta_homological, independence_complex, topological_hall_subsets
 from .solver import (
     find_bounded_diagonal,
     find_independent_transversal,
@@ -106,10 +107,12 @@ class VerificationReport:
 class _Codec:
     """One instance kind: an object under `key` plus scalar parameters.
 
-    `solve(inst, target=None)` returns the optimum the kind's conclusions
-    are stated in; given a target it may stop at any value that is at least
-    the target exactly when the optimum is.  `oracle(inst)` returns the same
-    optimum by brute force, or None when the instance is beyond its reach.
+    `solve(inst, target=None, tables=None)` returns the optimum the kind's
+    conclusions are stated in; given a target it may stop at any value that
+    is at least the target exactly when the optimum is.  The kinds solved
+    by psi use `tables`, the sweep's `_PsiTables`, and a fresh memo when it
+    is None; the others ignore it.  `oracle(inst)` returns the same optimum
+    by brute force, or None when the instance is beyond its reach.
     """
 
     key: str
@@ -131,8 +134,45 @@ class _Codec:
     def encode(self, inst):
         return self._with_params(self.to_json(inst[self.key]), inst)
 
-    def decode(self, data):
-        return self._with_params(self.from_json(data[self.key]), data)
+    def decode(self, data, statement=None):
+        try:
+            return self._with_params(self.from_json(data[self.key]), data)
+        except KeyError as exc:
+            raise ValueError(
+                f"{statement or self.key} payload is missing field {exc.args[0]!r}") from None
+
+
+# A sweep's psi table is replaced by an empty one once it holds this many
+# entries.  ETA_GE_PSI_2_5 within its cap needs at most 12 112 (the connected
+# graphs on 2 to 8 vertices).  LEMMA_3_1 line graphs above
+# CANONICAL_EXACT_THRESHOLD vertices get labelled keys of 1.5 to 2 KiB, and
+# random instances repeat often enough that starting over is costly.  A
+# 10**6-trial LEMMA_3_1 run at the default parameters fills about 128 000
+# entries (210 MiB peak), so it never starts over here; larger `max_edges`
+# fill the table faster, and the limit holds it to roughly 400 MiB.
+SWEEP_TABLE_LIMIT = 200_000
+
+
+class _PsiTables:
+    """The psi and psi_at_least memo tables that one sweep shares.
+
+    The instances of a sweep share most of their subgames, so each is
+    solved against the same two tables.  A psi call counts only the entries
+    it adds against its own budget, so sharing never fails an instance that
+    passes alone.  A table that holds `limit` entries is replaced by an
+    empty one before the next call, so a table never exceeds `limit` plus
+    what one call adds.
+    """
+
+    limit = SWEEP_TABLE_LIMIT
+
+    def __init__(self):
+        self._tables = {"psi": {}, "psi_at_least": {}}
+
+    def __getitem__(self, name):
+        if len(self._tables[name]) >= self.limit:
+            self._tables[name] = {}
+        return self._tables[name]
 
 
 def _no_params(data):
@@ -167,19 +207,25 @@ def _psi_oracle(G):
     return oracle.psi_oracle(G) if len(G.edges) <= PSI_ORACLE_EDGE_LIMIT else None
 
 
-def _solve_lemma(inst, target):
+def _solve_psi(inst, target=None, tables=None):
+    return psi(inst["graph"], memo=None if tables is None else tables["psi"])
+
+
+def _solve_lemma(inst, target=None, tables=None):
     # psi_at_least decides the threshold without the full value of psi
-    return target if psi_at_least(line_graph(inst["bipartite"]), target) else target - 1
+    memo = None if tables is None else tables["psi_at_least"]
+    return target if psi_at_least(line_graph(inst["bipartite"]), target, memo=memo) else target - 1
 
 
 # Solver, game and homology functions are reached through this module's
-# global names at call time (a lambda, never a stored reference), so that
-# wrapping a module attribute reaches every call.
+# global names at call time (a lambda or function, never a stored
+# reference), so that wrapping a module attribute reaches every call.
 _FAMILY = _Codec(
     "family", family_to_json, family_from_json,
     raw_keys={"graph", "members"},
     raw_params=lambda data: {"n": (len(data["members"]) + 1) // 2},
-    solve=lambda inst, target=None: find_rainbow_matching(inst["family"], target=target).optimum,
+    solve=lambda inst, target=None, **_: find_rainbow_matching(
+        inst["family"], target=target).optimum,
     oracle=_family_oracle,
     required=("n",), optional={"expect": True},
 )
@@ -187,7 +233,7 @@ _HYPER = _Codec(
     "hyper", hypergraph_to_json, hypergraph_from_json,
     raw_keys={"sides"},
     raw_params=lambda data: {"n": data["sides"][0]},
-    solve=lambda inst, target=None: max_matching_size(inst["hyper"], target=target).optimum,
+    solve=lambda inst, target=None, **_: max_matching_size(inst["hyper"], target=target).optimum,
     oracle=_hyper_oracle,
     optional={"n": None, "d": None},
 )
@@ -195,14 +241,14 @@ _SQUARE = _Codec(
     "square", square_to_json, square_from_json,
     raw_keys={"n", "cells"},
     raw_params=_no_params,
-    solve=lambda inst, target=None: find_bounded_diagonal(inst["square"], 2).optimum,
+    solve=lambda inst, target=None, **_: find_bounded_diagonal(inst["square"], 2).optimum,
     oracle=_square_oracle,
 )
 _GRAPH = _Codec(
     "graph", graph_to_json, graph_from_json,
     raw_keys={"vertices"},
     raw_params=_no_params,
-    solve=lambda inst, target=None: psi(inst["graph"]),
+    solve=_solve_psi,
     oracle=lambda inst: _psi_oracle(inst["graph"]),
 )
 _PARTITION = _Codec(
@@ -211,7 +257,7 @@ _PARTITION = _Codec(
     lambda data: partitioned_graph_from_json(data),
     raw_keys={"graph", "parts"},
     raw_params=lambda data: {"deficiency": 0},
-    solve=lambda inst, target=None: find_independent_transversal(
+    solve=lambda inst, target=None, **_: find_independent_transversal(
         inst["pgraph"], deficiency=inst["deficiency"]).optimum,
     oracle=_partition_oracle,
     required=("deficiency",),
@@ -286,7 +332,7 @@ def _hyp_strong_camwan(inst):
 
 
 def _hyp_tophall(inst):
-    return check_topological_hall(inst["pgraph"], inst["deficiency"]).hypothesis_holds
+    return all(ok for _, _, ok in topological_hall_subsets(inst["pgraph"], inst["deficiency"]))
 
 
 def lemma31_hypothesis_holds(G, ell):
@@ -369,8 +415,8 @@ def _hyp_double_delta(inst):
 
 
 # ---------------------------------------------------------------------------
-# Conclusion predicates: (inst, optimum) -> bool, where optimum is the
-# codec's solve or the oracle's value (see _Codec)
+# Conclusion predicates: (inst, optimum) -> bool, where optimum(inst,
+# target=None) is the codec's solve or the oracle's value (see _Codec)
 
 
 def _reaches(param, slack=0):
@@ -783,7 +829,7 @@ STATEMENTS = {
     "ETA_GE_PSI_2_5": _theorem(
         _GRAPH, _always, _con_eta_psi, _rand_eta_psi,
         Scope("exhaustive", params={"max_vertices": 6}),
-        exhaustive=_ex_eta_psi, cap={"max_vertices": 7}),
+        exhaustive=_ex_eta_psi, cap={"max_vertices": 8}),
     "LEMMA_3_1": _theorem(
         _LEMMA, _hyp_lemma31, _reaches("ell"), _rand_lemma31,
         _randomized(200, 190047, ells=[2, 3])),
@@ -840,7 +886,7 @@ def serialize_instance(statement, inst):
 
 
 def deserialize_instance(statement, data):
-    return _record(statement).codec.decode(data)
+    return _record(statement).codec.decode(data, statement)
 
 
 def adapt_payload(statement, data):
@@ -865,7 +911,8 @@ def adapt_payload(statement, data):
 
 
 def _revalidate(rec, payload):
-    """Re-judge a candidate violation from its serialized form."""
+    """Re-judge a candidate violation from its serialized form.  The solver
+    gets fresh psi tables, so no entry of the sweep's tables is trusted."""
     inst = rec.codec.decode(payload)
     hyp = rec.hypothesis(inst)
     con = rec.conclusion(inst, rec.codec.solve)
@@ -906,12 +953,14 @@ def _stream(statement, rec, scope):
 
 def verify(statement, scope, *, cert_dir=None, instances=None):
     """Sweep a scope (or the given instances) and report hypothesis hits and
-    re-validated violations."""
+    re-validated violations.  The instances are solved against one set of
+    psi tables, owned by this call."""
     rec = _record(statement)
     if instances is None:
         instances = _stream(statement, rec, scope)
     report = VerificationReport(statement=statement, scope=scope.describe(), seed=scope.seed)
-    hypothesis, conclusion, solve = rec.hypothesis, rec.conclusion, rec.codec.solve
+    hypothesis, conclusion = rec.hypothesis, rec.conclusion
+    solve = functools.partial(rec.codec.solve, tables=_PsiTables())
     for inst in instances:
         report.instances_checked += 1
         if not hypothesis(inst):
@@ -923,11 +972,20 @@ def verify(statement, scope, *, cert_dir=None, instances=None):
 
 
 def verify_serialized_stream(statement, payloads, *, cert_dir=None):
-    """Judge already-serialized instances (the stdin pipe mode)."""
-    instances = (
-        deserialize_instance(statement, adapt_payload(statement, p)) for p in payloads
-    )
-    return verify(statement, Scope("stdin"), cert_dir=cert_dir, instances=instances)
+    """Judge already-serialized instances (the stdin pipe mode).
+
+    `payloads` yields (input line number, serialized instance or raw `gen`
+    object) pairs.  A payload that cannot be decoded raises a ValueError
+    that names its line.
+    """
+    def instances():
+        for lineno, data in payloads:
+            try:
+                yield deserialize_instance(statement, adapt_payload(statement, data))
+            except ValueError as exc:
+                raise ValueError(f"input line {lineno}: {exc}") from exc
+
+    return verify(statement, Scope("stdin"), cert_dir=cert_dir, instances=instances())
 
 
 def hunt(statement, budget, seed, *, params=None, cert_dir=None):

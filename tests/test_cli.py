@@ -237,6 +237,18 @@ class TestErrorsAndManifest:
         assert code == 2
         assert "line 1" in err and "column" in err
 
+    def test_missing_payload_field_names_line_statement_and_field(self, monkeypatch, capsys):
+        good = {"pgraph": {"graph": {"vertices": 2, "edges": [[0, 1]]}, "parts": [[0], [1]]},
+                "deficiency": 1}
+        bad = {"pgraph": good["pgraph"]}
+        stdin = json.dumps(good) + "\n\n" + json.dumps(bad) + "\n"
+        code, out, err = run_cli(["verify", "TOPHALL_DEF_2_4", "--stdin"], stdin,
+                                 monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert "input line 3" in err
+        assert "TOPHALL_DEF_2_4" in err and "'deficiency'" in err
+
     def test_unknown_verb_usage_error(self, monkeypatch, capsys):
         code, _, _ = run_cli(["frobnicate"], "", monkeypatch, capsys)
         assert code == 2

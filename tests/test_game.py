@@ -46,6 +46,15 @@ class TestExplode:
         with pytest.raises(ValueError):
             explode(s, (0, 2))
 
+    def test_leaves_far_vertices_and_edges(self):
+        s = GameState.from_graph(path(6))
+        after = explode(s, (0, 1))
+        assert after == GameState({3, 4, 5}, {(3, 4), (4, 5)})
+
+    def test_negative_vertex_rejected(self):
+        with pytest.raises(ValueError, match="negative vertex -1"):
+            GameState({-1, 0}, {(-1, 0)})
+
     def test_delete_keeps_vertices(self):
         s = GameState.from_graph(path(2))
         after = delete_edge(s, (0, 1))
@@ -125,6 +134,33 @@ class TestPsi:
         with pytest.raises(BudgetExceededError):
             psi(cycle(8), memo_limit=2)
 
+    def test_labelled_key_cache_is_emptied_at_the_budget(self, monkeypatch):
+        from trimatch import game
+
+        alone = {}
+        assert psi(cycle(8), memo=alone) == 3
+        real = game._state_key
+        calls = []
+        monkeypatch.setattr(game, "_state_key", lambda *a: calls.append(a) or real(*a))
+        psi(cycle(8))
+        roomy = len(calls)
+        calls.clear()
+        # the cache outgrows a budget the memo entries fit in: it starts over
+        assert psi(cycle(8), memo_limit=len(alone)) == 3
+        assert len(calls) > roomy
+
+    def test_budget_counts_only_the_entries_a_call_adds(self):
+        alone = {}
+        assert psi(cycle(6), memo=alone) == 2
+        shared = {}
+        psi(Graph(7, frozenset((u, v) for u in range(7) for v in range(u + 1, 7))), memo=shared)
+        psi(path(8), memo=shared)
+        assert len(shared) > len(alone)
+        # a table already larger than the limit does not fail the call
+        assert psi(cycle(6), memo=shared, memo_limit=len(alone)) == 2
+        with pytest.raises(BudgetExceededError):
+            psi(cycle(6), memo_limit=len(alone) - 1)
+
 
 class TestPsiAtLeast:
     def test_agrees_with_value_exhaustively(self):
@@ -137,6 +173,17 @@ class TestPsiAtLeast:
     def test_infinite_cases(self):
         assert psi_at_least(Graph(1), 10)
         assert psi_at_least(path(4), 7)
+
+    def test_budget_counts_only_the_entries_a_call_adds(self):
+        alone = {}
+        assert psi_at_least(cycle(9), 3, memo=alone)
+        shared = {}
+        for n in range(4, 9):
+            psi_at_least(cycle(n), 3, memo=shared)
+        assert len(shared) > len(alone)
+        assert psi_at_least(cycle(9), 3, memo=shared, memo_limit=len(alone))
+        with pytest.raises(BudgetExceededError):
+            psi_at_least(cycle(9), 3, memo_limit=len(alone) - 1)
 
 
 class TestLineGraph:

@@ -15,6 +15,7 @@ from trimatch.homology import (
     eta_homological,
     euler_characteristic_check,
     independence_complex,
+    topological_hall_subsets,
     _integer_rank,
 )
 from trimatch.solver import PartitionedGraph
@@ -169,3 +170,19 @@ class TestTopologicalHall:
         report = check_topological_hall(P, 0)
         assert isinstance(report, TopologicalHallReport)
         assert len(report.subset_values) == 2  # empty subset and the part
+
+    def test_subsets_agree_with_report_and_tophall_hypothesis(self):
+        from trimatch.constructions import random_partition_system
+        from trimatch.verifier import STATEMENTS
+
+        hypothesis = STATEMENTS["TOPHALL_DEF_2_4"].hypothesis
+        rng = random.Random(32)
+        seen = set()
+        for _ in range(40):
+            P = random_partition_system(rng)
+            d = min(1, len(P.parts))
+            report = check_topological_hall(P, d)
+            assert tuple(topological_hall_subsets(P, d)) == report.subset_values
+            assert hypothesis({"pgraph": P, "deficiency": d}) == report.hypothesis_holds
+            seen.add(report.hypothesis_holds)
+        assert seen == {True, False}

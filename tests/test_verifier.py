@@ -5,7 +5,8 @@ import random
 import pytest
 
 from trimatch import verifier
-from trimatch.errors import InfeasibleScopeError
+from trimatch.errors import BudgetExceededError, InfeasibleScopeError
+from trimatch.game import canonical_graph_key, line_graph, psi, psi_at_least
 from trimatch.solver import SolveResult
 from trimatch.verifier import (
     ALL_STATEMENT_IDS,
@@ -42,7 +43,7 @@ class TestCatalog:
         assert CONJECTURE_IDS[0] == "CONJ_RBS_1_1" and len(CONJECTURE_IDS) == 9
         assert tuple(verifier.SHIPPED_SCOPES) == THEOREM_IDS
         assert verifier.feasibility_caps() == {
-            "ETA_GE_PSI_2_5": {"max_vertices": 7},
+            "ETA_GE_PSI_2_5": {"max_vertices": 8},
             "CAMWAN_1_10": {"max_order": 4},
             "STRONG_CAMWAN_1_12": {"max_order": 4},
             "ACCOMMODATING_1_8": {"max_n": 3},
@@ -86,6 +87,14 @@ class TestVerify:
         b = verify("DRISKO_1_5", scope)
         assert (a.instances_checked, a.hypothesis_hits) == (b.instances_checked, b.hypothesis_hits)
         assert a.violations == b.violations == []
+
+    def test_random_eta_psi_shares_the_exhaustive_cap(self):
+        report = verify("ETA_GE_PSI_2_5",
+                        Scope("randomized", trials=5, seed=3, params={"vertices": 8}))
+        assert report.instances_checked == 5 and report.violations == []
+        with pytest.raises(InfeasibleScopeError):
+            verify("ETA_GE_PSI_2_5",
+                   Scope("randomized", trials=1, seed=3, params={"vertices": 9}))
 
     def test_scope_beyond_caps_rejected(self):
         with pytest.raises(InfeasibleScopeError):
@@ -169,9 +178,14 @@ class TestStdinStream:
             serialize_instance("DRISKO_1_5", inst)
             for inst in verifier.STATEMENTS["DRISKO_1_5"].randomized(rng, 4, scope.params)
         ]
-        report = verify_serialized_stream("DRISKO_1_5", payloads)
+        report = verify_serialized_stream("DRISKO_1_5", enumerate(payloads, start=1))
         assert report.instances_checked == 4
         assert report.violations == []
+
+    def test_undecodable_payload_names_its_line(self):
+        payloads = [(1, {"graph": {"vertices": 2, "edges": [[0, 1]]}}), (3, {"edges": []})]
+        with pytest.raises(ValueError, match="input line 3: cannot interpret payload"):
+            verify_serialized_stream("ETA_GE_PSI_2_5", payloads)
 
 
 class TestCheckAccommodating:
@@ -272,6 +286,91 @@ class TestGraphOracleViews:
                                            serialize_instance(sid, inst))
             assert recheck == {"hypothesis": True, "conclusion": True,
                                "oracle_agrees": True}
+
+
+class TestSweepTables:
+    """verify solves one sweep's instances against shared psi tables."""
+
+    SWEEPS = [
+        ("ETA_GE_PSI_2_5", Scope("exhaustive", params={"max_vertices": 6})),
+        ("LEMMA_3_1", verifier.SHIPPED_SCOPES["LEMMA_3_1"]),
+    ]
+
+    @staticmethod
+    def alone_entries(sid, inst):
+        memo = {}
+        if sid == "ETA_GE_PSI_2_5":
+            psi(inst["graph"], memo=memo)
+        else:
+            psi_at_least(line_graph(inst["bipartite"]), inst["ell"], memo=memo)
+        return len(memo)
+
+    @pytest.mark.parametrize("sid,scope", SWEEPS)
+    def test_report_equals_fresh_tables_per_instance(self, sid, scope, monkeypatch):
+        shared = verify(sid, scope).to_json()
+        monkeypatch.setattr(verifier._PsiTables, "__getitem__", lambda self, name: {})
+        assert verify(sid, scope).to_json() == shared
+
+    @pytest.mark.parametrize("sid,scope", SWEEPS)
+    def test_tiny_table_limit_fails_no_instance_that_passes_alone(
+            self, sid, scope, monkeypatch):
+        rec = verifier.STATEMENTS[sid]
+        instances = list(verifier._stream(sid, rec, scope))
+        limit = max(self.alone_entries(sid, inst) for inst in instances)
+        expected = verify(sid, scope).to_json()
+        name = "psi" if sid == "ETA_GE_PSI_2_5" else "psi_at_least"
+        real = getattr(verifier, name)
+        sizes = []
+
+        def recording(*args, memo=None, **kw):
+            # a per-call budget each instance just fits in when alone
+            sizes.append(len(memo))
+            return real(*args, memo=memo, memo_limit=limit, **kw)
+
+        monkeypatch.setattr(verifier._PsiTables, "limit", limit)
+        monkeypatch.setattr(verifier, name, recording)
+        assert verify(sid, scope).to_json() == expected
+        # the table was shared, and started over whenever it reached the limit
+        assert 0 < max(sizes) < limit
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))
+
+    def test_single_call_beyond_its_budget_still_raises(self, monkeypatch):
+        real = verifier.psi
+        monkeypatch.setattr(verifier, "psi", lambda G, **kw: real(G, memo_limit=2, **kw))
+        with pytest.raises(BudgetExceededError):
+            verify("ETA_GE_PSI_2_5", Scope("exhaustive", params={"max_vertices": 4}))
+
+    def test_wrong_table_entry_caught_by_recheck(self, monkeypatch):
+        real = verifier.psi
+        planted = []
+
+        def planting(G, *, memo=None, **kw):
+            if not planted:  # the first call gets the sweep's table
+                memo[canonical_graph_key(2, [(0, 1)])] = 50  # psi(K2) is 1
+                planted.append(memo)
+            return real(G, memo=memo, **kw)
+
+        monkeypatch.setattr(verifier, "psi", planting)
+        report = verify("ETA_GE_PSI_2_5", Scope("exhaustive", params={"max_vertices": 4}))
+        assert report.violations
+        for record in report.violations:
+            assert record["recheck"]["conclusion"] is True
+
+    def test_every_psi_call_passes_through_the_module_names(self, monkeypatch):
+        # a tracer that wraps verifier.psi and verifier.psi_at_least must see
+        # one call per judged instance
+        calls = {"psi": 0, "psi_at_least": 0}
+        for name in calls:
+            real = getattr(verifier, name)
+
+            def counting(*args, _name=name, _real=real, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(verifier, name, counting)
+        for sid in ("ETA_GE_PSI_2_5", "LEMMA_3_1"):
+            verify(sid, verifier.SHIPPED_SCOPES[sid])
+        assert calls == {"psi": 209, "psi_at_least": 200}
 
 
 class TestTheoremSuite:
