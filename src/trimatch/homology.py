@@ -2,11 +2,15 @@
 
 Betti numbers are computed from boundary-matrix ranks of the augmented
 chain complex (the empty face is a genuine face of dimension -1, and the
-boundary of a vertex is the empty face).  Ranks use fraction-free integer
-elimination, so no floating point is involved anywhere.
+boundary of a vertex is the empty face).  Each boundary map is built as
+sparse columns with +-1 entries and ranked by sparse elimination that
+prefers unit pivots; every step stays in the integers, so ranks are exact
+over the rationals and no floating point is involved anywhere.  The dense
+Bareiss and Fraction eliminations live in oracle.py as cross-checks.
 """
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import BudgetExceededError
 from .structures import Graph, INFINITY
@@ -126,38 +130,22 @@ def independence_complex(G, face_limit=DEFAULT_FACE_LIMIT):
     return SimplicialComplex(tuple(tuple(sorted(groups.get(k, []))) for k in range(top + 1)))
 
 
-def _integer_rank(rows):
-    """Rank of an integer matrix by one-step fraction-free elimination."""
-    m = [row[:] for row in rows]
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(row, n_rows):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, n_rows):
-            factor = m[r][col]
-            if factor == 0 and prev == 1:
-                continue
-            mr, mp = m[r], m[row]
-            for c in range(col, n_cols):
-                mr[c] = (mr[c] * pv - factor * mp[c]) // prev
-        prev = pv
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
+def _boundary_columns(C, j):
+    """The boundary map from j-chains to (j-1)-chains as sparse columns.
+
+    The column of a j-face f maps the row of f minus its i-th vertex to
+    (-1)**i; rows and columns are numbered as in boundary_matrix.
+    """
+    row_index = {f: i for i, f in enumerate(C.faces_of_dim(j - 1))}
+    columns = []
+    for face in C.faces_of_dim(j):
+        column = {}
+        sign = 1
+        for i in range(len(face)):
+            column[row_index[face[:i] + face[i + 1 :]]] = sign
+            sign = -sign
+        columns.append(column)
+    return columns
 
 
 def boundary_matrix(C, j):
@@ -166,30 +154,101 @@ def boundary_matrix(C, j):
     Rows are the (j-1)-faces, columns the j-faces, both in lexicographic
     order; a vertex maps to the empty face with coefficient +1.
     """
-    cols = C.faces_of_dim(j)
-    rows = C.faces_of_dim(j - 1)
-    row_index = {f: i for i, f in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
-    for ci, face in enumerate(cols):
-        for i in range(len(face)):
-            sub = face[:i] + face[i + 1 :]
-            matrix[row_index[sub]][ci] = (-1) ** i
+    matrix = [[0] * len(C.faces_of_dim(j)) for _ in C.faces_of_dim(j - 1)]
+    for ci, column in enumerate(_boundary_columns(C, j)):
+        for ri, entry in column.items():
+            matrix[ri][ci] = entry
     return matrix
+
+
+def _rank(cols):
+    """Rank over the rationals of an integer matrix given as sparse columns.
+
+    Each column maps a row index to its nonzero entry; the list of columns
+    is consumed.  Every pivot clears its row from all other columns and
+    retires its own column, so there are at most as many pivots as columns,
+    and each sweep over the pending columns takes at least one.  A unit
+    pivot (+-1) is taken whenever a column holds one, in the row shared by
+    the fewest columns; it keeps every step integral without division.
+    Only when no pending column holds a unit is the pivot the smallest entry
+    of a column; each other column c is then replaced by a*c - b*pivot
+    column and divided by its content (the gcd of its entries).
+    """
+    rows = {}  # row index -> the columns with an entry in that row
+    for c, column in enumerate(cols):
+        for r in column:
+            rows.setdefault(r, set()).add(c)
+    rank = 0
+    pending = [c for c, column in enumerate(cols) if column]
+    while pending:
+        stuck = []
+        for c in pending:
+            column = cols[c]
+            pivot, shared = None, 0
+            for r, a in column.items():
+                if (a == 1 or a == -1) and (pivot is None or len(rows[r]) < shared):
+                    pivot, shared = r, len(rows[r])
+            if pivot is not None:
+                _eliminate(cols, rows, c, pivot)
+                rank += 1
+            elif column:
+                stuck.append(c)
+        if stuck == pending:  # no unit pivot remains, and no column changed
+            c = stuck.pop(0)
+            column = cols[c]
+            _eliminate(cols, rows, c, min(column, key=lambda r: abs(column[r])))
+            rank += 1
+        pending = stuck
+    return rank
+
+
+def _eliminate(cols, rows, c, r):
+    """Clear row r from every other column with pivot cols[c][r]; retire both."""
+    pivot_column = cols[c]
+    p = pivot_column[r]
+    unit = p == 1 or p == -1
+    for o in rows.pop(r):
+        if o == c:
+            continue
+        column = cols[o]
+        if unit:
+            b = column[r] * p
+        else:
+            g = gcd(p, column[r])
+            a, b = p // g, column[r] // g
+            if a != 1:
+                for t in column:
+                    column[t] *= a
+        for t, x in pivot_column.items():
+            value = column.get(t, 0) - b * x
+            if value:
+                if t not in column:
+                    rows[t].add(o)
+                column[t] = value
+            else:
+                del column[t]
+                if t != r:
+                    rows[t].discard(o)
+        if not unit:
+            content = gcd(*column.values())
+            if content > 1:
+                for t in column:
+                    column[t] //= content
+    for t in pivot_column:
+        if t != r:
+            rows[t].discard(c)
+    cols[c] = {}
 
 
 def betti(C):
     """Reduced rational Betti numbers via exact boundary ranks."""
     dim = C.dimension
     counts = C.face_counts()
-    ranks = {}
-    for j in range(0, dim + 1):
-        ranks[j] = _integer_rank(boundary_matrix(C, j))
-    ranks[dim + 1] = 0
-    values = []
-    for j in range(-1, dim + 1):
-        n_j = counts[j + 1]
-        rank_j = ranks.get(j, 0)  # the map from (-1)-chains is zero
-        values.append(n_j - rank_j - ranks[j + 1])
+    # ranks[j] is the rank of the map from j-chains, j = 0 .. dim + 1;
+    # the map from (-1)-chains is zero
+    ranks = [_rank(_boundary_columns(C, j)) for j in range(dim + 1)] + [0]
+    values = [counts[0] - ranks[0]]
+    values += [counts[j + 1] - ranks[j] - ranks[j + 1] for j in range(dim + 1)]
     return BettiVector(tuple(values))
 
 

@@ -187,3 +187,41 @@ def rational_rank_oracle(rows):
         if row == n_rows:
             break
     return rank
+
+
+def bareiss_rank_oracle(rows):
+    """Matrix rank by dense one-step fraction-free (Bareiss) elimination.
+
+    The fast twin of rational_rank_oracle: integer arithmetic only, but still
+    dense, so it touches every cell of the matrix.
+    """
+    m = [row[:] for row in rows]
+    if not m or not m[0]:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(n_cols):
+        pivot = None
+        for r in range(row, n_rows):
+            if m[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        pv = m[row][col]
+        for r in range(row + 1, n_rows):
+            factor = m[r][col]
+            if factor == 0 and prev == 1:
+                continue
+            mr, mp = m[r], m[row]
+            for c in range(col, n_cols):
+                mr[c] = (mr[c] * pv - factor * mp[c]) // prev
+        prev = pv
+        rank += 1
+        row += 1
+        if row == n_rows:
+            break
+    return rank

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from trimatch import oracle
+from trimatch.constructions import random_graph
 from trimatch.errors import BudgetExceededError
 from trimatch.game import psi
 from trimatch.homology import (
@@ -16,7 +17,7 @@ from trimatch.homology import (
     euler_characteristic_check,
     independence_complex,
     topological_hall_subsets,
-    _integer_rank,
+    _rank,
 )
 from trimatch.solver import PartitionedGraph
 from trimatch.structures import Graph, INFINITY
@@ -29,6 +30,25 @@ def cycle(n):
 
 def full_simplex_complex(m):
     return independence_complex(Graph(m))
+
+
+def columns(m, n_cols):
+    """Sparse columns (row index -> entry) of a dense matrix with n_cols columns."""
+    return [{r: row[c] for r, row in enumerate(m) if row[c]} for c in range(n_cols)]
+
+
+def sparse_rank(m, n_cols=None):
+    return _rank(columns(m, len(m[0]) if n_cols is None else n_cols))
+
+
+def oracle_betti(C):
+    """Reduced Betti numbers from the dense Bareiss twin on boundary_matrix."""
+    ranks = [oracle.bareiss_rank_oracle(boundary_matrix(C, j))
+             for j in range(C.dimension + 1)] + [0]
+    counts = C.face_counts()
+    return (counts[0] - ranks[0],) + tuple(
+        counts[j + 1] - ranks[j] - ranks[j + 1] for j in range(C.dimension + 1)
+    )
 
 
 class TestComplex:
@@ -99,7 +119,8 @@ class TestRank:
             rows = rng.randrange(1, 7)
             cols = rng.randrange(1, 7)
             m = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
-            assert _integer_rank(m) == oracle.rational_rank_oracle(m)
+            assert sparse_rank(m) == oracle.rational_rank_oracle(m)
+            assert oracle.bareiss_rank_oracle(m) == oracle.rational_rank_oracle(m)
 
     def test_row_shuffle_leaves_betti_unchanged(self):
         rng = random.Random(23)
@@ -108,7 +129,50 @@ class TestRank:
             m = boundary_matrix(C, j)
             shuffled = m[:]
             rng.shuffle(shuffled)
-            assert _integer_rank(m) == _integer_rank(shuffled)
+            assert sparse_rank(m) == sparse_rank(shuffled)
+
+    def test_empty_and_zero_matrices(self):
+        for n in range(4):
+            assert _rank(columns([], n)) == 0  # 0 x n
+            assert _rank(columns([[] for _ in range(n)], 0)) == 0  # n x 0
+            assert sparse_rank([[0] * 3 for _ in range(n)], 3) == 0
+
+    def test_no_unit_pivot_matches_fraction_elimination(self):
+        # entries in {0, +-2, +-3, +-6}: no unit pivot exists at the start, so
+        # the integer steps and the content division carry the elimination
+        rng = random.Random(41)
+        entries = (0, 0, 2, -2, 3, -3, 6, -6)
+        for _ in range(150):
+            n_rows, n_cols = rng.randrange(0, 7), rng.randrange(0, 7)
+            m = [[rng.choice(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+            expected = oracle.rational_rank_oracle(m)
+            assert sparse_rank(m, n_cols) == expected
+            rows = rng.sample(m, n_rows)
+            order = rng.sample(range(n_cols), n_cols)
+            permuted = [[row[c] for c in order] for row in rows]
+            assert sparse_rank(permuted, n_cols) == expected
+
+    def test_rank_is_rational_not_mod_2(self):
+        # RP^2 on 6 vertices: the boundary of the 10 triangles has rational
+        # rank 10 but rank 9 mod 2, so a mod-2 rank would give b1 = b2 = 1
+        rp2 = SimplicialComplex.from_faces([
+            (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+            (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+        ])
+        assert rp2.face_counts() == (1, 6, 15, 10)
+        bv = betti(rp2)
+        assert bv.all_zero()
+        assert euler_characteristic_check(rp2, bv)
+        assert sparse_rank(boundary_matrix(rp2, 2)) == 10
+
+    def test_large_complexes_match_bareiss(self):
+        rng = random.Random(43)
+        for n in (14, 15, 16):
+            C = independence_complex(random_graph(n, rng, p=0.35))
+            expected = oracle_betti(C)
+            assert betti(C).values == expected
+            nonzero = [j for j in range(-1, C.dimension + 1) if expected[j + 1]]
+            assert eta_homological(C) == (nonzero[0] + 1 if nonzero else INFINITY)
 
 
 class TestEta:
