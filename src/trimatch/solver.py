@@ -5,6 +5,15 @@ All solvers are branch-and-bound searches that return the true optimum
 together with a witness; every witness is re-checked by an independent
 validator before it is returned.  Hitting the node budget raises
 BudgetExceededError instead of returning a possibly wrong answer.
+
+The hypergraph matching search, which also serves rainbow matchings, groups
+the vertices of each side into twin classes: vertices with equal links.
+Identical family members are C-side twins.  Only the lowest remaining
+member of a class may be matched, and giving it up gives up its class, so
+k copies of a member cost one branch instead of k; the bound counts every
+remaining member of a class that still has a usable edge.  Twins can be
+permuted within their class without changing any matching's size, which
+is why this stays exact (see `max_matching_size`).
 """
 
 from dataclasses import dataclass
@@ -63,27 +72,88 @@ def partitioned_graph_from_json(data):
 # Maximum matching in a tripartite hypergraph
 
 
+def _twin_classes(H):
+    """The distinct edges, and each side's vertices grouped by equal link.
+
+    The link of a vertex is the sorted list of the other two coordinates of
+    its edges; the support is sorted, so appending in edge order keeps every
+    link sorted.  Vertices without edges are left out.  Returns the edges,
+    per side the classes as lists of (vertex, incidence mask) pairs, highest
+    vertex first, and per side a dict from vertex to the index of its class.
+    """
+    edges = H.support()
+    inc = [[0] * n for n in H.side_sizes]
+    links = [[[] for _ in range(n)] for n in H.side_sizes]
+    inc_a, inc_b, inc_c = inc
+    link_a, link_b, link_c = links
+    bit = 1
+    for a, b, c in edges:
+        inc_a[a] |= bit
+        inc_b[b] |= bit
+        inc_c[c] |= bit
+        link_a[a].append((b, c))
+        link_b[b].append((a, c))
+        link_c[c].append((a, b))
+        bit <<= 1
+    classes, slot = [], []
+    for s in range(3):
+        groups = {}
+        for v in reversed(range(len(links[s]))):
+            if links[s][v]:
+                groups.setdefault(tuple(links[s][v]), []).append((v, inc[s][v]))
+        classes.append(list(groups.values()))
+        slot.append({v: k for k, members in enumerate(classes[s]) for v, _ in members})
+    return edges, classes, slot
+
+
 def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
     """Exact maximum matching of a tripartite hypergraph.
 
-    Branches on the most constrained uncovered vertex (fewest active
-    incident edges, ties by lowest (side, index)); each branch either uses
-    one of its edges or gives the vertex up.  The admissible bound is the
-    current size plus the smallest per-side count of still-coverable
-    vertices.  With `target` set, the search stops as soon as a matching of
-    that size is found; the reported optimum is then at least `target`,
-    and exact whenever the target was unreachable.
+    One search over int bitmasks of the distinct edges.  Each (side, vertex)
+    has an incidence mask.  The vertices of each side are grouped into twin
+    classes: vertices with equal links, where a link is the sorted list of
+    the other two coordinates of the vertex's edges (repeated family members
+    are C-side twins).  Only the front of a class, its lowest member not yet
+    used or given up, may be matched.  Each side keeps a front mask, the
+    union of the incidence masks of its fronts, and the AND of the three
+    front masks is the set of usable edges.
+
+    Branches on the front with the fewest usable edges (ties by lowest
+    (side, index)); each branch either uses one of those edges, which
+    advances the front of all three classes it meets, or gives the front
+    up, which gives up the rest of its class too.  The admissible bound is
+    the current size plus, minimised over the sides, the number of remaining
+    members of the classes whose front has a usable edge.  With `target` set,
+    the search stops as soon as a matching of that size is found; the
+    reported optimum is then at least `target`, and exact whenever the
+    target was unreachable.
+
+    Why the twin rules are exact.  Permuting the members of one twin class
+    maps edges to edges, since twins have equal links; doing so on every
+    side maps matchings to matchings of the same size.  The members used so
+    far form a prefix of each class, so any matching of the remaining
+    vertices can be permuted within the remaining members of each class
+    until it uses a prefix of them.  Hence a best completion exists that
+    matches only fronts, and one that avoids a front avoids its whole
+    class.  The bound is admissible because a remaining member has an edge
+    whose other two vertices remain iff the front of its class has a usable
+    edge: swap each vertex of such an edge for the front of its class.
+    Without twins every class is one vertex, and the tree is the plain
+    most-constrained-vertex tree.
     """
-    edges = H.support()
-    sizes = H.side_sizes
-    blocked = [bytearray(s) for s in sizes]
+    edges, classes, slot = _twin_classes(H)
+    # left[s][k]: remaining members of class k on side s; a class lists its
+    # highest member first, so its front is classes[s][k][left[s][k] - 1]
+    left = [[len(members) for members in cls] for cls in classes]
+    # distinct vertices of one side have disjoint incidence masks
+    fronts = [sum(members[-1][1] for members in cls) for cls in classes]
     nodes = 0
     best = 0
     best_edges = []
     cur = []
     done = False
 
-    def rec():
+    def rec(f0, f1, f2):
         nonlocal nodes, best, best_edges, done
         nodes += 1
         if nodes > node_budget:
@@ -94,40 +164,58 @@ def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
             if target is not None and best >= target:
                 done = True
                 return
-        active = [
-            e for e in edges
-            if not (blocked[0][e[0]] or blocked[1][e[1]] or blocked[2][e[2]])
-        ]
-        if not active:
+        usable = f0 & f1 & f2
+        if not usable:
             return
-        avail = [set(), set(), set()]
-        for e in active:
-            for s in range(3):
-                avail[s].add(e[s])
-        if len(cur) + min(len(a) for a in avail) <= best:
+        bound = len(edges)
+        pick_count = len(edges) + 1  # above every count
+        pick_side = pick_vertex = pick_class = None
+        for s in range(3):
+            cover = 0
+            for k, r in enumerate(left[s]):
+                if not r:
+                    continue
+                v, mask = classes[s][k][r - 1]
+                count = (mask & usable).bit_count()
+                if not count:
+                    continue
+                cover += r
+                if count < pick_count or (
+                        count == pick_count and s == pick_side and v < pick_vertex):
+                    pick_count, pick_side, pick_vertex, pick_class = count, s, v, k
+            bound = min(bound, cover)
+        if len(cur) + bound <= best:
             return
-        counts = {}
-        for e in active:
+        f = [f0, f1, f2]
+        members = classes[pick_side][pick_class]
+        r = left[pick_side][pick_class]
+        branch = members[r - 1][1] & usable
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            e = edges[low.bit_length() - 1]
+            g = list(f)
             for s in range(3):
-                key = (s, e[s])
-                counts[key] = counts.get(key, 0) + 1
-        side, v = min(counts, key=lambda k: (counts[k], k))
-        branch_edges = [e for e in active if e[side] == v]
-        for e in branch_edges:
-            for s in range(3):
-                blocked[s][e[s]] += 1
+                k = slot[s][e[s]]
+                twins = classes[s][k]
+                t = left[s][k]
+                left[s][k] = t - 1
+                g[s] ^= twins[t - 1][1]
+                if t > 1:
+                    g[s] |= twins[t - 2][1]
             cur.append(e)
-            rec()
+            rec(*g)
             cur.pop()
             for s in range(3):
-                blocked[s][e[s]] -= 1
+                left[s][slot[s][e[s]]] += 1
             if done:
                 return
-        blocked[side][v] += 1
-        rec()
-        blocked[side][v] -= 1
+        left[pick_side][pick_class] = 0
+        f[pick_side] ^= members[r - 1][1]
+        rec(*f)
+        left[pick_side][pick_class] = r
 
-    rec()
+    rec(*fronts)
     witness = Matching(frozenset(best_edges))
     _validate_hyper_matching(H, witness, best)
     return SolveResult(optimum=best, witness=witness, nodes_explored=nodes)

@@ -804,7 +804,7 @@ STATEMENTS = {
         _randomized(300, 190042, n_values=[2, 3])),
     "ACCOMMODATING_1_8": _theorem(
         _FAMILY, _hyp_accommodating, _con_accommodating, _rand_accommodating,
-        _randomized(120, 190043, n=2), exhaustive=_ex_accommodating, cap={"max_n": 3}),
+        _randomized(120, 190043, n=2), exhaustive=_ex_accommodating, cap={"max_n": 6}),
     "ALMOST_DRISKO_1_9": _theorem(
         _HYPER, _hyp_almost_drisko, _reaches("n"), _rand_almost_drisko,
         _randomized(300, 190044, n_values=[2, 3]),

@@ -42,6 +42,15 @@ class TestSolverVerbs:
         (result,) = json_lines(out)
         assert result["optimum"] == 2
 
+    def test_rainbow_drisko_12_within_small_budget(self, monkeypatch, capsys):
+        # identical members are twins, so the proof of optimum n - 1 is short
+        _, out, _ = run_cli(["gen", "drisko", "--n", "12"], "", monkeypatch, capsys)
+        code, out, _ = run_cli(["rainbow", "--target", "12", "--budget", "10000"], out,
+                               monkeypatch, capsys)
+        assert code == 1
+        (result,) = json_lines(out)
+        assert result["optimum"] == 11
+
     def test_rainbow_feasible(self, monkeypatch, capsys):
         line = json.dumps(family_to_json(gen_drisko_extremal(3)))
         code, out, _ = run_cli(["rainbow", "--target", "2"], line + "\n", monkeypatch, capsys)

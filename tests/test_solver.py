@@ -23,6 +23,7 @@ from trimatch.structures import (
     Graph,
     LatinSquare,
     Matching,
+    MatchingFamily,
     TriHypergraph,
     family_to_hypergraph,
     latin_to_hypergraph,
@@ -37,6 +38,44 @@ def random_hypergraph(rng, max_edges=12):
         for _ in range(m)
     )
     return TriHypergraph(sides, edges)
+
+
+def planted_twins(rng, side):
+    """Random hypergraph where new vertices of `side` copy the link of old ones."""
+    sides = [rng.randrange(1, 4) for _ in range(3)]
+    edges = [tuple(rng.randrange(k) for k in sides) for _ in range(rng.randrange(1, 6))]
+    copies = rng.randrange(1, 4)
+    for c in range(copies):
+        v = rng.choice(edges)[side]
+        edges += [e[:side] + (sides[side] + c,) + e[side + 1:] for e in edges if e[side] == v]
+    sides[side] += copies
+    return TriHypergraph(tuple(sides), tuple(edges))
+
+
+def repeated_rows_grid(rng):
+    """Random n x n grid (not Latin) built from a pool of at most 2 rows."""
+    n = rng.randrange(2, 5)
+    pool = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.randrange(1, 3))]
+    return LatinSquare(n, tuple(rng.choice(pool) for _ in range(n)))
+
+
+def repeated_members_family(rng):
+    """Family whose members are drawn, with repeats, from a few matchings."""
+    base = random_family([rng.randrange(0, 4) for _ in range(rng.randrange(1, 4))], rng)
+    members = tuple(rng.choice(base.members) for _ in range(rng.randrange(2, 7)))
+    return MatchingFamily(base.host, members)
+
+
+def assert_every_target(solve, optimum, most=None):
+    # a target search may stop at any value >= target, exactly when reachable
+    top = optimum + 1 if most is None else min(optimum + 1, most)
+    assert solve(None).optimum == optimum
+    for target in range(top + 1):
+        got = solve(target).optimum
+        if target > optimum:
+            assert got == optimum
+        else:
+            assert target <= got <= optimum
 
 
 class TestMaxMatching:
@@ -69,6 +108,16 @@ class TestMaxMatching:
         a = max_matching_size(H)
         b = max_matching_size(H)
         assert a.nodes_explored == b.nodes_explored
+        F = gen_drisko_extremal(6)  # two C-side twin classes of 5 members
+        a = find_rainbow_matching(F, target=6)
+        b = find_rainbow_matching(F, target=6)
+        assert (a.optimum, a.witness, a.nodes_explored) == (b.optimum, b.witness, b.nodes_explored)
+
+    def test_cyclic_latin_tree_is_unchanged(self):
+        # no twins: the tree is the plain most-constrained-vertex tree
+        for n, nodes in ((4, 20), (6, 208), (8, 2210), (10, 40896)):
+            res = max_matching_size(latin_to_hypergraph(cyclic_latin(n)))
+            assert (res.optimum, res.nodes_explored) == (n - 1, nodes)
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(12345)
@@ -115,6 +164,62 @@ class TestRainbow:
             via_hyper = max_matching_size(family_to_hypergraph(F)).optimum
             assert find_rainbow_matching(F).optimum == via_hyper
             assert via_hyper == oracle.rainbow_oracle(F)
+
+
+class TestTwinClasses:
+    @pytest.mark.parametrize("side", [0, 1, 2])
+    def test_planted_duplicate_links_match_oracle(self, side):
+        rng = random.Random(500 + side)
+        for _ in range(150):
+            H = planted_twins(rng, side)
+            optimum = oracle.matching_number_oracle(H)
+            assert_every_target(lambda t: max_matching_size(H, target=t), optimum)
+
+    def test_grids_with_repeated_rows_match_oracle(self):
+        rng = random.Random(41)
+        for _ in range(120):
+            H = latin_to_hypergraph(repeated_rows_grid(rng))
+            optimum = oracle.matching_number_oracle(H)
+            assert_every_target(lambda t: max_matching_size(H, target=t), optimum)
+
+    def test_repeated_members_match_rainbow_oracle(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            F = repeated_members_family(rng)
+            optimum = oracle.rainbow_oracle(F)
+            assert_every_target(lambda t: find_rainbow_matching(F, target=t), optimum,
+                                most=len(F.members))
+
+    def test_identical_members_give_distinct_witness_indices(self):
+        F = gen_p3_family(2)
+        member = max(F.members, key=len)
+        k = len(member)
+        G = MatchingFamily(F.host, (member,) * (k + 2))
+        res = find_rainbow_matching(G)
+        assert res.optimum == k
+        indices = [i for i, _ in res.witness]
+        assert len(set(indices)) == len(indices) == k
+        assert sorted(edge for _, edge in res.witness) == sorted(member.edges)
+
+    def test_tree_does_not_grow_with_repeats(self):
+        # once every member repeats at least host.left_size times, the C-side
+        # count never binds the bound and no class runs out: the tree is fixed
+        rng = random.Random(47)
+        for _ in range(60):
+            base = random_family([rng.randrange(1, 4) for _ in range(rng.randrange(2, 5))], rng)
+            k = max(base.host.left_size, 1)
+            counts = set()
+            for repeats in (k, k + 2, k + 5):
+                members = tuple(m for m in base.members for _ in range(repeats))
+                res = find_rainbow_matching(MatchingFamily(base.host, members))
+                counts.add(res.nodes_explored)
+            assert len(counts) == 1
+
+    def test_drisko_extremal_scales_linearly(self):
+        for n in range(2, 13):
+            res = find_rainbow_matching(gen_drisko_extremal(n), target=n)
+            assert res.optimum == n - 1
+            assert res.nodes_explored <= 8 * n
 
 
 class TestDiagonal:

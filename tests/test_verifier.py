@@ -46,7 +46,7 @@ class TestCatalog:
             "ETA_GE_PSI_2_5": {"max_vertices": 8},
             "CAMWAN_1_10": {"max_order": 4},
             "STRONG_CAMWAN_1_12": {"max_order": 4},
-            "ACCOMMODATING_1_8": {"max_n": 3},
+            "ACCOMMODATING_1_8": {"max_n": 6},
             "CONJ_FRACD_5_1": {"max_n": 3, "max_d": 2},
             "MAX_RANDOM_TRIALS": 1_000_000,
         }
