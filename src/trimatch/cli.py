@@ -3,7 +3,8 @@
 Machine-readable JSON goes to stdout (one line per instance), a short human
 summary and the run manifest go to stderr.  Exit codes: 0 success, 1 when
 a theorem-suite violation occurs or an asserted feasibility fails, 2 on
-usage errors (including malformed JSON, reported with its position).
+usage errors (including malformed JSON, reported with its position, and an
+input line that lacks a field, reported with its line and the field).
 """
 
 import argparse
@@ -55,6 +56,13 @@ def _read_json_lines(stream):
             raise _UsageError(
                 f"malformed JSON on input line {lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+
+
+def _parse_line(parse, lineno, data):
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise _UsageError(f"input line {lineno}: missing field {exc.args[0]!r}") from None
 
 
 def _open_input(args):
@@ -114,7 +122,7 @@ def _solve_lines(args, manifest, parse, solve, summarize):
     try:
         for lineno, data in _read_json_lines(stream):
             manifest.note_input(data)
-            obj = parse(data)
+            obj = _parse_line(parse, lineno, data)
             result, ok = solve(obj)
             manifest.emit_output(result, args.format)
             if args.format == "summary":
@@ -248,9 +256,10 @@ def _cmd_gen(args, manifest):
     elif c == "double-a":
         stream = _open_input(args)
         try:
-            for _, data in _read_json_lines(stream):
+            for lineno, data in _read_json_lines(stream):
                 manifest.note_input(data)
-                emit(hypergraph_to_json(cons.double_side_A(hypergraph_from_json(data))))
+                H = _parse_line(hypergraph_from_json, lineno, data)
+                emit(hypergraph_to_json(cons.double_side_A(H)))
         finally:
             if stream is not sys.stdin:
                 stream.close()
@@ -471,7 +480,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, KeyError, ConstructionError, InfeasibleScopeError) as exc:
+    except (ValueError, ConstructionError, InfeasibleScopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BudgetExceededError as exc:

@@ -4,29 +4,46 @@ One player repeatedly offers an edge of the current graph; the other either
 deletes the edge or explodes it, removing both endpoints together with all
 their neighbours and incident edges.  If an isolated vertex ever appears the
 offering player scores INFINITY; otherwise the score is the number of
-explosions.  psi(G) is the value under optimal play, computed here by the
-equivalent recursion
+explosions.  psi(G) is the value under optimal play, given by
 
     psi(G) = max over edges e of min(psi(G - e), psi(G * e) + 1)
 
 with psi(empty) = 0 and psi = INFINITY as soon as some vertex is isolated.
 
-The implementation memoizes on canonical forms (exact isomorphism classes)
-for states with at most CANONICAL_EXACT_THRESHOLD vertices and on exact
-labelled keys above that, splits states into connected components (the value
-is additive over components, by induction on the recursion), and skips the
-deletion branch of an edge whenever the explosion branch already caps the
-min below the running max.  All three devices preserve the exact value.
+One search answers both questions asked of psi, the full value and a
+threshold psi >= k.  It computes min(psi, c) for a cap c by the same
+recursion with every branch capped:
 
-A memo table holds values of canonical states only, so one table may be
-shared by any number of calls (a sweep over many graphs passes the same
-dict to each) without changing a value.  The budget is per call: `memo_limit`
-bounds the entries one call adds, not the size of the table it was given,
-so a shared table never makes a call fail that would succeed alone.  Bounding
-the table itself is up to whoever shares it.  Within one call psi also
-caches the key of each labelled state it meets; that cache is emptied
-whenever it reaches `memo_limit` entries, so it is bounded as well without
-ever failing a call.
+    min(psi(G), c) = max over edges e of min(psi(G - e), x_e),
+    where x_e = min(psi(G * e), c - 1) + 1
+
+so the explosion branch is the search with cap c - 1, and the delete branch
+the search with cap x_e, the explosion's score.  psi(G) is the search with
+c = INFINITY; psi_at_least(G, k) is the search with c = k, then >= k.  The
+search splits a state into connected components (the value is additive
+over them, by induction on the recursion) and sums them, stopping once the
+sum reaches the cap.  A nonempty graph without isolated vertices has psi >= 1, since
+vertices only disappear through explosions, so a cap of 1 is met at once.
+An edge whose explosion score cannot beat the running max is skipped.
+
+States are memoized on canonical forms (exact isomorphism classes) for
+states with at most CANONICAL_EXACT_THRESHOLD vertices and on exact
+labelled keys above that.  A memo entry is (value, exact).  A result below
+the cap is the exact value: (value, True).  A result that reaches the cap
+only shows psi >= cap, because the search stopped there: it is stored as
+the lower bound (cap, False).  A later search with a cap at or below the
+bound answers from it; one with a higher cap searches again, from the
+bound as its running max.
+
+A memo table holds entries of canonical states only, so one table may be
+shared by any number of calls, whatever their caps (a sweep over many
+graphs passes the same dict to each), without changing a value.  The
+budget is per call: `memo_limit` bounds the entries one call adds, not the
+size of the table it was given, so a shared table never makes a call fail
+that would succeed alone.  Bounding the table itself is up to whoever
+shares it.  Within one call the search also caches the key of each
+labelled state it meets; that cache is emptied whenever it reaches
+`memo_limit` entries, so it is bounded as well without ever failing a call.
 """
 
 from dataclasses import dataclass
@@ -248,13 +265,9 @@ def _components(vmask, edges):
     return comps
 
 
-def _check_budget(added, memo_limit):
-    if added >= memo_limit:
-        raise BudgetExceededError(
-            f"memo table exceeded {memo_limit} entries", nodes=added)
-
-
 class _PsiEngine:
+    """min(psi, cap) by the capped recursion of the module docstring."""
+
     def __init__(self, memo, memo_limit):
         self.memo = memo
         self.memo_limit = memo_limit
@@ -263,169 +276,88 @@ class _PsiEngine:
         # labelled state, and this skips canonical_graph_key then
         self.keys = {}
 
-    def value(self, vmask, edges):
+    def value(self, vmask, edges, cap):
         if vmask == 0:
-            return 0
+            return min(0, cap)
         covered = 0
         for u, v in edges:
             covered |= (1 << u) | (1 << v)
-        if vmask & ~covered:
-            return INFINITY
-        comps = _components(vmask, edges)
-        if len(comps) == 1:
-            return self.component_value(*comps[0])
+        if vmask & ~covered or cap <= 1:
+            # an isolated vertex makes psi INFINITY; without one, a
+            # nonempty graph scores psi >= 1
+            return cap
         total = 0
-        for cmask, cedges in comps:
-            total += self.component_value(cmask, cedges)
-            if total == INFINITY:
-                return INFINITY
+        for cmask, cedges in _components(vmask, edges):
+            total += self.component_value(cmask, cedges, cap - total)
+            if total >= cap:
+                break
         return total
 
-    def component_value(self, vmask, edges):
+    def component_value(self, vmask, edges, cap):
+        if cap <= 1:
+            return cap
         key = self.keys.get((vmask, edges))
         if key is None:
             if len(self.keys) >= self.memo_limit:
                 self.keys.clear()
             key = self.keys[vmask, edges] = _state_key(vmask, edges)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-
-        # order edges by how much an explosion removes, largest first
-        ordered = []
-        for e in edges:
-            after_v, after_e = _explode(vmask, edges, e)
-            removed = bin(vmask).count("1") - bin(after_v).count("1")
-            ordered.append((-removed, e, after_v, after_e))
-        ordered.sort(key=lambda t: (t[0], t[1]))
-
         best = 0
-        for _, e, after_v, after_e in ordered:
-            ev = self.value(after_v, after_e)
-            if ev + 1 <= best:
-                continue  # min(delete, ev + 1) cannot beat best
-            dv = self.value(vmask, tuple(x for x in edges if x != e))
-            cand = dv if dv < ev + 1 else ev + 1
-            if cand > best:
-                best = cand
-            if best == INFINITY:
-                break
+        entry = self.memo.get(key)
+        if entry is not None:
+            value, exact = entry
+            if exact or value >= cap:
+                return min(value, cap)
+            best = value  # a lower bound below this cap: search on from it
 
-        _check_budget(self.added, self.memo_limit)
-        self.added += 1
-        self.memo[key] = best
-        return best
-
-
-def psi(graph, *, memo=None, memo_limit=DEFAULT_MEMO_LIMIT):
-    """Exact game value of a Graph or GameState; 0 for the empty graph.
-
-    An explicit memo dict may be passed to share work across many calls;
-    sharing never changes the value.  BudgetExceededError is raised once
-    this call would add more than `memo_limit` entries to the table.
-    """
-    if isinstance(graph, Graph):
-        state = GameState.from_graph(graph)
-    else:
-        state = graph
-    engine = _PsiEngine({} if memo is None else memo, memo_limit)
-    return engine.value(_vertex_mask(state.vertices), tuple(sorted(state.edges)))
-
-
-class _PsiDecisionEngine:
-    """Exact decision procedure for psi(G) >= k, unfolded from the recursion.
-
-    psi(G) >= k iff some edge e has psi(G*e) >= k-1 and psi(G-e) >= k.  Two
-    provable shortcuts keep this tractable far beyond the full-value search:
-    psi >= 1 holds for every nonempty graph (vertices can only disappear
-    through explosions, by induction over the recursion), and the value is
-    additive over connected components, so a decision about a disconnected
-    state greedily allocates the threshold over its components.
-    """
-
-    def __init__(self, memo, memo_limit, node_budget):
-        self.memo = memo
-        self.memo_limit = memo_limit
-        self.node_budget = node_budget
-        self.nodes = 0
-        self.added = 0
-
-    def decide(self, vmask, edges, k):
-        if k <= 0:
-            return True
-        if vmask == 0:
-            return False
-        covered = 0
-        for u, v in edges:
-            covered |= (1 << u) | (1 << v)
-        if vmask & ~covered:
-            return True  # isolated vertex, value INFINITY
-        if k == 1:
-            return True  # nonempty without isolated vertices still scores >= 1
-        comps = _components(vmask, edges)
-        if len(comps) == 1:
-            return self.component_decide(*comps[0], k)
-        remaining = k
-        for cmask, cedges in comps[:-1]:
-            # largest threshold this component certainly meets
-            got = 0
-            while got < remaining and self.component_decide(cmask, cedges, got + 1):
-                got += 1
-            remaining -= got
-            if remaining == 0:
-                return True
-        last_mask, last_edges = comps[-1]
-        return self.component_decide(last_mask, last_edges, remaining)
-
-    def component_decide(self, vmask, edges, k):
-        if k <= 0:
-            return True
-        if k == 1:
-            return vmask != 0
-        key = (_state_key(vmask, edges), k)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise BudgetExceededError(
-                f"decision search exceeded {self.node_budget} nodes", nodes=self.nodes
-            )
-
-        # favour explosions that keep the graph large: the k-1 branch then
-        # has material left to work with
+        # explosions that keep the graph large first: their branch has
+        # material left to score with
         ordered = []
         for e in edges:
             after_v, after_e = _explode(vmask, edges, e)
             ordered.append((-bin(after_v).count("1"), e, after_v, after_e))
         ordered.sort(key=lambda t: (t[0], t[1]))
 
-        answer = False
         for _, e, after_v, after_e in ordered:
-            if not self.decide(after_v, after_e, k - 1):
+            # min(psi(G*e) + 1, cap), then min(psi(G-e), that): the delete
+            # branch need not be searched beyond what the explosion allows
+            explode_score = self.value(after_v, after_e, cap - 1) + 1
+            if explode_score <= best:
                 continue
-            if self.decide(vmask, tuple(x for x in edges if x != e), k):
-                answer = True
-                break
-        _check_budget(self.added, self.memo_limit)
-        self.added += 1
-        self.memo[key] = answer
-        return answer
+            score = self.value(vmask, tuple(x for x in edges if x != e), explode_score)
+            if score > best:
+                best = score
+                if best >= cap:
+                    break
+
+        if entry is None:
+            if self.added >= self.memo_limit:
+                raise BudgetExceededError(
+                    f"memo table exceeded {self.memo_limit} entries", nodes=self.added)
+            self.added += 1
+        self.memo[key] = (best, best < cap)
+        return best
 
 
-def psi_at_least(graph, k, *, memo=None, memo_limit=DEFAULT_MEMO_LIMIT,
-                 node_budget=10_000_000):
-    """Exact test of psi(graph) >= k without computing the full value.
+def _capped_psi(graph, cap, memo, memo_limit):
+    state = GameState.from_graph(graph) if isinstance(graph, Graph) else graph
+    engine = _PsiEngine({} if memo is None else memo, memo_limit)
+    return engine.value(_vertex_mask(state.vertices), tuple(sorted(state.edges)), cap)
 
-    The memo and its per-call budget work as in psi; its entries are keyed
-    by (state, threshold).
+
+def psi(graph, *, cap=INFINITY, memo=None, memo_limit=DEFAULT_MEMO_LIMIT):
+    """min(psi, cap) for a Graph or GameState; psi is 0 for the empty graph.
+
+    With the default cap this is the exact game value.  An explicit memo
+    dict may be passed to share work across many calls, whatever their
+    caps; sharing never changes a value.  BudgetExceededError is raised once
+    this call would add more than `memo_limit` entries to the table.
     """
-    if isinstance(graph, Graph):
-        state = GameState.from_graph(graph)
-    else:
-        state = graph
-    engine = _PsiDecisionEngine({} if memo is None else memo, memo_limit, node_budget)
-    return engine.decide(_vertex_mask(state.vertices), tuple(sorted(state.edges)), k)
+    return _capped_psi(graph, cap, memo, memo_limit)
+
+
+def psi_at_least(graph, k, *, memo=None, memo_limit=DEFAULT_MEMO_LIMIT):
+    """Exact test of psi(graph) >= k: the search of psi with cap k."""
+    return _capped_psi(graph, k, memo, memo_limit) >= k
 
 
 def line_graph(G):

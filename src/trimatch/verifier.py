@@ -39,6 +39,7 @@ from .solver import (
     partitioned_graph_to_json,
 )
 from .structures import (
+    INFINITY,
     Graph,
     bipartite_graph_from_json,
     bipartite_graph_to_json,
@@ -143,36 +144,40 @@ class _Codec:
 
 
 # A sweep's psi table is replaced by an empty one once it holds this many
-# entries.  ETA_GE_PSI_2_5 within its cap needs at most 12 112 (the connected
-# graphs on 2 to 8 vertices).  LEMMA_3_1 line graphs above
-# CANONICAL_EXACT_THRESHOLD vertices get labelled keys of 1.5 to 2 KiB, and
-# random instances repeat often enough that starting over is costly.  A
-# 10**6-trial LEMMA_3_1 run at the default parameters fills about 128 000
-# entries (210 MiB peak), so it never starts over here; larger `max_edges`
-# fill the table faster, and the limit holds it to roughly 400 MiB.
+# entries.  The table has one entry per canonical state, exact or a lower
+# bound, whatever caps the sweep asks at.  ETA_GE_PSI_2_5 within its cap
+# needs at most 12 112 (the connected graphs on 2 to 8 vertices).  LEMMA_3_1
+# line graphs above CANONICAL_EXACT_THRESHOLD vertices get labelled keys of
+# 1.5 to 2 KiB, and random instances repeat often enough that starting over
+# is costly.  A 10**6-trial LEMMA_3_1 run at the default parameters fills
+# about 128 000 entries (210 MiB peak), so it never starts over here; larger
+# `max_edges` fill the table faster, and the limit holds it to roughly
+# 400 MiB.
 SWEEP_TABLE_LIMIT = 200_000
 
 
 class _PsiTables:
-    """The psi and psi_at_least memo tables that one sweep shares.
+    """The one psi memo table that one sweep shares, as `tables["psi"]`.
 
     The instances of a sweep share most of their subgames, so each is
-    solved against the same two tables.  A psi call counts only the entries
-    it adds against its own budget, so sharing never fails an instance that
+    solved against the same table, whether it asks psi for a capped value
+    or psi_at_least for a threshold: both run the same capped search and
+    read and write the same entries.  A call counts only the entries it
+    adds against its own budget, so sharing never fails an instance that
     passes alone.  A table that holds `limit` entries is replaced by an
-    empty one before the next call, so a table never exceeds `limit` plus
-    what one call adds.
+    empty one before the next call, so it never exceeds `limit` plus what
+    one call adds.
     """
 
     limit = SWEEP_TABLE_LIMIT
 
     def __init__(self):
-        self._tables = {"psi": {}, "psi_at_least": {}}
+        self._table = {}
 
     def __getitem__(self, name):
-        if len(self._tables[name]) >= self.limit:
-            self._tables[name] = {}
-        return self._tables[name]
+        if len(self._table) >= self.limit:
+            self._table = {}
+        return self._table
 
 
 def _no_params(data):
@@ -208,12 +213,13 @@ def _psi_oracle(G):
 
 
 def _solve_psi(inst, target=None, tables=None):
-    return psi(inst["graph"], memo=None if tables is None else tables["psi"])
+    return psi(inst["graph"], cap=INFINITY if target is None else target,
+               memo=None if tables is None else tables["psi"])
 
 
 def _solve_lemma(inst, target=None, tables=None):
     # psi_at_least decides the threshold without the full value of psi
-    memo = None if tables is None else tables["psi_at_least"]
+    memo = None if tables is None else tables["psi"]
     return target if psi_at_least(line_graph(inst["bipartite"]), target, memo=memo) else target - 1
 
 
@@ -231,7 +237,7 @@ _FAMILY = _Codec(
 )
 _HYPER = _Codec(
     "hyper", hypergraph_to_json, hypergraph_from_json,
-    raw_keys={"sides"},
+    raw_keys={"sides", "edges"},
     raw_params=lambda data: {"n": data["sides"][0]},
     solve=lambda inst, target=None, **_: max_matching_size(inst["hyper"], target=target).optimum,
     oracle=_hyper_oracle,
@@ -443,7 +449,10 @@ def _con_transversal(inst, optimum):
 
 
 def _con_eta_psi(inst, optimum):
-    return eta_homological(independence_complex(inst["graph"])) >= optimum(inst)
+    # eta >= psi iff min(psi, eta + 1) <= eta, so psi is searched only up to
+    # eta + 1; with eta = INFINITY the cap is INFINITY, the full value
+    eta = eta_homological(independence_complex(inst["graph"]))
+    return optimum(inst, eta + 1) <= eta
 
 
 def _fractional_nu(nu, size, d, full_from):
@@ -564,22 +573,45 @@ def _family_meeting_profile(a, n, rng):
     return cons.random_family(sizes, rng)
 
 
-# exhaustive stream builders: (params, cap) -> iterator of instances
+def _keyword_params(builder):
+    """Let the registry call a stream builder as stream(*args, params).
+
+    A builder declares its parameters, each with its default, as keyword-only
+    arguments.  A key of `params` that it does not declare raises a
+    ValueError naming the key and the accepted ones, instead of being
+    silently ignored.
+    """
+    accepted = list(builder.__kwdefaults__)
+
+    @functools.wraps(builder)
+    def stream(*args):
+        *positional, params = args
+        unknown = sorted(set(params) - set(accepted))
+        if unknown:
+            raise ValueError(
+                f"unknown parameter {', '.join(map(repr, unknown))}; "
+                f"accepted: {', '.join(accepted)}")
+        return builder(*positional, **params)
+
+    return stream
 
 
-def _ex_eta_psi(params, cap):
-    max_v = params.get("max_vertices", 6)
-    if max_v > cap["max_vertices"]:
+# exhaustive stream builders: stream(cap, params) -> iterator of instances
+
+
+@_keyword_params
+def _ex_eta_psi(cap, *, max_vertices=6):
+    if max_vertices > cap["max_vertices"]:
         raise InfeasibleScopeError(
             f"exhaustive eta/psi capped at {cap['max_vertices']} vertices")
-    for n in range(0, max_v + 1):
+    for n in range(0, max_vertices + 1):
         for G in enumerate_graphs_up_to_iso(n):
             yield {"graph": G}
 
 
 def _ex_squares(squares):
-    def stream(params, cap):
-        max_order = params.get("max_order", 4)
+    @_keyword_params
+    def stream(cap, *, max_order=4):
         if max_order > cap["max_order"]:
             raise InfeasibleScopeError(
                 f"exhaustive square sweep capped at order {cap['max_order']}")
@@ -590,8 +622,8 @@ def _ex_squares(squares):
     return stream
 
 
-def _ex_accommodating(params, cap):
-    n = params.get("n", 2)
+@_keyword_params
+def _ex_accommodating(cap, *, n=2):
     if n > cap["max_n"]:
         raise InfeasibleScopeError(f"exhaustive sequence sweep capped at n = {cap['max_n']}")
     # necessity direction only: each non-accommodating sequence yields its
@@ -603,9 +635,8 @@ def _ex_accommodating(params, cap):
         yield {"family": fam, "n": n, "expect": False}
 
 
-def _ex_fracd(params, cap):
-    n = params.get("n", 3)
-    d = params.get("d", 2)
+@_keyword_params
+def _ex_fracd(cap, *, n=3, d=2):
     if n > cap["max_n"] or d > cap["max_d"]:
         raise InfeasibleScopeError(
             f"exhaustive regular sweep capped at n={cap['max_n']}, d={cap['max_d']}")
@@ -613,12 +644,13 @@ def _ex_fracd(params, cap):
         yield {"hyper": H, "n": n, "d": d}
 
 
-# randomized stream builders: (rng, trials, params) -> iterator of instances
+# randomized stream builders: stream(rng, trials, params) -> iterator of
+# instances
 
 
 def _rand_family_profile(profile_fn):
-    def stream(rng, trials, params):
-        n_values = params.get("n_values", [2, 3])
+    @_keyword_params
+    def stream(rng, trials, *, n_values=(2, 3)):
         for _ in range(trials):
             n = n_values[rng.randrange(len(n_values))]
             sizes = profile_fn(n, rng)
@@ -639,8 +671,8 @@ def _ab_sizes(n, rng):
     return [n for _ in range(n)]
 
 
-def _rand_accommodating(rng, trials, params):
-    n = params.get("n", 2)
+@_keyword_params
+def _rand_accommodating(rng, trials, *, n=2):
     sequences = ascending_sequences(n)
     for _ in range(trials):
         a = sequences[rng.randrange(len(sequences))]
@@ -655,102 +687,96 @@ def _rand_accommodating(rng, trials, params):
             }
 
 
-def _rand_almost_drisko(rng, trials, params):
-    n_values = params.get("n_values", [2, 3])
+@_keyword_params
+def _rand_almost_drisko(rng, trials, *, n_values=(2, 3)):
     for _ in range(trials):
         n = n_values[rng.randrange(len(n_values))]
         yield {"hyper": cons.gen_theorem19_instance(n, rng.getrandbits(48)), "n": n}
 
 
-def _rand_latin(rng, trials, params):
-    n = params.get("n", 4)
+@_keyword_params
+def _rand_latin(rng, trials, *, n=4):
     for _ in range(trials):
         yield {"square": cons._random_latin(n, rng)}
 
 
-def _rand_row_latin(rng, trials, params):
-    n = params.get("n", 4)
+@_keyword_params
+def _rand_row_latin(rng, trials, *, n=4):
     stream = cons.gen_row_latin(n, "random", seed=rng.getrandbits(48), count=trials)
     for L in stream:
         yield {"square": L}
 
 
 def _rand_tophall(deficiency_choices):
-    def stream(rng, trials, params):
+    @_keyword_params
+    def stream(rng, trials, *, max_vertices=7, max_parts=4):
         for _ in range(trials):
             P = cons.random_partition_system(
-                rng,
-                max_vertices=params.get("max_vertices", 7),
-                max_parts=params.get("max_parts", 4),
-            )
+                rng, max_vertices=max_vertices, max_parts=max_parts)
             d = deficiency_choices[rng.randrange(len(deficiency_choices))]
             yield {"pgraph": P, "deficiency": min(d, len(P.parts))}
 
     return stream
 
 
-def _rand_eta_psi(rng, trials, params):
-    n = params.get("vertices", 7)
+@_keyword_params
+def _rand_eta_psi(rng, trials, *, vertices=7):
     cap = STATEMENTS["ETA_GE_PSI_2_5"].cap["max_vertices"]
-    if n > cap:
+    if vertices > cap:
         raise InfeasibleScopeError(f"random eta/psi capped at {cap} vertices")
     for _ in range(trials):
-        yield {"graph": cons.random_graph(n, rng)}
+        yield {"graph": cons.random_graph(vertices, rng)}
 
 
-def _rand_lemma31(rng, trials, params):
-    ells = params.get("ells", [2, 3])
-    max_edges = params.get("max_edges", 12)
+@_keyword_params
+def _rand_lemma31(rng, trials, *, ells=(2, 3), max_edges=12):
     for _ in range(trials):
         ell = ells[rng.randrange(len(ells))]
         yield {"bipartite": cons.random_lemma31_graph(ell, rng, max_edges), "ell": ell}
 
 
-def _rand_rbs(rng, trials, params):
-    n = params.get("n", 3)
+@_keyword_params
+def _rand_rbs(rng, trials, *, n=3):
     for _ in range(trials):
         yield {"hyper": latin_to_hypergraph(cons._random_latin(n, rng)), "n": n}
 
 
-def _rand_stein(rng, trials, params):
-    n = params.get("n", 3)
+@_keyword_params
+def _rand_stein(rng, trials, *, n=3):
     for _ in range(trials):
         yield {"hyper": cons.random_stein_instance(n, rng), "n": n}
 
 
-def _rand_sym(rng, trials, params):
-    n = params.get("n", 3)
-    d = params.get("d", n)
+@_keyword_params
+def _rand_sym(rng, trials, *, n=3, d=None):
+    d = n if d is None else d
     for _ in range(trials):
         yield {"hyper": cons.random_regular_simple(n, d, rng), "n": n}
 
 
-def _rand_conj_drisko(rng, trials, params):
-    n = params.get("n", 2)
+@_keyword_params
+def _rand_conj_drisko(rng, trials, *, n=2):
     for _ in range(trials):
         yield {"hyper": cons.random_conj_drisko_instance(n, rng), "n": n}
 
 
-def _rand_fracd(rng, trials, params):
-    n = params.get("n", 3)
-    d = params.get("d", 2)
+@_keyword_params
+def _rand_fracd(rng, trials, *, n=3, d=2):
     for _ in range(trials):
         yield {"hyper": cons.random_regular_simple(n, d, rng), "n": n, "d": d}
 
 
-def _rand_asym(rng, trials, params):
-    a_size = params.get("a_size", 3)
-    deg_a = params.get("deg_a", 3)
-    bc = params.get("bc_size", 2 * deg_a)
+@_keyword_params
+def _rand_asym(rng, trials, *, a_size=3, deg_a=3, bc_size=None):
+    bc = 2 * deg_a if bc_size is None else bc_size
     for _ in range(trials):
         yield {"hyper": cons.random_bounded_tri(rng, a_size, bc, deg_a, deg_a)}
 
 
-def _rand_double_delta(rng, trials, params):
-    a_size = params.get("a_size", 3)
-    deg_a = params.get("deg_a", 5)
+@_keyword_params
+def _rand_double_delta(rng, trials, *, a_size=3, deg_a=5, bc_size=None):
     cap = (deg_a + 1) // 2
-    bc = params.get("bc_size", max(2 * deg_a, (a_size * deg_a + cap - 1) // cap))
+    bc = max(2 * deg_a, (a_size * deg_a + cap - 1) // cap) if bc_size is None else bc_size
     for _ in range(trials):
         yield {"hyper": cons.random_bounded_tri(rng, a_size, bc, deg_a, cap)}
 
@@ -941,7 +967,7 @@ def _stream(statement, rec, scope):
             raise InfeasibleScopeError(
                 f"{statement} has no exhaustive instance domain; use a randomized scope"
             )
-        return rec.exhaustive(scope.params, rec.cap)
+        return rec.exhaustive(rec.cap, scope.params)
     if scope.mode == "randomized":
         if scope.seed is None:
             raise ValueError("randomized scope requires a seed")

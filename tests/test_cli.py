@@ -258,6 +258,44 @@ class TestErrorsAndManifest:
         assert "input line 3" in err
         assert "TOPHALL_DEF_2_4" in err and "'deficiency'" in err
 
+    @pytest.mark.parametrize("argv,field", [
+        (["psi"], "edges"),
+        (["psi-line"], "left"),
+        (["nu"], "sides"),
+        (["rainbow"], "graph"),
+        (["diagonal", "--bound", "2"], "n"),
+        (["transversal"], "graph"),
+        (["gen", "double-a"], "sides"),
+    ])
+    def test_solver_verb_names_missing_field_and_line(self, argv, field, monkeypatch, capsys):
+        code, out, err = run_cli(argv, '\n{"vertices": 3}\n', monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: input line 2: missing field '{field}'" in err
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        def broken(G):
+            raise KeyError("internal")
+
+        monkeypatch.setattr("trimatch.cli.psi", broken)
+        with pytest.raises(KeyError, match="internal"):
+            run_cli(["psi"], '{"vertices": 2, "edges": [[0, 1]]}\n', monkeypatch, capsys)
+
+    @pytest.mark.parametrize("argv,unknown,accepted", [
+        (["verify", "LEMMA_3_1", "--random", "2", "--seed", "0", "--param", "ell=x"],
+         "'ell'", "ells, max_edges"),
+        (["verify", "ETA_GE_PSI_2_5", "--exhaustive", "--param", "foo=1"],
+         "'foo'", "max_vertices"),
+        (["hunt", "CONJ_SYM_1_3", "--budget", "2", "--seed", "0", "--param", "foo=1"],
+         "'foo'", "n, d"),
+    ])
+    def test_unknown_param_is_a_usage_error(self, argv, unknown, accepted, monkeypatch,
+                                            capsys):
+        code, out, err = run_cli(argv, "", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"unknown parameter {unknown}; accepted: {accepted}" in err
+
     def test_unknown_verb_usage_error(self, monkeypatch, capsys):
         code, _, _ = run_cli(["frobnicate"], "", monkeypatch, capsys)
         assert code == 2

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from trimatch import oracle
+from trimatch.constructions import random_graph
 from trimatch.errors import BudgetExceededError
 from trimatch.game import (
     GameState,
@@ -15,7 +16,9 @@ from trimatch.game import (
     psi_line,
 )
 from trimatch.structures import BipartiteGraph, Graph, INFINITY
-from trimatch.verifier import enumerate_graphs_up_to_iso
+from trimatch.verifier import PSI_ORACLE_EDGE_LIMIT, enumerate_graphs_up_to_iso
+
+CAPS = (0, 1, 2, 3, INFINITY)
 
 
 def path(n):
@@ -184,6 +187,56 @@ class TestPsiAtLeast:
         assert psi_at_least(cycle(9), 3, memo=shared, memo_limit=len(alone))
         with pytest.raises(BudgetExceededError):
             psi_at_least(cycle(9), 3, memo_limit=len(alone) - 1)
+
+
+class TestCappedPsi:
+    """psi(G, cap=k) is min(psi(G), k), and its table may serve any cap."""
+
+    @staticmethod
+    def oracle_graphs():
+        small = [G for n in range(7) for G in enumerate_graphs_up_to_iso(n)
+                 if len(G.edges) <= PSI_ORACLE_EDGE_LIMIT]
+        rng = random.Random(11)
+        drawn = []
+        while len(drawn) < 30:
+            G = random_graph(rng.randrange(6, 10), rng, p=0.3)
+            if len(G.edges) <= PSI_ORACLE_EDGE_LIMIT:
+                drawn.append(G)
+        return small + drawn
+
+    def test_matches_oracle_at_every_cap(self):
+        for G in self.oracle_graphs():
+            value = oracle.psi_oracle(G)
+            for k in CAPS:
+                assert psi(G, cap=k) == min(value, k), (G, k)
+
+    def test_matches_full_value_beyond_the_oracle(self):
+        for n in range(7):
+            for G in enumerate_graphs_up_to_iso(n):
+                value = psi(G)
+                for k in CAPS:
+                    assert psi(G, cap=k) == min(value, k), (G, k)
+
+    def test_shared_memo_thresholds_then_values(self):
+        # thresholds first leave lower bounds in the table; a later full
+        # value must search on from them, never read them as exact
+        graphs = [G for n in range(2, 7) for G in enumerate_graphs_up_to_iso(n)]
+        graphs += [cycle(n) for n in range(8, 12)] + [path(9)]
+        fresh = [psi(G) for G in graphs]
+        shared = {}
+        for k in (1, 2, 3):
+            for G, value in zip(graphs, fresh):
+                assert psi_at_least(G, k, memo=shared) == (value >= k), (G, k)
+        assert any(not exact for _, exact in shared.values())
+        for G, value in zip(graphs, fresh):
+            assert psi(G, cap=2, memo=shared) == min(value, 2)
+            assert psi(G, memo=shared) == value, G
+
+    def test_cap_one_needs_no_table_entry(self):
+        memo = {}
+        assert psi(cycle(9), cap=1, memo=memo) == 1
+        assert psi_at_least(cycle(9), 1, memo=memo)
+        assert memo == {}
 
 
 class TestLineGraph:

@@ -187,6 +187,36 @@ class TestStdinStream:
         with pytest.raises(ValueError, match="input line 3: cannot interpret payload"):
             verify_serialized_stream("ETA_GE_PSI_2_5", payloads)
 
+    def test_raw_hypergraph_without_edges_is_undecodable(self):
+        # CONJ_FRACD_5_1 derives d from the edges of a raw hypergraph
+        with pytest.raises(ValueError, match="input line 1: cannot interpret payload"):
+            verify_serialized_stream("CONJ_FRACD_5_1", [(1, {"sides": [2, 2, 2]})])
+
+
+class TestStreamParams:
+    def test_unknown_key_names_it_and_the_accepted_ones(self):
+        scope = Scope("randomized", trials=2, seed=0, params={"ell": 2, "max_edges": 5})
+        with pytest.raises(ValueError,
+                           match=r"unknown parameter 'ell'; accepted: ells, max_edges"):
+            verify("LEMMA_3_1", scope)
+        with pytest.raises(ValueError, match=r"unknown parameter 'foo'; accepted: max_order"):
+            verify("CAMWAN_1_10", Scope("exhaustive", params={"foo": 1}))
+        with pytest.raises(ValueError, match=r"unknown parameter 'x', 'y'; accepted: n, d"):
+            hunt("CONJ_SYM_1_3", 2, 0, params={"x": 1, "y": 2})
+
+    def test_given_and_default_values_agree(self):
+        # a parameter passed at its default value asks for the same stream
+        for sid, params in [("LEMMA_3_1", {"ells": [2, 3], "max_edges": 12}),
+                            ("CONJ_SYM_1_3", {"n": 3, "d": 3}),
+                            ("CONJ_ASYM_5_2", {"a_size": 3, "deg_a": 3, "bc_size": 6}),
+                            ("REMARK_5_DOUBLE_DELTA",
+                             {"a_size": 3, "deg_a": 5, "bc_size": 10})]:
+            rec = verifier.STATEMENTS[sid]
+            given = list(rec.randomized(random.Random(4), 5, params))
+            default = list(rec.randomized(random.Random(4), 5, {}))
+            assert [serialize_instance(sid, i) for i in given] == \
+                [serialize_instance(sid, i) for i in default]
+
 
 class TestCheckAccommodating:
     def test_accommodating_sequence_no_violations(self):
@@ -338,7 +368,7 @@ class TestSweepTables:
         real = verifier.psi
         monkeypatch.setattr(verifier, "psi", lambda G, **kw: real(G, memo_limit=2, **kw))
         with pytest.raises(BudgetExceededError):
-            verify("ETA_GE_PSI_2_5", Scope("exhaustive", params={"max_vertices": 4}))
+            verify("ETA_GE_PSI_2_5", Scope("exhaustive", params={"max_vertices": 5}))
 
     def test_wrong_table_entry_caught_by_recheck(self, monkeypatch):
         real = verifier.psi
@@ -346,7 +376,8 @@ class TestSweepTables:
 
         def planting(G, *, memo=None, **kw):
             if not planted:  # the first call gets the sweep's table
-                memo[canonical_graph_key(2, [(0, 1)])] = 50  # psi(K2) is 1
+                # an exact entry of 50, but psi(K2) is 1
+                memo[canonical_graph_key(2, [(0, 1)])] = (50, True)
                 planted.append(memo)
             return real(G, memo=memo, **kw)
 
