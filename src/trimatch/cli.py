@@ -3,8 +3,9 @@
 Machine-readable JSON goes to stdout (one line per instance), a short human
 summary and the run manifest go to stderr.  Exit codes: 0 success, 1 when
 a theorem-suite violation occurs or an asserted feasibility fails, 2 on
-usage errors (including malformed JSON, reported with its position, and an
-input line that lacks a field, reported with its line and the field).
+usage errors (including malformed JSON, reported with its position, an
+input line that is not a JSON object, and an input line that lacks a
+field, reported with its line and the field).
 """
 
 import argparse
@@ -51,11 +52,14 @@ def _read_json_lines(stream):
         if not line:
             continue
         try:
-            yield lineno, json.loads(line)
+            data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise _UsageError(
                 f"malformed JSON on input line {lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        if not isinstance(data, dict):
+            raise _UsageError(f"input line {lineno}: expected a JSON object")
+        yield lineno, data
 
 
 def _parse_line(parse, lineno, data):

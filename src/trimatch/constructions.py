@@ -2,8 +2,12 @@
 instances.
 
 Deterministic generators are pure functions of their parameters; random
-generators are pure functions of (parameters, seed).  Exhaustive streams
-emit in lexicographic cell order.  Every generator's output is validated
+generators are pure functions of (parameters, seed).  Each kind of object
+that needs a backtracking search has exactly one: `regular_completions`
+builds regular hypergraphs (the pinned-corner construction and the
+exhaustive regular sweep), and `latin_squares` fills Latin squares (the
+exhaustive stream, and with an rng the random one).  Exhaustive streams
+emit in lexicographic order.  Every generator's output is validated
 against the hypothesis it targets by the tests, not assumed.
 """
 
@@ -22,6 +26,9 @@ from .structures import (
 
 EXHAUSTIVE_LATIN_CAP = 5
 EXHAUSTIVE_ROW_LATIN_CAP = 4
+
+# nodes regular_completions may visit before it gives up
+COMPLETION_NODE_BUDGET = 2_000_000
 
 
 def _cycle_host(n):
@@ -127,12 +134,12 @@ def double_side_A(H):
     return TriHypergraph((2 * a, b, c), tuple(doubled))
 
 
-def gen_fracd_sharp(n, *, node_budget=2_000_000):
+def gen_fracd_sharp(n):
     """(2n-2)-regular simple hypergraph on sides of size n with nu = n-1.
 
     Three forced stars pin one vertex per side so that no single matching
-    covers all three; the rest of the grid is completed to regularity by an
-    exact-cover style search over the residual triples.
+    covers all three; the rest of the grid is the first completion of the
+    residual triples to regularity.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -141,57 +148,78 @@ def gen_fracd_sharp(n, *, node_budget=2_000_000):
         forced.append((0, 0, x))
         forced.append((0, x, 0))
         forced.append((x, 0, 0))
-    residual_degree = 2 * n - 3
-    others = list(range(1, n))
-    candidates = [
-        (x, y, z) for x in others for y in others for z in others
-    ]
-    need = {}
-    for side in range(3):
-        for v in others:
-            need[(side, v)] = residual_degree
+    others = range(1, n)
+    candidates = list(itertools.product(others, repeat=3))
+    need = {(side, v): 2 * n - 3 for side in range(3) for v in others}
+    for chosen in regular_completions(candidates, need):
+        return TriHypergraph((n, n, n), tuple(forced) + chosen)
+    raise ConstructionError(f"no completion to a {2 * n - 2}-regular hypergraph was found")
 
+
+def enumerate_regular_simple(n, d):
+    """All simple d-regular tripartite hypergraphs with sides of size n."""
+    vertices = range(n)
+    candidates = list(itertools.product(vertices, repeat=3))
+    need = {(side, v): d for side in range(3) for v in vertices}
+    return [TriHypergraph((n, n, n), edges) for edges in regular_completions(candidates, need)]
+
+
+def regular_completions(candidates, need):
+    """Every subset of the candidate triples that meets an exact degree.
+
+    `need` maps each (side, vertex) that a candidate touches to the number
+    of chosen triples that must contain it.  Subsets are yielded as tuples
+    in include-first lexicographic order: the search takes or skips each
+    candidate in turn, taking first.  A branch is cut once some (side,
+    vertex) needs more triples than the remaining candidates hold; only the
+    three keys of the candidate just passed can newly fail that test.
+    Raises ConstructionError past COMPLETION_NODE_BUDGET search nodes.
+    """
+    index = {key: i for i, key in enumerate(need)}
+    deficit = list(need.values())
+    keys = [tuple(index[key] for key in enumerate(t)) for t in candidates]
+    avail = [0] * len(deficit)  # per key: the candidates not yet passed
+    for ks in keys:
+        for k in ks:
+            avail[k] += 1
+    if any(a < d for a, d in zip(avail, deficit)):
+        return
+    left = sum(deficit)
     chosen = []
     nodes = 0
 
-    def remaining_capacity(idx):
-        cap = {key: 0 for key in need}
-        for t in candidates[idx:]:
-            for side in range(3):
-                cap[(side, t[side])] += 1
-        return cap
-
     def rec(idx):
-        nonlocal nodes
+        # every key keeps deficit <= avail, so left is 0 by the last candidate
+        nonlocal nodes, left
         nodes += 1
-        if nodes > node_budget:
+        if nodes > COMPLETION_NODE_BUDGET:
             raise ConstructionError("completion search exhausted its budget")
-        if all(v == 0 for v in need.values()):
-            return True
-        if idx == len(candidates):
-            return False
-        cap = remaining_capacity(idx)
-        for key, remaining in need.items():
-            if remaining > cap[key]:
-                return False
-        t = candidates[idx]
-        keys = [(side, t[side]) for side in range(3)]
-        if all(need[k] > 0 for k in keys):
-            for k in keys:
-                need[k] -= 1
-            chosen.append(t)
-            if rec(idx + 1):
-                return True
+        if left == 0:
+            yield tuple(chosen)
+            return
+        x, y, z = keys[idx]
+        avail[x] -= 1
+        avail[y] -= 1
+        avail[z] -= 1
+        if deficit[x] and deficit[y] and deficit[z]:
+            deficit[x] -= 1
+            deficit[y] -= 1
+            deficit[z] -= 1
+            left -= 3
+            chosen.append(candidates[idx])
+            yield from rec(idx + 1)
             chosen.pop()
-            for k in keys:
-                need[k] += 1
-        return rec(idx + 1)
+            left += 3
+            deficit[x] += 1
+            deficit[y] += 1
+            deficit[z] += 1
+        if deficit[x] <= avail[x] and deficit[y] <= avail[y] and deficit[z] <= avail[z]:
+            yield from rec(idx + 1)
+        avail[x] += 1
+        avail[y] += 1
+        avail[z] += 1
 
-    if not rec(0):
-        raise ConstructionError(
-            f"no completion to a {2 * n - 2}-regular hypergraph was found"
-        )
-    return TriHypergraph((n, n, n), tuple(forced + chosen))
+    yield from rec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +245,7 @@ def gen_latin(n, mode, seed=None, count=None):
         rng = random.Random(seed)
         emitted = 0
         while count is None or emitted < count:
-            yield _random_latin(n, rng)
+            yield next(latin_squares(n, rng))
             emitted += 1
             if count is None:
                 return
@@ -226,7 +254,7 @@ def gen_latin(n, mode, seed=None, count=None):
         if n > EXHAUSTIVE_LATIN_CAP:
             raise ValueError(f"exhaustive stream capped at order {EXHAUSTIVE_LATIN_CAP}")
         emitted = 0
-        for square in _exhaustive_latin(n):
+        for square in latin_squares(n):
             yield square
             emitted += 1
             if count is not None and emitted >= count:
@@ -235,7 +263,13 @@ def gen_latin(n, mode, seed=None, count=None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _exhaustive_latin(n):
+def latin_squares(n, rng=None):
+    """Every Latin square of order n, filled cell by cell in row-major order.
+
+    Without an rng each cell tries its symbols in increasing order, so the
+    squares come in lexicographic cell order.  With an rng each cell's
+    candidates are shuffled first, and the first square is a random one.
+    """
     cells = [[-1] * n for _ in range(n)]
     row_used = [set() for _ in range(n)]
     col_used = [set() for _ in range(n)]
@@ -245,9 +279,10 @@ def _exhaustive_latin(n):
             yield LatinSquare(n, tuple(tuple(row) for row in cells))
             return
         r, c = divmod(pos, n)
-        for s in range(n):
-            if s in row_used[r] or s in col_used[c]:
-                continue
+        options = [s for s in range(n) if s not in row_used[r] and s not in col_used[c]]
+        if rng is not None:
+            rng.shuffle(options)
+        for s in options:
             cells[r][c] = s
             row_used[r].add(s)
             col_used[c].add(s)
@@ -259,39 +294,11 @@ def _exhaustive_latin(n):
     yield from rec(0)
 
 
-def _random_latin(n, rng):
-    """Backtracking fill with per-cell candidate order drawn from the rng."""
-    cells = [[-1] * n for _ in range(n)]
-    row_used = [set() for _ in range(n)]
-    col_used = [set() for _ in range(n)]
-
-    def rec(pos):
-        if pos == n * n:
-            return True
-        r, c = divmod(pos, n)
-        options = [s for s in range(n) if s not in row_used[r] and s not in col_used[c]]
-        rng.shuffle(options)
-        for s in options:
-            cells[r][c] = s
-            row_used[r].add(s)
-            col_used[c].add(s)
-            if rec(pos + 1):
-                return True
-            row_used[r].remove(s)
-            col_used[c].remove(s)
-            cells[r][c] = -1
-        return False
-
-    if not rec(0):
-        raise ConstructionError("Latin square backtracking failed")
-    return LatinSquare(n, tuple(tuple(row) for row in cells))
-
-
-def gen_row_latin(n, mode, seed=None, count=None, normalized=True):
+def gen_row_latin(n, mode, seed=None, count=None):
     """Stream of row-Latin squares (each row an independent permutation).
 
-    The exhaustive stream fixes the first row to the identity when
-    `normalized` is set and is capped at order 4.
+    The exhaustive stream fixes the first row to the identity and is
+    capped at order 4.
     """
     if mode == "random":
         if seed is None:
@@ -314,18 +321,16 @@ def gen_row_latin(n, mode, seed=None, count=None, normalized=True):
             raise ValueError(
                 f"exhaustive stream capped at order {EXHAUSTIVE_ROW_LATIN_CAP}"
             )
-        perms = list(itertools.permutations(range(n)))
-        first_rows = [tuple(range(n))] if normalized and n > 0 else perms
         if n == 0:
             yield LatinSquare(0, ())
             return
+        first = tuple(range(n))
         emitted = 0
-        for first in first_rows:
-            for rest in itertools.product(perms, repeat=n - 1):
-                yield LatinSquare(n, (first,) + rest)
-                emitted += 1
-                if count is not None and emitted >= count:
-                    return
+        for rest in itertools.product(itertools.permutations(range(n)), repeat=n - 1):
+            yield LatinSquare(n, (first,) + rest)
+            emitted += 1
+            if count is not None and emitted >= count:
+                return
         return
     raise ValueError(f"unknown mode {mode!r}")
 

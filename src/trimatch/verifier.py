@@ -108,12 +108,12 @@ class VerificationReport:
 class _Codec:
     """One instance kind: an object under `key` plus scalar parameters.
 
-    `solve(inst, target=None, tables=None)` returns the optimum the kind's
-    conclusions are stated in; given a target it may stop at any value that
-    is at least the target exactly when the optimum is.  The kinds solved
-    by psi use `tables`, the sweep's `_PsiTables`, and a fresh memo when it
-    is None; the others ignore it.  `oracle(inst)` returns the same optimum
-    by brute force, or None when the instance is beyond its reach.
+    `solve(inst, target=None)` returns the optimum the kind's conclusions
+    are stated in; given a target it may stop at any value that is at least
+    the target exactly when the optimum is.  The kinds solved by psi set
+    `psi_memo`: their `solve` also takes `memo`, the sweep's psi table, and
+    uses a fresh one when it is None.  `oracle(inst)` returns the same
+    optimum by brute force, or None when the instance is beyond its reach.
     """
 
     key: str
@@ -125,6 +125,7 @@ class _Codec:
     oracle: object
     required: tuple = ()
     optional: dict = field(default_factory=dict)  # parameter -> default
+    psi_memo: bool = False
 
     def _with_params(self, obj, source):
         out = {self.key: obj}
@@ -143,41 +144,17 @@ class _Codec:
                 f"{statement or self.key} payload is missing field {exc.args[0]!r}") from None
 
 
-# A sweep's psi table is replaced by an empty one once it holds this many
-# entries.  The table has one entry per canonical state, exact or a lower
-# bound, whatever caps the sweep asks at.  ETA_GE_PSI_2_5 within its cap
-# needs at most 12 112 (the connected graphs on 2 to 8 vertices).  LEMMA_3_1
-# line graphs above CANONICAL_EXACT_THRESHOLD vertices get labelled keys of
-# 1.5 to 2 KiB, and random instances repeat often enough that starting over
-# is costly.  A 10**6-trial LEMMA_3_1 run at the default parameters fills
-# about 128 000 entries (210 MiB peak), so it never starts over here; larger
-# `max_edges` fill the table faster, and the limit holds it to roughly
-# 400 MiB.
+# `verify` clears its sweep's psi table before an instance once the table
+# holds this many entries.  The table has one entry per canonical state,
+# exact or a lower bound, whatever caps the sweep asks at.  ETA_GE_PSI_2_5
+# within its cap needs at most 12 112 (the connected graphs on 2 to 8
+# vertices).  LEMMA_3_1 line graphs above CANONICAL_EXACT_THRESHOLD vertices
+# get labelled keys of 1.5 to 2 KiB, and random instances repeat often
+# enough that starting over is costly.  A 10**6-trial LEMMA_3_1 run at the
+# default parameters fills about 128 000 entries (210 MiB peak), so it never
+# starts over here; larger `max_edges` fill the table faster, and the limit
+# holds it to roughly 400 MiB.
 SWEEP_TABLE_LIMIT = 200_000
-
-
-class _PsiTables:
-    """The one psi memo table that one sweep shares, as `tables["psi"]`.
-
-    The instances of a sweep share most of their subgames, so each is
-    solved against the same table, whether it asks psi for a capped value
-    or psi_at_least for a threshold: both run the same capped search and
-    read and write the same entries.  A call counts only the entries it
-    adds against its own budget, so sharing never fails an instance that
-    passes alone.  A table that holds `limit` entries is replaced by an
-    empty one before the next call, so it never exceeds `limit` plus what
-    one call adds.
-    """
-
-    limit = SWEEP_TABLE_LIMIT
-
-    def __init__(self):
-        self._table = {}
-
-    def __getitem__(self, name):
-        if len(self._table) >= self.limit:
-            self._table = {}
-        return self._table
 
 
 def _no_params(data):
@@ -212,14 +189,12 @@ def _psi_oracle(G):
     return oracle.psi_oracle(G) if len(G.edges) <= PSI_ORACLE_EDGE_LIMIT else None
 
 
-def _solve_psi(inst, target=None, tables=None):
-    return psi(inst["graph"], cap=INFINITY if target is None else target,
-               memo=None if tables is None else tables["psi"])
+def _solve_psi(inst, target=None, memo=None):
+    return psi(inst["graph"], cap=INFINITY if target is None else target, memo=memo)
 
 
-def _solve_lemma(inst, target=None, tables=None):
+def _solve_lemma(inst, target=None, memo=None):
     # psi_at_least decides the threshold without the full value of psi
-    memo = None if tables is None else tables["psi"]
     return target if psi_at_least(line_graph(inst["bipartite"]), target, memo=memo) else target - 1
 
 
@@ -230,7 +205,7 @@ _FAMILY = _Codec(
     "family", family_to_json, family_from_json,
     raw_keys={"graph", "members"},
     raw_params=lambda data: {"n": (len(data["members"]) + 1) // 2},
-    solve=lambda inst, target=None, **_: find_rainbow_matching(
+    solve=lambda inst, target=None: find_rainbow_matching(
         inst["family"], target=target).optimum,
     oracle=_family_oracle,
     required=("n",), optional={"expect": True},
@@ -239,7 +214,7 @@ _HYPER = _Codec(
     "hyper", hypergraph_to_json, hypergraph_from_json,
     raw_keys={"sides", "edges"},
     raw_params=lambda data: {"n": data["sides"][0]},
-    solve=lambda inst, target=None, **_: max_matching_size(inst["hyper"], target=target).optimum,
+    solve=lambda inst, target=None: max_matching_size(inst["hyper"], target=target).optimum,
     oracle=_hyper_oracle,
     optional={"n": None, "d": None},
 )
@@ -247,7 +222,7 @@ _SQUARE = _Codec(
     "square", square_to_json, square_from_json,
     raw_keys={"n", "cells"},
     raw_params=_no_params,
-    solve=lambda inst, target=None, **_: find_bounded_diagonal(inst["square"], 2).optimum,
+    solve=lambda inst, target=None: find_bounded_diagonal(inst["square"], 2).optimum,
     oracle=_square_oracle,
 )
 _GRAPH = _Codec(
@@ -256,6 +231,7 @@ _GRAPH = _Codec(
     raw_params=_no_params,
     solve=_solve_psi,
     oracle=lambda inst: _psi_oracle(inst["graph"]),
+    psi_memo=True,
 )
 _PARTITION = _Codec(
     "pgraph",
@@ -263,7 +239,7 @@ _PARTITION = _Codec(
     lambda data: partitioned_graph_from_json(data),
     raw_keys={"graph", "parts"},
     raw_params=lambda data: {"deficiency": 0},
-    solve=lambda inst, target=None, **_: find_independent_transversal(
+    solve=lambda inst, target=None: find_independent_transversal(
         inst["pgraph"], deficiency=inst["deficiency"]).optimum,
     oracle=_partition_oracle,
     required=("deficiency",),
@@ -275,6 +251,7 @@ _LEMMA = _Codec(
     solve=_solve_lemma,
     oracle=lambda inst: _psi_oracle(line_graph(inst["bipartite"])),
     required=("ell",),
+    psi_memo=True,
 )
 
 
@@ -324,7 +301,7 @@ def _hyp_almost_drisko(inst):
     a, b, c = H.side_sizes
     if a < 2 * n - 1 or b != n or c != n:
         return False
-    if any(sum(1 for e in H.edges if e[0] == v) != n for v in range(a)):
+    if not min_degree(H, "A") == max_degree(H, "A") == n:
         return False
     return is_p_simple(H, ("A", "C"), 1) and is_p_simple(H, ("B", "C"), 2)
 
@@ -382,7 +359,7 @@ def _hyp_conj_drisko(inst):
     a = H.side_sizes[0]
     if a < 2 * n - 1:
         return False
-    if any(sum(1 for e in H.edges if e[0] == v) < n for v in range(a)):
+    if min_degree(H, "A") < n:
         return False
     return max_degree(H, "B") <= 2 * n - 1 and max_degree(H, "C") <= 2 * n - 1
 
@@ -503,57 +480,6 @@ def enumerate_graphs_up_to_iso(n):
     return [seen[k] for k in sorted(seen)]
 
 
-def enumerate_regular_simple(n, d):
-    """All simple d-regular tripartite hypergraphs with sides of size n."""
-    from .structures import TriHypergraph
-
-    triples = [
-        (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-    ]
-    need_total = n * d
-    results = []
-    degrees = [[0] * n for _ in range(3)]
-    chosen = []
-
-    def rec(idx, count):
-        if count == need_total:
-            results.append(TriHypergraph((n, n, n), tuple(chosen)))
-            return
-        if idx == len(triples):
-            return
-        remaining = len(triples) - idx
-        if count + remaining < need_total:
-            return
-        t = triples[idx]
-        if all(degrees[s][t[s]] < d for s in range(3)):
-            for s in range(3):
-                degrees[s][t[s]] += 1
-            chosen.append(t)
-            rec(idx + 1, count + 1)
-            chosen.pop()
-            for s in range(3):
-                degrees[s][t[s]] -= 1
-        # skipping is pointless when a vertex could never recover its degree
-        a, b, c = t
-        if (
-            _can_still_fill(degrees[0], a, d, triples, idx + 1, 0)
-            and _can_still_fill(degrees[1], b, d, triples, idx + 1, 1)
-            and _can_still_fill(degrees[2], c, d, triples, idx + 1, 2)
-        ):
-            rec(idx + 1, count)
-
-    rec(0, 0)
-    return results
-
-
-def _can_still_fill(side_degrees, v, d, triples, idx, pos):
-    deficit = d - side_degrees[v]
-    if deficit <= 0:
-        return True
-    avail = sum(1 for t in triples[idx:] if t[pos] == v)
-    return avail >= deficit
-
-
 def ascending_sequences(n, lo=0):
     """All ascending sequences of length 2n-1 with entries in [lo, n]."""
     length = 2 * n - 1
@@ -640,7 +566,7 @@ def _ex_fracd(cap, *, n=3, d=2):
     if n > cap["max_n"] or d > cap["max_d"]:
         raise InfeasibleScopeError(
             f"exhaustive regular sweep capped at n={cap['max_n']}, d={cap['max_d']}")
-    for H in enumerate_regular_simple(n, d):
+    for H in cons.enumerate_regular_simple(n, d):
         yield {"hyper": H, "n": n, "d": d}
 
 
@@ -697,7 +623,7 @@ def _rand_almost_drisko(rng, trials, *, n_values=(2, 3)):
 @_keyword_params
 def _rand_latin(rng, trials, *, n=4):
     for _ in range(trials):
-        yield {"square": cons._random_latin(n, rng)}
+        yield {"square": next(cons.latin_squares(n, rng))}
 
 
 @_keyword_params
@@ -738,7 +664,7 @@ def _rand_lemma31(rng, trials, *, ells=(2, 3), max_edges=12):
 @_keyword_params
 def _rand_rbs(rng, trials, *, n=3):
     for _ in range(trials):
-        yield {"hyper": latin_to_hypergraph(cons._random_latin(n, rng)), "n": n}
+        yield {"hyper": latin_to_hypergraph(next(cons.latin_squares(n, rng))), "n": n}
 
 
 @_keyword_params
@@ -843,8 +769,7 @@ STATEMENTS = {
     "STRONG_CAMWAN_1_12": _theorem(
         _SQUARE, _hyp_strong_camwan, _con_full_diagonal, _rand_row_latin,
         Scope("exhaustive", params={"max_order": 4}),
-        exhaustive=_ex_squares(
-            lambda n: cons.gen_row_latin(n, "exhaustive", normalized=True)),
+        exhaustive=_ex_squares(lambda n: cons.gen_row_latin(n, "exhaustive")),
         cap={"max_order": 4}),
     "TOPHALL_2_3": _theorem(
         _PARTITION, _hyp_tophall, _con_transversal, _rand_tophall([0]),
@@ -925,6 +850,8 @@ def adapt_payload(statement, data):
     """
     rec = _record(statement)
     codec = rec.codec
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
     if codec.key in data:
         return data
     if not codec.raw_keys <= set(data):
@@ -938,7 +865,7 @@ def adapt_payload(statement, data):
 
 def _revalidate(rec, payload):
     """Re-judge a candidate violation from its serialized form.  The solver
-    gets fresh psi tables, so no entry of the sweep's tables is trusted."""
+    gets a fresh psi table, so no entry of the sweep's table is trusted."""
     inst = rec.codec.decode(payload)
     hyp = rec.hypothesis(inst)
     con = rec.conclusion(inst, rec.codec.solve)
@@ -979,19 +906,24 @@ def _stream(statement, rec, scope):
 
 def verify(statement, scope, *, cert_dir=None, instances=None):
     """Sweep a scope (or the given instances) and report hypothesis hits and
-    re-validated violations.  The instances are solved against one set of
-    psi tables, owned by this call."""
+    re-validated violations.  The instances are solved against one psi
+    table, owned by this call: they share most of their subgames, and a
+    call counts only the entries it adds against its own budget, so
+    sharing never fails an instance that passes alone."""
     rec = _record(statement)
     if instances is None:
         instances = _stream(statement, rec, scope)
     report = VerificationReport(statement=statement, scope=scope.describe(), seed=scope.seed)
     hypothesis, conclusion = rec.hypothesis, rec.conclusion
-    solve = functools.partial(rec.codec.solve, tables=_PsiTables())
+    memo = {}
+    solve = functools.partial(rec.codec.solve, memo=memo) if rec.codec.psi_memo else rec.codec.solve
     for inst in instances:
         report.instances_checked += 1
         if not hypothesis(inst):
             continue
         report.hypothesis_hits += 1
+        if len(memo) >= SWEEP_TABLE_LIMIT:
+            memo.clear()
         if not conclusion(inst, solve):
             _record_violation(statement, rec, inst, report, cert_dir)
     return report

@@ -165,7 +165,7 @@ def test_criterion_6_bounded_diagonals():
         checked += 1
     latin_count = checked
     for n in (3, 4):
-        for L in cons.gen_row_latin(n, "exhaustive", normalized=True):
+        for L in cons.gen_row_latin(n, "exhaustive"):
             if find_bounded_diagonal(L, 2).optimum != n:
                 failures += 1
             checked += 1

@@ -273,6 +273,19 @@ class TestErrorsAndManifest:
         assert out == ""
         assert f"error: input line 2: missing field '{field}'" in err
 
+    @pytest.mark.parametrize("argv,good,line", [
+        (["psi"], '{"vertices": 2, "edges": [[0, 1]]}', "[1, 2]"),
+        (["verify", "ETA_GE_PSI_2_5", "--stdin"], '{"vertices": 2, "edges": []}', "[1, 2]"),
+        (["verify", "ETA_GE_PSI_2_5", "--stdin"], '{"vertices": 2, "edges": []}', "5"),
+        (["gen", "double-a"], '{"sides": [1, 1, 1], "edges": [[0, 0, 0]]}', "[1, 2]"),
+    ])
+    def test_line_that_is_not_an_object_is_a_usage_error(self, argv, good, line, monkeypatch,
+                                                         capsys):
+        code, _, err = run_cli(argv, f"{good}\n{line}\n", monkeypatch, capsys)
+        assert code == 2
+        assert "error: input line 2: expected a JSON object" in err
+        assert "Traceback" not in err
+
     def test_internal_key_error_is_not_a_usage_error(self, monkeypatch, capsys):
         def broken(G):
             raise KeyError("internal")

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -13,6 +16,11 @@ from trimatch.structures import (
     is_regular,
     latin_to_hypergraph,
 )
+
+
+def digest(obj):
+    """Short fingerprint of a JSON-able output, to pin it without spelling it out."""
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
 
 
 class TestDrisko:
@@ -102,6 +110,57 @@ class TestFracdSharp:
         assert degree(H, "B", 0) == 4
         assert degree(H, "C", 0) == 4
 
+    # pinned outputs: a change of the completion search's order changes them
+    GOLDEN = {2: "6d38a62739188062", 3: "3f641917c020b7f7", 4: "d42e8d92b6faf6df",
+              5: "ab78e156fd4e7799", 6: "58c617bfc09d635d"}
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN))
+    def test_golden_edges(self, n):
+        assert digest(cons.gen_fracd_sharp(n).edges) == self.GOLDEN[n]
+
+
+def grid_need(n, d):
+    candidates = list(itertools.product(range(n), repeat=3))
+    return candidates, {(side, v): d for side in range(3) for v in range(n)}
+
+
+class TestRegularCompletions:
+    @pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (3, 1)])
+    def test_equals_brute_force_in_order(self, n, d):
+        candidates, need = grid_need(n, d)
+
+        def meets_need(subset):
+            counts = {key: 0 for key in need}
+            for t in subset:
+                for key in enumerate(t):
+                    counts[key] += 1
+            return counts == need
+
+        # a d-regular subset has n * d triples, and combinations of one size
+        # come in include-first lexicographic order
+        brute = [c for c in itertools.combinations(candidates, n * d) if meets_need(c)]
+        assert brute
+        assert list(cons.regular_completions(candidates, need)) == brute
+
+    def test_enumerate_regular_simple_counts(self):
+        counts = {(n, d): len(cons.enumerate_regular_simple(n, d))
+                  for n in (1, 2, 3) for d in (0, 1, 2, 3)}
+        # d = 1 on sides of size n: pairs of permutations, (n!)**2
+        assert counts[(1, 1)] == 1 and counts[(2, 1)] == 4 and counts[(3, 1)] == 36
+        assert counts[(1, 2)] == 0 and counts[(3, 3)] == 7392
+        assert all(counts[(n, 0)] == 1 for n in (1, 2, 3))
+        for H in cons.enumerate_regular_simple(2, 2):
+            assert H.is_simple() and is_regular(H, 2)
+
+    def test_unmeetable_need_yields_nothing(self):
+        candidates, need = grid_need(2, 5)
+        assert list(cons.regular_completions(candidates, need)) == []
+
+    def test_node_budget(self, monkeypatch):
+        monkeypatch.setattr(cons, "COMPLETION_NODE_BUDGET", 10)
+        with pytest.raises(ConstructionError, match="budget"):
+            cons.enumerate_regular_simple(3, 1)
+
 
 class TestDoubleSideA:
     def test_edge_count_doubles(self):
@@ -168,6 +227,27 @@ class TestLatinStreams:
         with pytest.raises(ValueError):
             next(cons.gen_latin(3, "random"))
 
+    # pinned outputs: a change of the fill order or of its rng calls changes them
+    GOLDEN = {4: "6f3b634f2522c51d", 5: "807c9a688fbd354e", 6: "37eda2be7f7d48c4",
+              7: "83c885b7a6b6617a"}
+    RNG_AFTER = {1: ("8b2450ade83392de", 0.13436424411240122),
+                 2: ("d0f64a1ca7a7daf6", 0.7359699890685233),
+                 3: ("de8ae97314891268", 0.7800764890835564),
+                 4: ("83e62e7df77b257d", 0.14506275949834935),
+                 5: ("78fb41636de6b1bf", 0.8016644306001379),
+                 6: ("7cebb51a3d5b47f6", 0.525423040301249)}
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN))
+    def test_random_stream_golden(self, n):
+        squares = [L.cells for L in cons.gen_latin(n, "random", seed=3, count=20)]
+        assert digest(squares) == self.GOLDEN[n]
+
+    @pytest.mark.parametrize("n", sorted(RNG_AFTER))
+    def test_first_fill_draws_golden_rng_calls(self, n):
+        rng = random.Random(n)
+        squares = [next(cons.latin_squares(n, rng)).cells for _ in range(5)]
+        assert (digest(squares), rng.random()) == self.RNG_AFTER[n]
+
 
 class TestRowLatinStreams:
     def test_normalized_counts(self):
@@ -186,6 +266,13 @@ class TestRowLatinStreams:
         a = [L.cells for L in cons.gen_row_latin(3, "random", seed=4, count=4)]
         b = [L.cells for L in cons.gen_row_latin(3, "random", seed=4, count=4)]
         assert a == b
+
+    GOLDEN = {3: "83a2649348cf5172", 4: "4307ded978b86d93", 5: "789a949994bac40a"}
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN))
+    def test_random_stream_golden(self, n):
+        squares = [L.cells for L in cons.gen_row_latin(n, "random", seed=3, count=20)]
+        assert digest(squares) == self.GOLDEN[n]
 
 
 class TestTheorem19:

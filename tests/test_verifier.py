@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from trimatch import constructions as cons
 from trimatch import verifier
 from trimatch.errors import BudgetExceededError, InfeasibleScopeError
 from trimatch.game import canonical_graph_key, line_graph, psi, psi_at_least
 from trimatch.solver import SolveResult
+from trimatch.structures import TriHypergraph, is_p_simple, max_degree
 from trimatch.verifier import (
     ALL_STATEMENT_IDS,
     CONJECTURE_IDS,
@@ -120,6 +122,47 @@ class TestVerify:
         assert report.violations == []
         assert report.hypothesis_hits > 0
 
+    def test_fracd_exhaustive_at_its_cap(self):
+        report = verify("CONJ_FRACD_5_1", Scope("exhaustive"))
+        assert (report.instances_checked, report.hypothesis_hits) == (900, 900)
+        assert report.violations == []
+
+
+def _a_degrees_by_recount(H):
+    return [sum(1 for e in H.edges if e[0] == v) for v in range(H.side_sizes[0])]
+
+
+# hypergraphs for the A-degree hypotheses, with an empty side A among them
+A_DEGREE_CASES = [
+    TriHypergraph((0, 0, 0), ()),
+    TriHypergraph((0, 2, 2), ()),
+    TriHypergraph((3, 2, 2), ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 0, 0), (2, 1, 1))),
+    TriHypergraph((3, 2, 2), ((0, 0, 0), (0, 1, 1), (1, 0, 1), (2, 0, 0), (2, 1, 1), (2, 1, 0))),
+    TriHypergraph((3, 2, 2), ((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0), (2, 1, 1))),
+] + [cons.random_conj_drisko_instance(2, random.Random(seed)) for seed in range(8)]
+
+
+class TestADegreeHypotheses:
+    """The A-degree tests read min and max degree; verdicts match a recount
+    of every A-vertex's degree over all edges."""
+
+    @pytest.mark.parametrize("H", A_DEGREE_CASES)
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
+    def test_almost_drisko(self, H, n):
+        a, b, c = H.side_sizes
+        expected = (a >= 2 * n - 1 and b == n and c == n
+                    and all(deg == n for deg in _a_degrees_by_recount(H))
+                    and is_p_simple(H, ("A", "C"), 1) and is_p_simple(H, ("B", "C"), 2))
+        assert verifier._hyp_almost_drisko({"hyper": H, "n": n}) == expected
+
+    @pytest.mark.parametrize("H", A_DEGREE_CASES)
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
+    def test_conj_drisko(self, H, n):
+        expected = (H.side_sizes[0] >= 2 * n - 1
+                    and all(deg >= n for deg in _a_degrees_by_recount(H))
+                    and max_degree(H, "B") <= 2 * n - 1 and max_degree(H, "C") <= 2 * n - 1)
+        assert verifier._hyp_conj_drisko({"hyper": H, "n": n}) == expected
+
 
 def _small(**params):
     return Scope("randomized", trials=3, seed=1, params=params)
@@ -191,6 +234,13 @@ class TestStdinStream:
         # CONJ_FRACD_5_1 derives d from the edges of a raw hypergraph
         with pytest.raises(ValueError, match="input line 1: cannot interpret payload"):
             verify_serialized_stream("CONJ_FRACD_5_1", [(1, {"sides": [2, 2, 2]})])
+
+    @pytest.mark.parametrize("data", [[1, 2], 5, "graph", None])
+    def test_payload_that_is_not_an_object_is_rejected(self, data):
+        with pytest.raises(ValueError, match="^expected a JSON object$"):
+            verifier.adapt_payload("ETA_GE_PSI_2_5", data)
+        with pytest.raises(ValueError, match="^input line 4: expected a JSON object$"):
+            verify_serialized_stream("ETA_GE_PSI_2_5", [(4, data)])
 
 
 class TestStreamParams:
@@ -338,7 +388,7 @@ class TestSweepTables:
     @pytest.mark.parametrize("sid,scope", SWEEPS)
     def test_report_equals_fresh_tables_per_instance(self, sid, scope, monkeypatch):
         shared = verify(sid, scope).to_json()
-        monkeypatch.setattr(verifier._PsiTables, "__getitem__", lambda self, name: {})
+        monkeypatch.setattr(verifier, "SWEEP_TABLE_LIMIT", 0)  # a fresh table per instance
         assert verify(sid, scope).to_json() == shared
 
     @pytest.mark.parametrize("sid,scope", SWEEPS)
@@ -357,7 +407,7 @@ class TestSweepTables:
             sizes.append(len(memo))
             return real(*args, memo=memo, memo_limit=limit, **kw)
 
-        monkeypatch.setattr(verifier._PsiTables, "limit", limit)
+        monkeypatch.setattr(verifier, "SWEEP_TABLE_LIMIT", limit)
         monkeypatch.setattr(verifier, name, recording)
         assert verify(sid, scope).to_json() == expected
         # the table was shared, and started over whenever it reached the limit
