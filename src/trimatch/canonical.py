@@ -1,0 +1,201 @@
+"""Canonical labelling of graphs and orbits of their automorphism groups.
+
+One individualisation-refinement search labels a graph given as adjacency
+bitmasks; it serves the psi memo keys of `trimatch.game` and the
+isomorph-free graph generation of `trimatch.verifier`.
+"""
+
+
+def _refine(adj, cells, splitters):
+    """The coarsest equitable refinement of the ordered partition `cells`.
+
+    Cells are vertex bitmasks.  `splitters` must hold every cell that may
+    still split another: the root queues its one cell, and a child the
+    vertex it individualises.  Each splitter W splits every cell by the
+    number of neighbours its vertices have in W, fragments in ascending
+    order of that number; every fragment but the first largest becomes a
+    splitter.  The omitted one needs no turn of its own: its counts are
+    those of the cell it came from, already balanced or still queued, minus
+    those of its siblings.  Every step depends on cell positions and counts
+    only, so isomorphic inputs refine alike.
+    """
+    n = len(adj)
+    for w in splitters:  # grows while it is read: new splitters queue up
+        if len(cells) == n:
+            break
+        refined = []
+        if w & (w - 1) == 0:
+            # one vertex: a cell splits into its non-neighbours, then neighbours
+            nbrs = adj[w.bit_length() - 1]
+            for x in cells:
+                hit = x & nbrs
+                if hit and hit != x:
+                    rest = x ^ hit
+                    refined += (rest, hit)
+                    splitters.append(hit if hit.bit_count() <= rest.bit_count() else rest)
+                else:
+                    refined.append(x)
+        else:
+            for x in cells:
+                if x & (x - 1):
+                    groups = {}
+                    y = x
+                    while y:
+                        b = y & -y
+                        y ^= b
+                        c = (adj[b.bit_length() - 1] & w).bit_count()
+                        groups[c] = groups.get(c, 0) | b
+                    if len(groups) > 1:
+                        frags = [groups[c] for c in sorted(groups)]
+                        refined += frags
+                        big = max(frags, key=int.bit_count)
+                        splitters.extend(f for f in frags if f != big)
+                        continue
+                refined.append(x)
+        cells = refined
+    return cells
+
+
+def equitable_partition(adj):
+    """The coarsest equitable ordered partition of the vertices, refined
+    from one cell: the root of the labelling search.  Every canonical order
+    lists its cells in turn."""
+    everything = (1 << len(adj)) - 1
+    return _refine(adj, [everything], [everything])
+
+
+def orbit_mask(mask, generators):
+    """The union of the orbits of the vertices in `mask` under `generators`."""
+    grown = True
+    while grown:
+        grown = False
+        for perm in generators:
+            img = 0
+            rest = mask
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                img |= 1 << perm[b.bit_length() - 1]
+            if img & ~mask:
+                mask |= img
+                grown = True
+    return mask
+
+
+def set_orbit_representatives(n, generators):
+    """The least vertex set (as a bitmask) of each orbit of the group
+    generated by `generators` on the subsets of range(n), in ascending order."""
+    if not generators:
+        yield from range(1 << n)
+        return
+    tables = []
+    for perm in generators:
+        table = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(table)
+    seen = bytearray(1 << n)
+    for mask in range(1 << n):
+        if seen[mask]:
+            continue
+        yield mask
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for table in tables:
+                y = table[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+
+
+def canonical_labelling(adj):
+    """Canonical form of a graph given as adjacency bitmasks, one per vertex.
+
+    Returns (key, order, generators).  `key` is equal for two graphs iff
+    they are isomorphic.  `order` lists the vertices in canonical order:
+    relabelling vertex order[i] as i gives the same graph for every member
+    of an isomorphism class.  `generators` are permutations (lists with
+    perm[v] the image of v) that generate the automorphism group.
+
+    The search is individualisation-refinement (McKay & Piperno, "Practical
+    graph isomorphism II", 2014).  A node is an equitable ordered partition;
+    its children individualise each vertex of its first non-singleton cell
+    and refine again.  A leaf is a discrete partition, read as an order, and
+    its code is the adjacency matrix in that order, rows concatenated into
+    one int; the key is the largest code.  A leaf whose code equals that of
+    the first or the best leaf so far yields an automorphism, and the search
+    jumps back to where the two paths part: the subtree there is the image
+    of one already searched.  A node skips every child in the orbit of a
+    child already searched, under the automorphisms found that fix the
+    node's individualised vertices.
+    """
+    n = len(adj)
+    if n == 0:
+        return (0, 0), [], []
+    gens = []  # (perm, mask of the vertices perm fixes)
+    first = None  # (code, order, path) of the first leaf
+    best = None  # and of the leaf with the largest code so far
+
+    def leaf(cells, path):
+        nonlocal first, best
+        order = [c.bit_length() - 1 for c in cells]
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        code = 0
+        for v in order:
+            row = 0
+            a = adj[v]
+            while a:
+                b = a & -a
+                a ^= b
+                row |= 1 << pos[b.bit_length() - 1]
+            code = (code << n) | row
+        if first is None:
+            first = best = (code, order, path)
+            return n
+        for ref_code, ref_order, ref_path in (first, best):
+            if code == ref_code:
+                perm = [0] * n
+                fixed = 0
+                for u, v in zip(ref_order, order):
+                    perm[u] = v
+                    if u == v:
+                        fixed |= 1 << u
+                gens.append((perm, fixed))
+                parted = 0
+                while path[parted] == ref_path[parted]:
+                    parted += 1
+                return parted
+        if code > best[0]:
+            best = (code, order, path)
+        return n
+
+    def search(cells, path, path_mask):
+        """Search below a node; returns the depth to resume at."""
+        for t, cell in enumerate(cells):
+            if cell & (cell - 1):
+                break
+        else:
+            return leaf(cells, path)
+        depth = len(path)
+        done = 0
+        rest = cell
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if b & done:
+                continue
+            child = cells[:t] + [b, cell ^ b] + cells[t + 1:]
+            resume = search(_refine(adj, child, [b]), path + [b.bit_length() - 1],
+                            path_mask | b)
+            if resume < depth:
+                return resume
+            done = orbit_mask(done | b, [p for p, fixed in gens if not path_mask & ~fixed])
+        return depth
+
+    search(equitable_partition(adj), [], 0)
+    return (n, best[0]), best[1], [perm for perm, _ in gens]

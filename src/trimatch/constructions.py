@@ -230,6 +230,11 @@ def cyclic_latin(n):
     return LatinSquare(n, tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 
+def _first(stream, count):
+    """The first `count` items of an exhaustive stream; all of them if None."""
+    return stream if count is None else itertools.islice(stream, max(count, 0))
+
+
 def gen_latin(n, mode, seed=None, count=None):
     """Stream of Latin squares: cyclic, seeded random, or exhaustive.
 
@@ -253,12 +258,7 @@ def gen_latin(n, mode, seed=None, count=None):
     if mode == "exhaustive":
         if n > EXHAUSTIVE_LATIN_CAP:
             raise ValueError(f"exhaustive stream capped at order {EXHAUSTIVE_LATIN_CAP}")
-        emitted = 0
-        for square in latin_squares(n):
-            yield square
-            emitted += 1
-            if count is not None and emitted >= count:
-                return
+        yield from _first(latin_squares(n), count)
         return
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -322,15 +322,12 @@ def gen_row_latin(n, mode, seed=None, count=None):
                 f"exhaustive stream capped at order {EXHAUSTIVE_ROW_LATIN_CAP}"
             )
         if n == 0:
-            yield LatinSquare(0, ())
-            return
-        first = tuple(range(n))
-        emitted = 0
-        for rest in itertools.product(itertools.permutations(range(n)), repeat=n - 1):
-            yield LatinSquare(n, (first,) + rest)
-            emitted += 1
-            if count is not None and emitted >= count:
-                return
+            squares = [LatinSquare(0, ())]
+        else:
+            first = tuple(range(n))
+            squares = (LatinSquare(n, (first,) + rest) for rest in
+                       itertools.product(itertools.permutations(range(n)), repeat=n - 1))
+        yield from _first(squares, count)
         return
     raise ValueError(f"unknown mode {mode!r}")
 

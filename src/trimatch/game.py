@@ -26,9 +26,11 @@ sum reaches the cap.  A nonempty graph without isolated vertices has psi >= 1, s
 vertices only disappear through explosions, so a cap of 1 is met at once.
 An edge whose explosion score cannot beat the running max is skipped.
 
-States are memoized on canonical forms (exact isomorphism classes) for
-states with at most CANONICAL_EXACT_THRESHOLD vertices and on exact
-labelled keys above that.  A memo entry is (value, exact).  A result below
+Every connected state is memoized on its canonical key
+(`canonical_graph_key`, from the labeller in `trimatch.canonical`), so
+isomorphic states share one entry whatever their size or labels; a key is
+the vertex count and one int, the adjacency matrix in canonical order, so
+it stays small.  A memo entry is (value, exact).  A result below
 the cap is the exact value: (value, True).  A result that reaches the cap
 only shows psi >= cap, because the search stopped there: it is stored as
 the lower bound (cap, False).  A later search with a cap at or below the
@@ -48,10 +50,10 @@ labelled state it meets; that cache is emptied whenever it reaches
 
 from dataclasses import dataclass
 
+from .canonical import canonical_labelling
 from .errors import BudgetExceededError
 from .structures import Graph, INFINITY
 
-CANONICAL_EXACT_THRESHOLD = 10
 DEFAULT_MEMO_LIMIT = 2_000_000
 
 
@@ -134,93 +136,20 @@ def _explode(vmask, edges, e):
 
 
 # ---------------------------------------------------------------------------
-# Canonical labelling for small graphs
-
-
-def _wl_colors(n, adj):
-    """Stable 1-dimensional color refinement with canonical color ids."""
-    colors = [bin(adj[v]).count("1") for v in range(n)]
-    while True:
-        sigs = []
-        for v in range(n):
-            nbr = sorted(colors[u] for u in range(n) if adj[v] >> u & 1)
-            sigs.append((colors[v], tuple(nbr)))
-        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+# Canonical keys
 
 
 def canonical_graph_key(n, edges):
     """Exact canonical form of a labelled graph on vertices 0..n-1.
 
-    Two graphs get equal keys iff they are isomorphic.  The key is the
-    color-sorted vertex sequence plus the lexicographically smallest
-    adjacency encoding over all orderings compatible with the refinement.
-    Equivalent vertices (twins) are collapsed before branching, which keeps
-    complete and complete-multipartite graphs linear instead of factorial.
+    Two graphs get equal keys iff they are isomorphic; the key is the first
+    item of `canonical_labelling`.
     """
-    if n == 0:
-        return ("C", 0, (), ())
     adj = [0] * n
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    colors = _wl_colors(n, adj)
-    target = sorted(colors)
-
-    best = None
-    placed = []
-    placed_mask = 0
-    chunks = []
-
-    def rec(pos, equal_so_far):
-        nonlocal best, placed_mask
-        if pos == n:
-            cand = tuple(chunks)
-            if best is None or cand < best:
-                best = cand
-            return
-        want = target[pos]
-        cands = [v for v in range(n) if not placed_mask >> v & 1 and colors[v] == want]
-        chunk_of = {}
-        for v in cands:
-            bits = 0
-            av = adj[v]
-            for j, p in enumerate(placed):
-                if av >> p & 1:
-                    bits |= 1 << j
-            chunk_of[v] = bits
-        m = min(chunk_of.values())
-        if equal_so_far and best is not None:
-            if m > best[pos]:
-                return
-            equal_next = m == best[pos]
-        else:
-            equal_next = equal_so_far
-        # collapse twins: u, v interchangeable when their neighbourhoods
-        # agree outside {u, v}
-        reps = []
-        for v in sorted(c for c in cands if chunk_of[c] == m):
-            dup = False
-            for r in reps:
-                if adj[v] & ~(1 << r) == adj[r] & ~(1 << v):
-                    dup = True
-                    break
-            if not dup:
-                reps.append(v)
-        for v in reps:
-            placed.append(v)
-            chunks.append(m)
-            placed_mask |= 1 << v
-            rec(pos + 1, equal_next)
-            placed_mask ^= 1 << v
-            placed.pop()
-            chunks.pop()
-
-    rec(0, True)
-    return ("C", n, tuple(target), best)
+    return canonical_labelling(adj)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +159,7 @@ def canonical_graph_key(n, edges):
 def _state_key(vmask, edges):
     verts = _mask_vertices(vmask)
     relabel = {v: i for i, v in enumerate(verts)}
-    rel_edges = tuple(sorted((relabel[u], relabel[v]) for u, v in edges))
-    k = len(verts)
-    if k <= CANONICAL_EXACT_THRESHOLD:
-        return canonical_graph_key(k, rel_edges)
-    return ("L", k, rel_edges)
+    return canonical_graph_key(len(verts), [(relabel[u], relabel[v]) for u, v in edges])
 
 
 def _components(vmask, edges):

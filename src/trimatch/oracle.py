@@ -6,6 +6,7 @@ canonicalization or memoization the production solvers use.  Tests and the
 verification harness compare solver answers against these.
 """
 
+import itertools
 from fractions import Fraction
 
 from .structures import Graph, INFINITY
@@ -95,6 +96,20 @@ def psi_oracle(graph):
         return best
 
     return val((1 << graph.n) - 1, tuple(edge_items))
+
+
+def canonical_key_oracle(n, edges):
+    """The smallest sorted edge list over all n! relabellings of a graph.
+
+    Two graphs on vertices 0..n-1 get equal keys iff they are isomorphic.
+    """
+    if n > 7:
+        raise ValueError("oracle limited to 7 vertices")
+    edges = [(int(u), int(v)) for u, v in edges]
+    return min(
+        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+        for p in itertools.permutations(range(n))
+    )
 
 
 def diagonal_oracle(L, bound):

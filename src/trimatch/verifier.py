@@ -27,8 +27,14 @@ from pathlib import Path
 
 from . import constructions as cons
 from . import oracle
+from .canonical import (
+    canonical_labelling,
+    equitable_partition,
+    orbit_mask,
+    set_orbit_representatives,
+)
 from .errors import InfeasibleScopeError
-from .game import canonical_graph_key, line_graph, psi, psi_at_least
+from .game import line_graph, psi, psi_at_least
 from .homology import eta_homological, independence_complex, topological_hall_subsets
 from .solver import (
     find_bounded_diagonal,
@@ -148,12 +154,10 @@ class _Codec:
 # holds this many entries.  The table has one entry per canonical state,
 # exact or a lower bound, whatever caps the sweep asks at.  ETA_GE_PSI_2_5
 # within its cap needs at most 12 112 (the connected graphs on 2 to 8
-# vertices).  LEMMA_3_1 line graphs above CANONICAL_EXACT_THRESHOLD vertices
-# get labelled keys of 1.5 to 2 KiB, and random instances repeat often
-# enough that starting over is costly.  A 10**6-trial LEMMA_3_1 run at the
-# default parameters fills about 128 000 entries (210 MiB peak), so it never
-# starts over here; larger `max_edges` fill the table faster, and the limit
-# holds it to roughly 400 MiB.
+# vertices).  Every state has an exact key of about 210 bytes with its
+# entry, and random LEMMA_3_1 instances share most of their states: a
+# 10**6-trial run at the default parameters fills 1 196 entries (20 MiB
+# peak for the whole process).  The limit holds a table to roughly 40 MiB.
 SWEEP_TABLE_LIMIT = 200_000
 
 
@@ -458,26 +462,59 @@ def _con_nu_equals_a(inst, optimum):
 # Instance streams
 
 
-def enumerate_graphs_up_to_iso(n):
-    """All graphs on exactly n labelled vertices, one per isomorphism class.
+def graph_classes(max_n):
+    """Graphs on 0..max_n vertices, one per isomorphism class, by size.
 
-    Built by extending every (n-1)-vertex class with one new vertex attached
-    in all possible ways, deduplicating by canonical form; every n-vertex
-    graph arises this way because deleting any vertex leaves a smaller graph.
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    1998) builds every size in one pass.  A child adds vertex n - 1 to a
+    parent on n - 1 vertices, joined to one neighbourhood per orbit of the
+    parent's automorphism group on vertex sets.  A graph's canonical parent
+    deletes the first vertex of maximum degree in canonical order, so a
+    child is kept iff its new vertex lies in that vertex's orbit.  The
+    canonical order lists the cells of the equitable partition in turn, so
+    that vertex lies in the first cell of maximum degree.  A child is kept
+    at once if its new vertex is the only one of maximum degree or alone in
+    that cell, dropped at once if the vertex has lower degree or lies
+    outside the cell, and labelled otherwise.  Every class then arises
+    exactly once.
     """
-    if n <= 0:
-        return [Graph(0)]
-    seen = {}
-    for smaller in enumerate_graphs_up_to_iso(n - 1):
-        base = tuple(sorted(smaller.edges))
-        for mask in range(1 << (n - 1)):
-            edges = base + tuple(
-                (v, n - 1) for v in range(n - 1) if mask >> v & 1
-            )
-            key = canonical_graph_key(n, edges)
-            if key not in seen:
-                seen[key] = Graph(n, frozenset(edges))
-    return [seen[k] for k in sorted(seen)]
+    levels = [[Graph(0)]]
+    level = [([], [])]  # (adjacency bitmasks, automorphism generators or None)
+    for n in range(1, max_n + 1):
+        new = 1 << (n - 1)
+        children = []
+        for adj, gens in level:
+            if gens is None:
+                gens = canonical_labelling(adj)[2]
+            for nbrs in set_orbit_representatives(n - 1, gens):
+                child = [a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)]
+                child.append(nbrs)
+                degree = nbrs.bit_count()
+                degrees = [a.bit_count() for a in child]
+                if max(degrees) > degree:
+                    continue
+                if degrees.count(degree) == 1:
+                    children.append((child, None))
+                    continue
+                top_cell = next(c for c in equitable_partition(child)
+                                if degrees[c.bit_length() - 1] == degree)
+                if top_cell == new:
+                    children.append((child, None))
+                elif top_cell & new:
+                    _, order, child_gens = canonical_labelling(child)
+                    top = next(v for v in order if top_cell >> v & 1)
+                    if orbit_mask(1 << top, child_gens) & new:
+                        children.append((child, child_gens))
+        level = children
+        levels.append([
+            Graph(n, frozenset((u, v) for v, a in enumerate(adj) for u in range(v) if a >> u & 1))
+            for adj, _ in level])
+    return levels
+
+
+def enumerate_graphs_up_to_iso(n):
+    """All graphs on exactly n labelled vertices, one per isomorphism class."""
+    return graph_classes(max(n, 0))[-1]
 
 
 def ascending_sequences(n, lo=0):
@@ -530,8 +567,8 @@ def _ex_eta_psi(cap, *, max_vertices=6):
     if max_vertices > cap["max_vertices"]:
         raise InfeasibleScopeError(
             f"exhaustive eta/psi capped at {cap['max_vertices']} vertices")
-    for n in range(0, max_vertices + 1):
-        for G in enumerate_graphs_up_to_iso(n):
+    for level in graph_classes(max_vertices):
+        for G in level:
             yield {"graph": G}
 
 

@@ -125,6 +125,15 @@ class TestGen:
         assert code == 0
         assert len(json_lines(out)) == 12
 
+    @pytest.mark.parametrize("kind", ["latin", "row-latin"])
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_gen_count_zero_prints_nothing(self, kind, mode, monkeypatch, capsys):
+        code, out, err = run_cli(["gen", kind, "--mode", mode, "--n", "3", "--seed", "1",
+                                  "--count", "0"], "", monkeypatch, capsys)
+        assert code == 0
+        assert out == ""
+        assert "0 object(s) generated" in err
+
     def test_gen_random_requires_seed(self, monkeypatch, capsys):
         code, _, err = run_cli(["gen", "latin", "--n", "3", "--mode", "random"],
                                "", monkeypatch, capsys)

@@ -286,7 +286,9 @@ class TestCanonicalKey:
         assert a != b
 
     def test_complete_graphs_fast(self):
-        # twin collapsing keeps K_10 linear rather than factorial
+        # automorphism pruning keeps K_10 polynomial rather than factorial;
+        # test_canonical.py times K_16, the empty graph and Petersen's
         edges = [(u, v) for u in range(10) for v in range(u + 1, 10)]
         key = canonical_graph_key(10, edges)
-        assert key[1] == 10
+        assert key[0] == 10
+        assert key != canonical_graph_key(10, edges[1:])

@@ -63,9 +63,10 @@ class TestCatalog:
 
 class TestGraphEnumeration:
     def test_counts_match_known_sequence(self):
-        expected = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
-        for n, count in expected.items():
-            assert len(enumerate_graphs_up_to_iso(n)) == count
+        # OEIS A000088: graphs on n unlabelled vertices, n = 0..8
+        expected = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
+        assert [len(level) for level in verifier.graph_classes(8)] == expected
+        assert len(enumerate_graphs_up_to_iso(5)) == 34
 
 
 class TestVerify:
@@ -416,7 +417,9 @@ class TestSweepTables:
 
     def test_single_call_beyond_its_budget_still_raises(self, monkeypatch):
         real = verifier.psi
-        monkeypatch.setattr(verifier, "psi", lambda G, **kw: real(G, memo_limit=2, **kw))
+        # against the shared table no call of this sweep adds more than one
+        # entry, so a budget of none is the one a call goes beyond
+        monkeypatch.setattr(verifier, "psi", lambda G, **kw: real(G, memo_limit=0, **kw))
         with pytest.raises(BudgetExceededError):
             verify("ETA_GE_PSI_2_5", Scope("exhaustive", params={"max_vertices": 5}))
 
