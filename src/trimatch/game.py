@@ -20,22 +20,29 @@ recursion with every branch capped:
 so the explosion branch is the search with cap c - 1, and the delete branch
 the search with cap x_e, the explosion's score.  psi(G) is the search with
 c = INFINITY; psi_at_least(G, k) is the search with c = k, then >= k.  The
-search splits a state into connected components (the value is additive
-over them, by induction on the recursion) and sums them, stopping once the
-sum reaches the cap.  A nonempty graph without isolated vertices has psi >= 1, since
-vertices only disappear through explosions, so a cap of 1 is met at once.
-An edge whose explosion score cannot beat the running max is skipped.
+search splits a state into connected components (the value is additive over
+them, by induction on the recursion) and sums them, stopping once the sum
+reaches the cap.  A nonempty graph without isolated vertices has psi >= 1,
+since vertices only disappear through explosions, so a cap of 1 is met at
+once, and an edge whose explosion cannot beat the running max is skipped.
+
+The search holds a state as a vertex mask and one neighbour mask per root
+vertex (labels sorted, the i-th on bit i), 0 for each inactive vertex.
+Exploding (u, v) ANDs the masks with ~(bit u | bit v | adj[u] | adj[v]) and
+zeroes those it removes; deleting (u, v) is two XORs.  A vertex is isolated
+iff it lies outside the OR of the masks.  Components come from a mask flood
+fill, lowest vertex first.  Edges u < v are tried in lexicographic order,
+stably sorted by the vertices their explosion leaves, most first.
 
 Every connected state is memoized on its canonical key
 (`canonical_graph_key`, from the labeller in `trimatch.canonical`), so
 isomorphic states share one entry whatever their size or labels; a key is
-the vertex count and one int, the adjacency matrix in canonical order, so
-it stays small.  A memo entry is (value, exact).  A result below
-the cap is the exact value: (value, True).  A result that reaches the cap
-only shows psi >= cap, because the search stopped there: it is stored as
-the lower bound (cap, False).  A later search with a cap at or below the
-bound answers from it; one with a higher cap searches again, from the
-bound as its running max.
+the vertex count and one int, the adjacency matrix in canonical order.  A
+memo entry is (value, exact).  A result below the cap is the exact value:
+(value, True).  A result that reaches the cap only shows psi >= cap,
+because the search stopped there: it is stored as the lower bound (cap,
+False).  A later search with a cap at or below the bound answers from it;
+one with a higher cap searches again, from the bound as its running max.
 
 A memo table holds entries of canonical states only, so one table may be
 shared by any number of calls, whatever their caps (a sweep over many
@@ -44,7 +51,7 @@ budget is per call: `memo_limit` bounds the entries one call adds, not the
 size of the table it was given, so a shared table never makes a call fail
 that would succeed alone.  Bounding the table itself is up to whoever
 shares it.  Within one call the search also caches the key of each
-labelled state it meets; that cache is emptied whenever it reaches
+component's mask tuple; that cache is emptied whenever it reaches
 `memo_limit` entries, so it is bounded as well without ever failing a call.
 """
 
@@ -67,7 +74,6 @@ class GameState:
     def __post_init__(self):
         vertices = frozenset(int(v) for v in self.vertices)
         if any(v < 0 for v in vertices):
-            # the engines hold vertex sets as bitmasks
             raise ValueError(f"negative vertex {min(vertices)}")
         edges = set()
         for u, v in self.edges:
@@ -85,54 +91,64 @@ class GameState:
         return cls(frozenset(range(G.n)), G.edges)
 
 
-def _normalize_edge(e):
-    u, v = int(e[0]), int(e[1])
-    return (min(u, v), max(u, v))
+def _move(state, e):
+    """The masks of state and the bits of its active edge e."""
+    e = tuple(sorted((int(e[0]), int(e[1]))))
+    if e not in state.edges:
+        raise ValueError(f"edge {e} is not active")
+    labels, vmask, adj = _masks(state)
+    return labels, vmask, adj, labels.index(e[0]), labels.index(e[1])
+
+
+def _game_state(labels, vmask, adj):
+    return GameState(
+        [labels[i] for i in _bits(vmask)],
+        [(labels[i], labels[j]) for i in _bits(vmask) for j in _bits(adj[i]) if j > i])
 
 
 def delete_edge(state, e):
     """Remove edge e; both endpoints stay (possibly now isolated)."""
-    e = _normalize_edge(e)
-    if e not in state.edges:
-        raise ValueError(f"edge {e} is not active")
-    return GameState(state.vertices, state.edges - {e})
+    labels, vmask, adj, u, v = _move(state, e)
+    return _game_state(labels, vmask, _delete(adj, u, v))
 
 
 def explode(state, e):
     """Remove both endpoints of e, all their neighbours and incident edges."""
-    e = _normalize_edge(e)
-    if e not in state.edges:
-        raise ValueError(f"edge {e} is not active")
-    after_v, after_e = _explode(_vertex_mask(state.vertices), state.edges, e)
-    return GameState(_mask_vertices(after_v), after_e)
+    labels, vmask, adj, u, v = _move(state, e)
+    keep = vmask & ~((1 << u) | (1 << v) | adj[u] | adj[v])
+    return _game_state(labels, keep, _restrict(adj, keep))
 
 
-def _vertex_mask(vertices):
-    vmask = 0
-    for v in vertices:
-        vmask |= 1 << v
-    return vmask
+def _masks(state):
+    """(labels, vmask, adj): vertex labels[i] is bit i, adj its neighbour masks."""
+    labels = sorted(state.vertices)
+    index = {v: i for i, v in enumerate(labels)}
+    adj = [0] * len(labels)
+    for u, v in state.edges:
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    return labels, (1 << len(labels)) - 1, tuple(adj)
 
 
-def _mask_vertices(vmask):
-    verts = []
-    while vmask:
-        b = vmask & -vmask
-        verts.append(b.bit_length() - 1)
-        vmask ^= b
-    return verts
+def _bits(mask):
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
 
 
-def _explode(vmask, edges, e):
-    """Bitmask form of explode: (vertex mask, edges in their given order)."""
-    u, v = e
-    removed = (1 << u) | (1 << v)
-    for x, y in edges:
-        if x == u or x == v or y == u or y == v:
-            removed |= (1 << x) | (1 << y)
-    after_v = vmask & ~removed
-    after_e = tuple((x, y) for x, y in edges if not (removed >> x & 1 or removed >> y & 1))
-    return after_v, after_e
+def _restrict(adj, keep):
+    """The masks of the vertices in keep ANDed with keep, 0 for the rest."""
+    return tuple([a & keep if keep >> i & 1 else 0 for i, a in enumerate(adj)])
+
+
+def _delete(adj, u, v):
+    out = list(adj)
+    out[u] ^= 1 << v
+    out[v] ^= 1 << u
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -156,40 +172,6 @@ def canonical_graph_key(n, edges):
 # Game value
 
 
-def _state_key(vmask, edges):
-    verts = _mask_vertices(vmask)
-    relabel = {v: i for i, v in enumerate(verts)}
-    return canonical_graph_key(len(verts), [(relabel[u], relabel[v]) for u, v in edges])
-
-
-def _components(vmask, edges):
-    """Split an isolated-vertex-free state into connected pieces."""
-    nbr = {}
-    for u, v in edges:
-        nbr.setdefault(u, set()).add(v)
-        nbr.setdefault(v, set()).add(u)
-    seen = set()
-    comps = []
-    for start in sorted(nbr):
-        if start in seen:
-            continue
-        stack = [start]
-        verts = set()
-        while stack:
-            v = stack.pop()
-            if v in verts:
-                continue
-            verts.add(v)
-            stack.extend(nbr[v] - verts)
-        seen |= verts
-        cmask = 0
-        for v in verts:
-            cmask |= 1 << v
-        cedges = tuple(sorted((u, v) for u, v in edges if u in verts))
-        comps.append((cmask, cedges))
-    return comps
-
-
 class _PsiEngine:
     """min(psi, cap) by the capped recursion of the module docstring."""
 
@@ -197,35 +179,48 @@ class _PsiEngine:
         self.memo = memo
         self.memo_limit = memo_limit
         self.added = 0
-        # key per labelled state: different deletion orders reach the same
-        # labelled state, and this skips canonical_graph_key then
+        # key per labelled component: different deletion orders reach the
+        # same masks, and this skips canonical_graph_key then
         self.keys = {}
 
-    def value(self, vmask, edges, cap):
+    def value(self, vmask, adj, cap):
         if vmask == 0:
             return min(0, cap)
         covered = 0
-        for u, v in edges:
-            covered |= (1 << u) | (1 << v)
+        for a in adj:
+            covered |= a
         if vmask & ~covered or cap <= 1:
             # an isolated vertex makes psi INFINITY; without one, a
             # nonempty graph scores psi >= 1
             return cap
-        total = 0
-        for cmask, cedges in _components(vmask, edges):
-            total += self.component_value(cmask, cedges, cap - total)
+        total, rest = 0, vmask
+        while rest:
+            # the component of the lowest vertex left, by flood fill
+            comp = frontier = rest & -rest
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                grown = adj[b.bit_length() - 1] & ~comp
+                comp |= grown
+                frontier |= grown
+            rest ^= comp
+            cadj = adj if comp == vmask else _restrict(adj, comp)
+            total += self.component_value(comp, cadj, cap - total)
             if total >= cap:
                 break
         return total
 
-    def component_value(self, vmask, edges, cap):
+    def component_value(self, vmask, adj, cap):
         if cap <= 1:
             return cap
-        key = self.keys.get((vmask, edges))
+        key = self.keys.get(adj)
         if key is None:
             if len(self.keys) >= self.memo_limit:
                 self.keys.clear()
-            key = self.keys[vmask, edges] = _state_key(vmask, edges)
+            verts = _bits(vmask)
+            index = {v: i for i, v in enumerate(verts)}
+            key = self.keys[adj] = canonical_graph_key(
+                len(verts), [(index[v], index[w]) for v in verts for w in _bits(adj[v]) if w > v])
         best = 0
         entry = self.memo.get(key)
         if entry is not None:
@@ -237,18 +232,23 @@ class _PsiEngine:
         # explosions that keep the graph large first: their branch has
         # material left to score with
         ordered = []
-        for e in edges:
-            after_v, after_e = _explode(vmask, edges, e)
-            ordered.append((-bin(after_v).count("1"), e, after_v, after_e))
-        ordered.sort(key=lambda t: (t[0], t[1]))
+        for u in _bits(vmask):
+            later = adj[u] >> u + 1 << u + 1
+            while later:
+                b = later & -later
+                later ^= b
+                v = b.bit_length() - 1
+                keep = vmask & ~((1 << u) | b | adj[u] | adj[v])
+                ordered.append((-keep.bit_count(), u, v, keep))
+        ordered.sort()
 
-        for _, e, after_v, after_e in ordered:
+        for _, u, v, keep in ordered:
             # min(psi(G*e) + 1, cap), then min(psi(G-e), that): the delete
             # branch need not be searched beyond what the explosion allows
-            explode_score = self.value(after_v, after_e, cap - 1) + 1
+            explode_score = self.value(keep, _restrict(adj, keep), cap - 1) + 1
             if explode_score <= best:
                 continue
-            score = self.value(vmask, tuple(x for x in edges if x != e), explode_score)
+            score = self.value(vmask, _delete(adj, u, v), explode_score)
             if score > best:
                 best = score
                 if best >= cap:
@@ -265,8 +265,8 @@ class _PsiEngine:
 
 def _capped_psi(graph, cap, memo, memo_limit):
     state = GameState.from_graph(graph) if isinstance(graph, Graph) else graph
-    engine = _PsiEngine({} if memo is None else memo, memo_limit)
-    return engine.value(_vertex_mask(state.vertices), tuple(sorted(state.edges)), cap)
+    _, vmask, adj = _masks(state)
+    return _PsiEngine({} if memo is None else memo, memo_limit).value(vmask, adj, cap)
 
 
 def psi(graph, *, cap=INFINITY, memo=None, memo_limit=DEFAULT_MEMO_LIMIT):

@@ -1,9 +1,11 @@
+import hashlib
+import itertools
 import random
 
 import pytest
 
-from trimatch import oracle
-from trimatch.constructions import random_graph
+from trimatch import game, oracle
+from trimatch.constructions import random_graph, random_lemma31_graph
 from trimatch.errors import BudgetExceededError
 from trimatch.game import (
     GameState,
@@ -16,7 +18,7 @@ from trimatch.game import (
     psi_line,
 )
 from trimatch.structures import BipartiteGraph, Graph, INFINITY
-from trimatch.verifier import PSI_ORACLE_EDGE_LIMIT, enumerate_graphs_up_to_iso
+from trimatch.verifier import PSI_ORACLE_EDGE_LIMIT, enumerate_graphs_up_to_iso, graph_classes
 
 CAPS = (0, 1, 2, 3, INFINITY)
 
@@ -57,6 +59,23 @@ class TestExplode:
     def test_negative_vertex_rejected(self):
         with pytest.raises(ValueError, match="negative vertex -1"):
             GameState({-1, 0}, {(-1, 0)})
+
+    @staticmethod
+    def by_definition(state, e):
+        u, v = e
+        gone = {u, v} | {x for f in state.edges if u in f or v in f for x in f}
+        return GameState(state.vertices - gone, {f for f in state.edges if not gone & set(f)})
+
+    def test_seeded_states_with_scattered_ids(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            ids = rng.sample(range(60), rng.randrange(2, 10))
+            edges = {(u, v) for u, v in itertools.combinations(sorted(ids), 2) if rng.random() < 0.5}
+            s = GameState(ids, edges)
+            for e in edges:
+                assert explode(s, e) == self.by_definition(s, e)
+                assert explode(s, e[::-1]) == explode(s, e)
+                assert delete_edge(s, e) == GameState(ids, edges - {e})
 
     def test_delete_keeps_vertices(self):
         s = GameState.from_graph(path(2))
@@ -142,9 +161,9 @@ class TestPsi:
 
         alone = {}
         assert psi(cycle(8), memo=alone) == 3
-        real = game._state_key
+        real = game.canonical_graph_key
         calls = []
-        monkeypatch.setattr(game, "_state_key", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(game, "canonical_graph_key", lambda *a: calls.append(a) or real(*a))
         psi(cycle(8))
         roomy = len(calls)
         calls.clear()
@@ -163,6 +182,64 @@ class TestPsi:
         assert psi(cycle(6), memo=shared, memo_limit=len(alone)) == 2
         with pytest.raises(BudgetExceededError):
             psi(cycle(6), memo_limit=len(alone) - 1)
+
+
+class TestStateFormat:
+    """States given with any vertex ids, and the search pinned entry by entry."""
+
+    # One shared table filled by the run below, and the canonical_graph_key
+    # calls it makes, as recorded from the edge-tuple engine that the mask
+    # engine replaced.  A change to the edge order, the component order, the
+    # caps or the labelled-key cache moves one of the three.
+    PINNED = (475, 1572, "e0d5bcb79e2ff88055ce9df0c29da04d97ec9e2eefb82c5a7f99d390f2ab743b")
+
+    def test_shared_table_and_key_calls_are_pinned(self, monkeypatch):
+        real = game.canonical_graph_key
+        calls = []
+        monkeypatch.setattr(game, "canonical_graph_key", lambda *a: calls.append(a) or real(*a))
+        table = {}
+        for G in itertools.chain.from_iterable(graph_classes(6)):
+            psi(G, memo=table)
+        rng = random.Random(7)
+        for _ in range(20):
+            psi(random_graph(7, rng), memo=table)
+        rng = random.Random(31)
+        for _ in range(10):
+            L = line_graph(random_lemma31_graph(rng.choice((2, 3)), rng))
+            psi_at_least(L, 2, memo=table)
+            psi_at_least(L, 3, memo=table)
+        digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+        assert (len(table), len(calls), digest) == self.PINNED
+
+    def test_scattered_ids_search_as_their_relabelling(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            G = random_graph(7, rng)
+            ids = sorted(rng.sample(range(100), 7))
+            s = GameState(ids, {(ids[u], ids[v]) for u, v in G.edges})
+            for k in CAPS:
+                by_graph, by_state = {}, {}
+                assert psi(s, cap=k, memo=by_state) == psi(G, cap=k, memo=by_graph)
+                assert by_state == by_graph
+
+    def test_small_states(self):
+        path3 = GameState({3, 17, 40}, {(3, 17), (17, 40)})
+        isolated = GameState({3, 17, 40}, {(3, 17)})
+        empty = GameState(set(), set())
+        for k in CAPS:
+            assert psi(path3, cap=k) == min(1, k)
+            assert psi(isolated, cap=k) == k
+            assert psi(empty, cap=k) == 0
+            assert psi_at_least(empty, k) == (k <= 0)
+        assert psi(isolated) == INFINITY
+
+    def test_caps_zero_and_one_search_nothing(self):
+        memo = {}
+        for G in (cycle(6), path(4), Graph(10, cycle(6).edges)):
+            assert psi(G, cap=0, memo=memo) == 0
+            assert psi(G, cap=1, memo=memo) == 1
+            assert psi_at_least(G, 0, memo=memo) and psi_at_least(G, 1, memo=memo)
+        assert memo == {}
 
 
 class TestPsiAtLeast:
