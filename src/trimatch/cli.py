@@ -39,6 +39,8 @@ from .structures import (
 )
 
 USAGE_ERROR = 2
+# a recorded violation that its re-check contradicts: a solver or table fault
+DISAGREEMENT = 3
 
 
 class _UsageError(Exception):
@@ -311,7 +313,8 @@ def _report_out(report, args, manifest):
         )
     print(
         f"{report.statement}: checked={report.instances_checked} "
-        f"hits={report.hypothesis_hits} violations={len(report.violations)}",
+        f"hits={report.hypothesis_hits} violations={len(report.violations)} "
+        f"disagreements={report.disagreements}",
         file=sys.stderr,
     )
 
@@ -338,6 +341,8 @@ def _cmd_verify(args, manifest):
     else:
         raise _UsageError("choose one of --exhaustive, --random T, or --stdin")
     _report_out(report, args, manifest)
+    if report.disagreements:
+        return DISAGREEMENT
     if verifier.statement_kind(args.statement) == "theorem" and report.violations:
         return 1
     return 0
@@ -355,24 +360,24 @@ def _cmd_hunt(args, manifest):
         print("counterexample candidates recorded", file=sys.stderr)
     else:
         print("no counterexample found in budget (not a confirmation)", file=sys.stderr)
-    return 0
+    return DISAGREEMENT if report.disagreements else 0
 
 
 def _cmd_suite(args, manifest):
     if not args.theorems:
         raise _UsageError("suite currently supports --theorems")
-    exit_code = 0
 
     def progress(report):
         _report_out(report, args, manifest)
 
-    _, clean = verifier.run_theorem_suite(cert_dir=args.cert_dir, progress=progress)
+    reports, clean = verifier.run_theorem_suite(cert_dir=args.cert_dir, progress=progress)
     if not clean:
-        exit_code = 1
         print("theorem suite: VIOLATIONS FOUND", file=sys.stderr)
     else:
         print("theorem suite: all statements clean", file=sys.stderr)
-    return exit_code
+    if any(report.disagreements for report in reports):
+        return DISAGREEMENT
+    return 0 if clean else 1
 
 
 def build_parser():

@@ -100,6 +100,9 @@ class VerificationReport:
     instances_checked: int = 0
     hypothesis_hits: int = 0
     violations: list = field(default_factory=list)
+    # violations whose re-check contradicts the sweep: a fault of the
+    # solver or of the shared psi table, not a counterexample
+    disagreements: int = 0
     seed: int = None
 
     def to_json(self):
@@ -914,10 +917,12 @@ def _revalidate(rec, payload):
 
 
 def _record_violation(statement, rec, inst, report, cert_dir):
-    # kept even when the re-check disagrees: the recheck shows the disagreement
+    # kept even when the re-check disagrees, and then counted as a disagreement
     payload = rec.codec.encode(inst)
     record = {"instance": payload, "recheck": _revalidate(rec, payload)}
     report.violations.append(record)
+    if record["recheck"]["conclusion"] or record["recheck"].get("oracle_agrees") is False:
+        report.disagreements += 1
     if cert_dir is not None:
         path = Path(cert_dir)
         path.mkdir(parents=True, exist_ok=True)

@@ -3,8 +3,11 @@ import json
 
 import pytest
 
-from trimatch.cli import main
+from trimatch import verifier
+from trimatch.cli import DISAGREEMENT, main
 from trimatch.constructions import cyclic_latin, gen_drisko_extremal
+from trimatch.game import canonical_graph_key
+from trimatch.solver import SolveResult
 from trimatch.structures import (
     family_to_json,
     graph_to_json,
@@ -211,6 +214,7 @@ class TestVerifyHuntSuite:
         reports = json_lines(out)
         assert len(reports) == 10
         assert all(r["violations"] == [] for r in reports)
+        assert all(r["disagreements"] == 0 for r in reports)
         assert "all statements clean" in err
 
     def test_verify_stdout_is_reproducible(self, monkeypatch, capsys):
@@ -242,6 +246,63 @@ class TestVerifyHuntSuite:
         )
         assert code == 0
         assert "no counterexample found" in err
+
+    def test_hunt_solver_fault_exits_3(self, monkeypatch, capsys):
+        # the oracle contradicts every candidate of a solver that reads 0
+        monkeypatch.setattr(verifier, "max_matching_size",
+                            lambda H, **kw: SolveResult(0, None, 0))
+        code, out, err = run_cli(
+            ["hunt", "CONJ_SYM_1_3", "--budget", "5", "--seed", "13", "--param", "n=2"],
+            "", monkeypatch, capsys,
+        )
+        assert code == DISAGREEMENT == 3
+        assert json_lines(out)[0]["disagreements"] == 5
+        assert "disagreements=5" in err
+
+    @staticmethod
+    def plant_wrong_psi_entry(monkeypatch):
+        real = verifier.psi
+
+        def planting(G, *, memo=None, **kw):
+            if memo is not None:  # the sweep's table, not the re-check's
+                # an exact entry of 50, but psi(K2) is 1
+                memo[canonical_graph_key(2, [(0, 1)])] = (50, True)
+            return real(G, memo=memo, **kw)
+
+        monkeypatch.setattr(verifier, "psi", planting)
+
+    def test_verify_table_fault_exits_3_not_1(self, monkeypatch, capsys):
+        self.plant_wrong_psi_entry(monkeypatch)
+        code, out, _ = run_cli(
+            ["verify", "ETA_GE_PSI_2_5", "--exhaustive", "--param", "max_vertices=4"],
+            "", monkeypatch, capsys,
+        )
+        report = json_lines(out)[0]
+        assert code == 3
+        assert report["violations"]
+        assert report["disagreements"] == len(report["violations"])
+
+    def test_suite_table_fault_exits_3(self, monkeypatch, capsys):
+        self.plant_wrong_psi_entry(monkeypatch)
+        code, out, err = run_cli(["suite", "--theorems"], "", monkeypatch, capsys)
+        assert code == 3
+        assert [r["statement"] for r in json_lines(out) if r["disagreements"]] == [
+            "ETA_GE_PSI_2_5"]
+        assert "VIOLATIONS FOUND" in err
+
+    def test_confirmed_theorem_violation_still_exits_1(self, monkeypatch, capsys):
+        import dataclasses
+
+        rec = dataclasses.replace(verifier.STATEMENTS["ETA_GE_PSI_2_5"],
+                                  conclusion=lambda inst, optimum: False)
+        monkeypatch.setitem(verifier.STATEMENTS, "ETA_GE_PSI_2_5", rec)
+        code, out, _ = run_cli(
+            ["verify", "ETA_GE_PSI_2_5", "--exhaustive", "--param", "max_vertices=3"],
+            "", monkeypatch, capsys,
+        )
+        report = json_lines(out)[0]
+        assert code == 1
+        assert report["violations"] and report["disagreements"] == 0
 
     def test_hunt_requires_seed(self, monkeypatch, capsys):
         code, _, _ = run_cli(["hunt", "CONJ_SYM_1_3", "--budget", "5"], "",

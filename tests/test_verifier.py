@@ -310,6 +310,7 @@ class TestHunt:
             assert record["recheck"]["conclusion"] is False
             # the independent oracle flags the mutation as a solver bug
             assert record["recheck"]["oracle_agrees"] is False
+        assert report.disagreements == 5
 
     def test_certificates_written(self, tmp_path, monkeypatch):
         plant_conclusion(monkeypatch, "CONJ_SYM_1_3", lambda inst, optimum: False)
@@ -332,6 +333,15 @@ class TestHunt:
         (record,) = report.violations
         assert record["recheck"]["hypothesis"] is True
         assert record["recheck"]["conclusion"] is True
+        assert report.disagreements == 1
+
+    def test_violation_confirmed_by_recheck_and_oracle_is_no_disagreement(self, monkeypatch):
+        plant_conclusion(monkeypatch, "CONJ_SYM_1_3", lambda inst, optimum: False)
+        report = hunt("CONJ_SYM_1_3", 4, 13, params={"n": 2})
+        assert len(report.violations) == 4
+        assert all(r["recheck"]["oracle_agrees"] is True for r in report.violations)
+        assert report.disagreements == 0
+        assert report.to_json()["disagreements"] == 0
 
 
 class TestGraphOracleViews:
@@ -439,6 +449,7 @@ class TestSweepTables:
         assert report.violations
         for record in report.violations:
             assert record["recheck"]["conclusion"] is True
+        assert report.disagreements == len(report.violations)
 
     def test_every_psi_call_passes_through_the_module_names(self, monkeypatch):
         # a tracer that wraps verifier.psi and verifier.psi_at_least must see
