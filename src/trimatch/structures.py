@@ -5,8 +5,8 @@ hypergraphs built from Latin squares the convention is (symbols, columns,
 rows); for hypergraphs built from matching families it is (left host
 vertices, right host vertices, family members).  All indices are 0-based.
 
-Every type here is immutable after construction and safe to share across
-parallel workers.
+Every type here is immutable after construction, so callers may share one
+value (a sweep and its re-check judge the same instance) without copying it.
 """
 
 from collections import Counter
