@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -291,8 +292,6 @@ class TestVerifyHuntSuite:
         assert "VIOLATIONS FOUND" in err
 
     def test_confirmed_theorem_violation_still_exits_1(self, monkeypatch, capsys):
-        import dataclasses
-
         rec = dataclasses.replace(verifier.STATEMENTS["ETA_GE_PSI_2_5"],
                                   conclusion=lambda inst, optimum: False)
         monkeypatch.setitem(verifier.STATEMENTS, "ETA_GE_PSI_2_5", rec)

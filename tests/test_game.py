@@ -233,14 +233,6 @@ class TestStateFormat:
             assert psi_at_least(empty, k) == (k <= 0)
         assert psi(isolated) == INFINITY
 
-    def test_caps_zero_and_one_search_nothing(self):
-        memo = {}
-        for G in (cycle(6), path(4), Graph(10, cycle(6).edges)):
-            assert psi(G, cap=0, memo=memo) == 0
-            assert psi(G, cap=1, memo=memo) == 1
-            assert psi_at_least(G, 0, memo=memo) and psi_at_least(G, 1, memo=memo)
-        assert memo == {}
-
 
 class TestPsiAtLeast:
     def test_agrees_with_value_exhaustively(self):
@@ -311,8 +303,10 @@ class TestCappedPsi:
 
     def test_cap_one_needs_no_table_entry(self):
         memo = {}
-        assert psi(cycle(9), cap=1, memo=memo) == 1
-        assert psi_at_least(cycle(9), 1, memo=memo)
+        for G in (cycle(9), path(4), Graph(10, cycle(6).edges)):
+            for k in (0, 1):
+                assert psi(G, cap=k, memo=memo) == k
+                assert psi_at_least(G, k, memo=memo)
         assert memo == {}
 
 
