@@ -11,13 +11,11 @@ from .homology import (
     BettiVector,
     SimplicialComplex,
     betti,
-    check_topological_hall,
     eta_homological,
     euler_characteristic_check,
     independence_complex,
 )
 from .solver import (
-    PartitionedGraph,
     SolveResult,
     find_bounded_diagonal,
     find_independent_transversal,
@@ -32,6 +30,7 @@ from .structures import (
     LatinSquare,
     Matching,
     MatchingFamily,
+    PartitionedGraph,
     TriHypergraph,
     degree,
     family_to_hypergraph,
@@ -53,11 +52,9 @@ __all__ = [
     "BettiVector",
     "SimplicialComplex",
     "betti",
-    "check_topological_hall",
     "eta_homological",
     "euler_characteristic_check",
     "independence_complex",
-    "PartitionedGraph",
     "SolveResult",
     "find_bounded_diagonal",
     "find_independent_transversal",
@@ -70,6 +67,7 @@ __all__ = [
     "LatinSquare",
     "Matching",
     "MatchingFamily",
+    "PartitionedGraph",
     "TriHypergraph",
     "degree",
     "family_to_hypergraph",

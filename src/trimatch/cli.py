@@ -12,9 +12,11 @@ import argparse
 import hashlib
 import json
 import math
+import platform
 import sys
 import time
 
+from . import __version__
 from . import constructions as cons
 from . import verifier
 from .errors import BudgetExceededError, ConstructionError, InfeasibleScopeError
@@ -25,7 +27,6 @@ from .solver import (
     find_independent_transversal,
     find_rainbow_matching,
     max_matching_size,
-    partitioned_graph_from_json,
 )
 from .structures import (
     bipartite_graph_from_json,
@@ -34,6 +35,7 @@ from .structures import (
     graph_from_json,
     hypergraph_from_json,
     hypergraph_to_json,
+    partitioned_graph_from_json,
     square_from_json,
     square_to_json,
 )
@@ -101,10 +103,6 @@ class _Manifest:
             print(text)
 
     def finish(self, path=None):
-        import platform
-
-        from . import __version__
-
         data = {
             "command": self.argv,
             "seed": self.seed,
@@ -282,7 +280,7 @@ def _cmd_gen(args, manifest):
     elif c == "theorem19":
         if args.seed is None:
             raise _UsageError("gen theorem19 requires --seed")
-        for i in range(args.count or 1):
+        for i in range(1 if args.count is None else args.count):
             emit(hypergraph_to_json(cons.gen_theorem19_instance(args.n, args.seed + i)))
     else:
         raise _UsageError(f"unknown construction {c!r}")
@@ -443,7 +441,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("-i", "--input", default="-")
-    p.add_argument("--format", choices=["json", "summary"], default="json")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="sweep a statement over a scope")

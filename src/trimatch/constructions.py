@@ -21,6 +21,7 @@ from .structures import (
     LatinSquare,
     Matching,
     MatchingFamily,
+    PartitionedGraph,
     TriHypergraph,
 )
 
@@ -297,9 +298,13 @@ def latin_squares(n, rng=None):
 def gen_row_latin(n, mode, seed=None, count=None):
     """Stream of row-Latin squares (each row an independent permutation).
 
-    The exhaustive stream fixes the first row to the identity and is
-    capped at order 4.
+    The cyclic Latin square is row-Latin, so the cyclic stream is that of
+    `gen_latin`.  The exhaustive stream fixes the first row to the identity
+    and is capped at order 4.
     """
+    if mode == "cyclic":
+        yield cyclic_latin(n)
+        return
     if mode == "random":
         if seed is None:
             raise ValueError("random mode requires a seed")
@@ -540,8 +545,6 @@ def random_graph(n, rng, p=0.5):
 
 def random_partition_system(rng, max_vertices=8, max_parts=4, p=0.35):
     """Random graph plus disjoint nonempty vertex parts, for transversal checks."""
-    from .solver import PartitionedGraph
-
     n = rng.randrange(2, max_vertices + 1)
     graph = random_graph(n, rng, p)
     vertices = list(range(n))

@@ -155,16 +155,13 @@ def _delete(adj, u, v):
 # Canonical keys
 
 
-def canonical_graph_key(n, edges):
-    """Exact canonical form of a labelled graph on vertices 0..n-1.
+def canonical_graph_key(adj):
+    """Exact canonical form of a graph given as adjacency bitmasks.
 
-    Two graphs get equal keys iff they are isomorphic; the key is the first
-    item of `canonical_labelling`.
+    Vertex i is bit i; a `Graph` holds its masks as `Graph.adj`.  Two graphs
+    get equal keys iff they are isomorphic; the key is the first item of
+    `canonical_labelling`.
     """
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
     return canonical_labelling(adj)[0]
 
 
@@ -217,10 +214,18 @@ class _PsiEngine:
         if key is None:
             if len(self.keys) >= self.memo_limit:
                 self.keys.clear()
+            # the component's masks packed to bits 0..k-1
             verts = _bits(vmask)
-            index = {v: i for i, v in enumerate(verts)}
-            key = self.keys[adj] = canonical_graph_key(
-                len(verts), [(index[v], index[w]) for v in verts for w in _bits(adj[v]) if w > v])
+            bit = {1 << v: 1 << i for i, v in enumerate(verts)}
+            packed = []
+            for v in verts:
+                row, a = 0, adj[v]
+                while a:
+                    b = a & -a
+                    a ^= b
+                    row |= bit[b]
+                packed.append(row)
+            key = self.keys[adj] = canonical_graph_key(packed)
         best = 0
         entry = self.memo.get(key)
         if entry is not None:
@@ -264,8 +269,10 @@ class _PsiEngine:
 
 
 def _capped_psi(graph, cap, memo, memo_limit):
-    state = GameState.from_graph(graph) if isinstance(graph, Graph) else graph
-    _, vmask, adj = _masks(state)
+    if isinstance(graph, Graph):
+        vmask, adj = (1 << graph.n) - 1, graph.adj
+    else:
+        _, vmask, adj = _masks(graph)
     return _PsiEngine({} if memo is None else memo, memo_limit).value(vmask, adj, cap)
 
 

@@ -9,7 +9,7 @@ over the rationals and no floating point is involved anywhere.  The dense
 Bareiss and Fraction eliminations live in oracle.py as cross-checks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .errors import BudgetExceededError
@@ -105,11 +105,7 @@ class BettiVector:
 
 def independence_complex(G, face_limit=DEFAULT_FACE_LIMIT):
     """All independent sets of a graph, as a simplicial complex."""
-    adj = [0] * G.n
-    for u, v in G.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-
+    adj = G.adj
     groups = {0: [()]}
     count = 1
 
@@ -276,18 +272,6 @@ def eta_homological(C):
     raise AssertionError("unreachable: some Betti number is nonzero")
 
 
-@dataclass(frozen=True)
-class TopologicalHallReport:
-    """Outcome of checking the connectivity hypothesis against a transversal."""
-
-    deficiency: int
-    hypothesis_holds: bool
-    conclusion_holds: bool
-    violated: bool
-    subset_values: tuple = field(default=())
-    optimum: int = 0
-
-
 def topological_hall_subsets(P, deficiency=0, face_limit=DEFAULT_FACE_LIMIT):
     """Yield (members, eta, ok) for every subset I of the parts, in mask order.
 
@@ -305,30 +289,6 @@ def topological_hall_subsets(P, deficiency=0, face_limit=DEFAULT_FACE_LIMIT):
         sub = _induced_graph(P.graph, sorted(union))
         eta = eta_homological(independence_complex(sub, face_limit))
         yield members, eta, eta >= len(members) - deficiency
-
-
-def check_topological_hall(P, deficiency=0, face_limit=DEFAULT_FACE_LIMIT):
-    """Evaluate the connectivity hypothesis and the transversal conclusion.
-
-    The hypothesis holds when every subset of the parts meets it (see
-    topological_hall_subsets).  The conclusion asks for an independent set
-    meeting at least m - deficiency of the m parts.  A report with
-    violated=True would falsify the implication (or expose a bug).
-    """
-    from .solver import find_independent_transversal
-
-    subset_values = tuple(topological_hall_subsets(P, deficiency, face_limit))
-    hypothesis = all(ok for _, _, ok in subset_values)
-    result = find_independent_transversal(P, deficiency=deficiency)
-    conclusion = result.optimum >= len(P.parts) - deficiency
-    return TopologicalHallReport(
-        deficiency=deficiency,
-        hypothesis_holds=hypothesis,
-        conclusion_holds=conclusion,
-        violated=hypothesis and not conclusion,
-        subset_values=subset_values,
-        optimum=result.optimum,
-    )
 
 
 def _induced_graph(G, vertices):

@@ -19,14 +19,7 @@ is why this stays exact (see `max_matching_size`).
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .structures import (
-    Diagonal,
-    Graph,
-    Matching,
-    family_to_hypergraph,
-    graph_from_json,
-    graph_to_json,
-)
+from .structures import Diagonal, Matching, family_to_hypergraph
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -36,36 +29,6 @@ class SolveResult:
     optimum: int
     witness: object
     nodes_explored: int
-
-
-@dataclass(frozen=True)
-class PartitionedGraph:
-    """A graph together with vertex sets V_1..V_m (not necessarily disjoint)."""
-
-    graph: Graph
-    parts: tuple = ()
-
-    def __post_init__(self):
-        parts = tuple(frozenset(int(v) for v in p) for p in self.parts)
-        for p in parts:
-            for v in p:
-                if not (0 <= v < self.graph.n):
-                    raise ValueError(f"part vertex {v} out of range")
-        object.__setattr__(self, "parts", parts)
-
-
-def partitioned_graph_to_json(P):
-    return {
-        "graph": graph_to_json(P.graph),
-        "parts": [sorted(p) for p in P.parts],
-    }
-
-
-def partitioned_graph_from_json(data):
-    return PartitionedGraph(
-        graph_from_json(data["graph"]),
-        tuple(frozenset(p) for p in data["parts"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +321,7 @@ def find_independent_transversal(P, deficiency=0, *, node_budget=DEFAULT_NODE_BU
         raise ValueError("deficiency exceeds the number of parts")
     n = P.graph.n
     full = (1 << n) - 1
-    adj = [0] * n
-    for u, v in P.graph.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = P.graph.adj
     comp = [~(adj[v] | (1 << v)) & full for v in range(n)]
     part_masks = []
     for p in P.parts:

@@ -10,7 +10,7 @@ value (a sweep and its re-check judge the same instance) without copying it.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 INFINITY = float("inf")
 
@@ -53,15 +53,22 @@ class BipartiteGraph:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 (not necessarily bipartite)."""
+    """Simple undirected graph on vertices 0..n-1 (not necessarily bipartite).
+
+    `adj` holds its adjacency bitmasks, built here once: bit v of adj[u] is
+    set iff u and v are joined.  Every solver that searches a graph reads
+    its masks from here.
+    """
 
     n: int
     edges: frozenset = frozenset()
+    adj: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         norm = set()
+        adj = [0] * self.n
         for u, v in self.edges:
             u, v = int(u), int(v)
             if u == v:
@@ -69,7 +76,10 @@ class Graph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) out of bounds")
             norm.add((min(u, v), max(u, v)))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "adj", tuple(adj))
 
     def sorted_edges(self):
         return sorted(self.edges)
@@ -80,6 +90,22 @@ class Graph:
             degs[u] += 1
             degs[v] += 1
         return degs
+
+
+@dataclass(frozen=True)
+class PartitionedGraph:
+    """A graph together with vertex sets V_1..V_m (not necessarily disjoint)."""
+
+    graph: Graph
+    parts: tuple = ()
+
+    def __post_init__(self):
+        parts = tuple(frozenset(int(v) for v in p) for p in self.parts)
+        for p in parts:
+            for v in p:
+                if not (0 <= v < self.graph.n):
+                    raise ValueError(f"part vertex {v} out of range")
+        object.__setattr__(self, "parts", parts)
 
 
 @dataclass(frozen=True)
@@ -306,14 +332,6 @@ def family_to_hypergraph(F):
     )
 
 
-def c_fibers(H):
-    """Edge pairs grouped by the C coordinate; inverse view of family_to_hypergraph."""
-    fibers = [set() for _ in range(H.side_sizes[2])]
-    for a, b, c in H.edges:
-        fibers[c].add((a, b))
-    return fibers
-
-
 # ---------------------------------------------------------------------------
 # JSON wire formats (the contract for every CLI command)
 
@@ -332,6 +350,15 @@ def graph_to_json(G):
 
 def graph_from_json(data):
     return Graph(data["vertices"], frozenset(tuple(e) for e in data["edges"]))
+
+
+def partitioned_graph_to_json(P):
+    return {"graph": graph_to_json(P.graph), "parts": [sorted(p) for p in P.parts]}
+
+
+def partitioned_graph_from_json(data):
+    graph = graph_from_json(data["graph"])
+    return PartitionedGraph(graph, tuple(frozenset(p) for p in data["parts"]))
 
 
 def hypergraph_to_json(H):

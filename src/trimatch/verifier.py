@@ -41,8 +41,6 @@ from .solver import (
     find_independent_transversal,
     find_rainbow_matching,
     max_matching_size,
-    partitioned_graph_from_json,
-    partitioned_graph_to_json,
 )
 from .structures import (
     INFINITY,
@@ -60,6 +58,8 @@ from .structures import (
     latin_to_hypergraph,
     max_degree,
     min_degree,
+    partitioned_graph_from_json,
+    partitioned_graph_to_json,
     square_from_json,
     square_to_json,
 )
@@ -75,7 +75,7 @@ PSI_ORACLE_EDGE_LIMIT = 8
 class Scope:
     """Either exhaustive(params) or randomized(trials, seed, params)."""
 
-    mode: str  # "exhaustive" | "randomized" | "stdin" | "sequence"
+    mode: str  # "exhaustive" | "randomized" | "stdin"
     trials: int = 0
     seed: int = None
     params: dict = field(default_factory=dict)
@@ -241,9 +241,7 @@ _GRAPH = _Codec(
     psi_memo=True,
 )
 _PARTITION = _Codec(
-    "pgraph",
-    lambda P: partitioned_graph_to_json(P),
-    lambda data: partitioned_graph_from_json(data),
+    "pgraph", partitioned_graph_to_json, partitioned_graph_from_json,
     raw_keys={"graph", "parts"},
     raw_params=lambda data: {"deficiency": 0},
     solve=lambda inst, target=None: find_independent_transversal(
@@ -997,31 +995,6 @@ def hunt(statement, budget, seed, *, params=None, cert_dir=None):
         raise ValueError(f"{statement} is not a conjecture id")
     scope = Scope("randomized", trials=budget, seed=seed, params=params or {})
     return verify(statement, scope, cert_dir=cert_dir)
-
-
-def check_accommodating(a, n, *, trials=50, seed=0, cert_dir=None):
-    """Both directions of the threshold characterization for one sequence.
-
-    Accommodating-shaped sequences are probed with random compliant families
-    (none may lack a rainbow n-matching); other sequences must be defeated
-    by the explicit constructed family.
-    """
-    a = tuple(int(x) for x in a)
-    if len(a) != 2 * n - 1 or list(a) != sorted(a):
-        raise ValueError("sequence must be ascending of length 2n-1")
-    rng = random.Random(seed)
-    if is_accommodating_shaped(a, n):
-        instances = (
-            {"family": _family_meeting_profile(a, n, rng), "n": n, "expect": True}
-            for _ in range(trials)
-        )
-    else:
-        instances = [{"family": cons.gen_accommodating_counterexample(a, n), "n": n,
-                      "expect": False}]
-    report = verify("ACCOMMODATING_1_8", Scope("sequence", seed=seed),
-                    cert_dir=cert_dir, instances=instances)
-    report.scope = {"mode": "sequence", "a": list(a), "n": n, "trials": trials, "seed": seed}
-    return report
 
 
 def run_theorem_suite(*, cert_dir=None, progress=None):

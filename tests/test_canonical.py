@@ -7,17 +7,9 @@ import pytest
 
 from trimatch import oracle
 from trimatch.canonical import canonical_labelling, orbit_mask, set_orbit_representatives
-from trimatch.game import canonical_graph_key, line_graph, psi
-from trimatch.structures import BipartiteGraph
+from trimatch.game import line_graph, psi
+from trimatch.structures import BipartiteGraph, Graph
 from trimatch.verifier import enumerate_graphs_up_to_iso, graph_classes
-
-
-def adjacency(n, edges):
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
 
 
 def relabelled(edges, perm):
@@ -93,16 +85,16 @@ HARD_PAIRS = {
 
 
 class TestAgainstOracle:
-    def test_every_labelled_graph_up_to_five_vertices(self):
+    def test_every_labelled_graph_up_to_five_vertices(self, graph_key):
         for n in range(6):
             graphs = list(all_labelled_graphs(n))
             assert len(graphs) == 2 ** (n * (n - 1) // 2)  # 1024 at n = 5
             assert_same_partition(
-                (canonical_graph_key(n, edges), oracle.canonical_key_oracle(n, edges))
+                (graph_key(n, edges), oracle.canonical_key_oracle(n, edges))
                 for edges in graphs)
 
     @pytest.mark.parametrize("n,samples", [(6, 60), (7, 25)])
-    def test_seeded_sample(self, n, samples):
+    def test_seeded_sample(self, n, samples, graph_key):
         rng = random.Random(n)
         pairs = []
         for _ in range(samples):
@@ -110,8 +102,8 @@ class TestAgainstOracle:
             ref = oracle.canonical_key_oracle(n, edges)
             perm = list(range(n))
             rng.shuffle(perm)
-            pairs.append((canonical_graph_key(n, edges), ref))
-            pairs.append((canonical_graph_key(n, relabelled(edges, perm)), ref))
+            pairs.append((graph_key(n, edges), ref))
+            pairs.append((graph_key(n, relabelled(edges, perm)), ref))
         assert_same_partition(pairs)
 
     def test_oracle_is_limited_to_seven_vertices(self):
@@ -121,19 +113,19 @@ class TestAgainstOracle:
 
 class TestLabelling:
     @pytest.mark.parametrize("name", sorted(HARD_PAIRS))
-    def test_refinement_equivalent_pairs_differ(self, name):
+    def test_refinement_equivalent_pairs_differ(self, name, graph_key):
         n, left, right = HARD_PAIRS[name]
         rng = random.Random(20)
         for edges in (left, right):
             # both graphs are regular, so colour refinement alone sees one cell
-            assert len({a.bit_count() for a in adjacency(n, edges)}) == 1
+            assert len({a.bit_count() for a in Graph(n, edges).adj}) == 1
         keys = []
         for edges in (left, right):
-            key = canonical_graph_key(n, edges)
+            key = graph_key(n, edges)
             for _ in range(20):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                assert canonical_graph_key(n, relabelled(edges, perm)) == key
+                assert graph_key(n, relabelled(edges, perm)) == key
             keys.append(key)
         assert keys[0] != keys[1]
 
@@ -142,13 +134,13 @@ class TestLabelling:
         (16, []),
         (10, petersen_graph()),
     ], ids=["K16", "empty16", "petersen"])
-    def test_symmetric_graphs_key_quickly(self, n, edges):
+    def test_symmetric_graphs_key_quickly(self, n, edges, graph_key):
         # automorphism pruning keeps these polynomial rather than n!
         start = time.process_time()
-        key, _, generators = canonical_labelling(adjacency(n, edges))
+        key, _, generators = canonical_labelling(Graph(n, edges).adj)
         assert time.process_time() - start < 1.0
         assert generators
-        assert canonical_graph_key(n, edges) == key
+        assert graph_key(n, edges) == key
 
     def test_canonical_order_gives_one_graph_per_class(self):
         rng = random.Random(5)
@@ -159,7 +151,7 @@ class TestLabelling:
             rng.shuffle(perm)
             forms = []
             for version in (edges, relabelled(edges, perm)):
-                _, order, _ = canonical_labelling(adjacency(n, version))
+                _, order, _ = canonical_labelling(Graph(n, version).adj)
                 assert sorted(order) == list(range(n))
                 position = {v: i for i, v in enumerate(order)}
                 forms.append(sorted(relabelled(version, position)))
@@ -169,7 +161,7 @@ class TestLabelling:
         for n in range(6):
             for G in enumerate_graphs_up_to_iso(n):
                 edges = sorted(G.edges)
-                _, _, generators = canonical_labelling(adjacency(n, edges))
+                _, _, generators = canonical_labelling(Graph(n, edges).adj)
                 for perm in generators:
                     assert sorted(relabelled(edges, perm)) == edges
                 assert group_order(n, generators) == brute_force_aut_order(n, edges)
@@ -200,9 +192,9 @@ class TestEnumeration:
                            for G in enumerate_graphs_up_to_iso(n))
             assert labelled == 2 ** (n * (n - 1) // 2)
 
-    def test_classes_are_pairwise_non_isomorphic(self):
+    def test_classes_are_pairwise_non_isomorphic(self, graph_key):
         for level in graph_classes(6):
-            keys = [canonical_graph_key(G.n, G.edges) for G in level]
+            keys = [graph_key(G.n, G.edges) for G in level]
             assert len(set(keys)) == len(keys)
 
     def test_calls_return_equal_lists(self):

@@ -7,7 +7,6 @@ import pytest
 from trimatch import verifier
 from trimatch.cli import DISAGREEMENT, main
 from trimatch.constructions import cyclic_latin, gen_drisko_extremal
-from trimatch.game import canonical_graph_key
 from trimatch.solver import SolveResult
 from trimatch.structures import (
     family_to_json,
@@ -129,7 +128,7 @@ class TestGen:
         assert code == 0
         assert len(json_lines(out)) == 12
 
-    @pytest.mark.parametrize("kind", ["latin", "row-latin"])
+    @pytest.mark.parametrize("kind", ["latin", "row-latin", "theorem19"])
     @pytest.mark.parametrize("mode", ["exhaustive", "random"])
     def test_gen_count_zero_prints_nothing(self, kind, mode, monkeypatch, capsys):
         code, out, err = run_cli(["gen", kind, "--mode", mode, "--n", "3", "--seed", "1",
@@ -137,6 +136,11 @@ class TestGen:
         assert code == 0
         assert out == ""
         assert "0 object(s) generated" in err
+
+    def test_gen_row_latin_cyclic_is_the_default(self, monkeypatch, capsys):
+        code, out, _ = run_cli(["gen", "row-latin", "--n", "4"], "", monkeypatch, capsys)
+        assert code == 0
+        assert json_lines(out) == [square_to_json(cyclic_latin(4))]
 
     def test_gen_random_requires_seed(self, monkeypatch, capsys):
         code, _, err = run_cli(["gen", "latin", "--n", "3", "--mode", "random"],
@@ -261,19 +265,19 @@ class TestVerifyHuntSuite:
         assert "disagreements=5" in err
 
     @staticmethod
-    def plant_wrong_psi_entry(monkeypatch):
+    def plant_wrong_psi_entry(monkeypatch, graph_key):
         real = verifier.psi
 
         def planting(G, *, memo=None, **kw):
             if memo is not None:  # the sweep's table, not the re-check's
                 # an exact entry of 50, but psi(K2) is 1
-                memo[canonical_graph_key(2, [(0, 1)])] = (50, True)
+                memo[graph_key(2, [(0, 1)])] = (50, True)
             return real(G, memo=memo, **kw)
 
         monkeypatch.setattr(verifier, "psi", planting)
 
-    def test_verify_table_fault_exits_3_not_1(self, monkeypatch, capsys):
-        self.plant_wrong_psi_entry(monkeypatch)
+    def test_verify_table_fault_exits_3_not_1(self, monkeypatch, capsys, graph_key):
+        self.plant_wrong_psi_entry(monkeypatch, graph_key)
         code, out, _ = run_cli(
             ["verify", "ETA_GE_PSI_2_5", "--exhaustive", "--param", "max_vertices=4"],
             "", monkeypatch, capsys,
@@ -283,8 +287,8 @@ class TestVerifyHuntSuite:
         assert report["violations"]
         assert report["disagreements"] == len(report["violations"])
 
-    def test_suite_table_fault_exits_3(self, monkeypatch, capsys):
-        self.plant_wrong_psi_entry(monkeypatch)
+    def test_suite_table_fault_exits_3(self, monkeypatch, capsys, graph_key):
+        self.plant_wrong_psi_entry(monkeypatch, graph_key)
         code, out, err = run_cli(["suite", "--theorems"], "", monkeypatch, capsys)
         assert code == 3
         assert [r["statement"] for r in json_lines(out) if r["disagreements"]] == [

@@ -9,7 +9,6 @@ from trimatch.constructions import random_graph, random_lemma31_graph
 from trimatch.errors import BudgetExceededError
 from trimatch.game import (
     GameState,
-    canonical_graph_key,
     delete_edge,
     explode,
     line_graph,
@@ -339,7 +338,7 @@ class TestLineGraph:
 
 
 class TestCanonicalKey:
-    def test_iso_graphs_same_key(self):
+    def test_iso_graphs_same_key(self, graph_key):
         rng = random.Random(8)
         for _ in range(50):
             n = rng.randrange(1, 8)
@@ -349,17 +348,17 @@ class TestCanonicalKey:
             perm = list(range(n))
             rng.shuffle(perm)
             permuted = [(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges]
-            assert canonical_graph_key(n, edges) == canonical_graph_key(n, permuted)
+            assert graph_key(n, edges) == graph_key(n, permuted)
 
-    def test_non_iso_graphs_differ(self):
-        a = canonical_graph_key(4, [(0, 1), (1, 2), (2, 3)])
-        b = canonical_graph_key(4, [(0, 1), (1, 2), (1, 3)])
+    def test_non_iso_graphs_differ(self, graph_key):
+        a = graph_key(4, [(0, 1), (1, 2), (2, 3)])
+        b = graph_key(4, [(0, 1), (1, 2), (1, 3)])
         assert a != b
 
-    def test_complete_graphs_fast(self):
+    def test_complete_graphs_fast(self, graph_key):
         # automorphism pruning keeps K_10 polynomial rather than factorial;
         # test_canonical.py times K_16, the empty graph and Petersen's
         edges = [(u, v) for u in range(10) for v in range(u + 1, 10)]
-        key = canonical_graph_key(10, edges)
+        key = graph_key(10, edges)
         assert key[0] == 10
-        assert key != canonical_graph_key(10, edges[1:])
+        assert key != graph_key(10, edges[1:])

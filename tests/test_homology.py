@@ -3,25 +3,22 @@ import random
 import pytest
 
 from trimatch import oracle
-from trimatch.constructions import random_graph
+from trimatch.constructions import random_graph, random_partition_system
 from trimatch.errors import BudgetExceededError
 from trimatch.game import psi
 from trimatch.homology import (
     BettiVector,
     SimplicialComplex,
-    TopologicalHallReport,
     betti,
     boundary_matrix,
-    check_topological_hall,
     eta_homological,
     euler_characteristic_check,
     independence_complex,
     topological_hall_subsets,
     _rank,
 )
-from trimatch.solver import PartitionedGraph
-from trimatch.structures import Graph, INFINITY
-from trimatch.verifier import enumerate_graphs_up_to_iso
+from trimatch.structures import Graph, INFINITY, PartitionedGraph
+from trimatch.verifier import STATEMENTS, Scope, enumerate_graphs_up_to_iso, verify
 
 
 def cycle(n):
@@ -198,55 +195,69 @@ class TestEta:
 
 
 class TestTopologicalHall:
+    """Theorems 2.3/2.4 as judged by their registry records."""
+
+    @staticmethod
+    def judge(P, deficiency):
+        """(hypothesis, conclusion) of the TOPHALL record on one system."""
+        rec = STATEMENTS["TOPHALL_2_3"]
+        inst = {"pgraph": P, "deficiency": deficiency}
+        return rec.hypothesis(inst), rec.conclusion(inst, rec.codec.solve)
+
     def test_edgeless_singletons(self):
         P = PartitionedGraph(Graph(3), (frozenset({0}), frozenset({1}), frozenset({2})))
-        report = check_topological_hall(P, 0)
-        assert report.hypothesis_holds and report.conclusion_holds
-        assert not report.violated
+        assert self.judge(P, 0) == (True, True)
+        report = verify("TOPHALL_2_3", Scope("stdin"), instances=[{"pgraph": P, "deficiency": 0}])
+        assert report.hypothesis_hits == 1
+        assert report.violations == []
 
     def test_adjacent_singletons_hypothesis_fails(self):
         P = PartitionedGraph(
             Graph(2, frozenset({(0, 1)})), (frozenset({0}), frozenset({1}))
         )
-        report = check_topological_hall(P, 0)
-        assert not report.hypothesis_holds
-        assert not report.violated
+        hypothesis, _ = self.judge(P, 0)
+        assert not hypothesis
+        report = verify("TOPHALL_2_3", Scope("stdin"), instances=[{"pgraph": P, "deficiency": 0}])
+        assert report.hypothesis_hits == 0
+        assert report.violations == []
 
     def test_deficiency_one_rescues_adjacent_singletons(self):
         P = PartitionedGraph(
             Graph(2, frozenset({(0, 1)})), (frozenset({0}), frozenset({1}))
         )
-        report = check_topological_hall(P, 1)
-        assert report.conclusion_holds
+        _, conclusion = self.judge(P, 1)
+        assert conclusion
 
     def test_never_violated_on_random_systems(self):
-        from trimatch.constructions import random_partition_system
-
         rng = random.Random(31)
-        for _ in range(40):
-            P = random_partition_system(rng)
-            for d in (0, 1):
-                report = check_topological_hall(P, min(d, len(P.parts)))
-                assert not report.violated
+        systems = [random_partition_system(rng) for _ in range(40)]
+        for sid, d in (("TOPHALL_2_3", 0), ("TOPHALL_DEF_2_4", 1)):
+            instances = [{"pgraph": P, "deficiency": min(d, len(P.parts))} for P in systems]
+            report = verify(sid, Scope("stdin"), instances=instances)
+            assert report.instances_checked == 40
+            assert report.hypothesis_hits > 0
+            assert report.violations == []
 
     def test_report_shape(self):
         P = PartitionedGraph(Graph(1), (frozenset({0}),))
-        report = check_topological_hall(P, 0)
-        assert isinstance(report, TopologicalHallReport)
-        assert len(report.subset_values) == 2  # empty subset and the part
+        assert len(list(topological_hall_subsets(P, 0))) == 2  # empty subset and the part
+        report = verify("TOPHALL_2_3", Scope("stdin"), instances=[{"pgraph": P, "deficiency": 0}])
+        assert (report.instances_checked, report.hypothesis_hits) == (1, 1)
+        assert report.scope == {"mode": "stdin"}
 
     def test_subsets_agree_with_report_and_tophall_hypothesis(self):
-        from trimatch.constructions import random_partition_system
-        from trimatch.verifier import STATEMENTS
-
         hypothesis = STATEMENTS["TOPHALL_DEF_2_4"].hypothesis
         rng = random.Random(32)
         seen = set()
         for _ in range(40):
             P = random_partition_system(rng)
             d = min(1, len(P.parts))
-            report = check_topological_hall(P, d)
-            assert tuple(topological_hall_subsets(P, d)) == report.subset_values
-            assert hypothesis({"pgraph": P, "deficiency": d}) == report.hypothesis_holds
-            seen.add(report.hypothesis_holds)
+            subsets = list(topological_hall_subsets(P, d))
+            assert [members for members, _, _ in subsets] == [
+                tuple(i for i in range(len(P.parts)) if mask >> i & 1)
+                for mask in range(1 << len(P.parts))]
+            assert all(ok == (eta >= len(members) - d) for members, eta, ok in subsets)
+            holds = all(ok for _, _, ok in subsets)
+            assert hypothesis({"pgraph": P, "deficiency": d}) == holds
+            seen.add(holds)
         assert seen == {True, False}

@@ -1,0 +1,70 @@
+"""The README library table and the package's import structure, checked
+against the code."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import trimatch
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(trimatch.__file__).resolve().parent
+TABLE_ROW = re.compile(r"^\| `(trimatch\.\w+)` \| (.*) \|$")
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def library_table():
+    """(module name, backticked identifiers) per row of the library table.
+
+    Backticked items that are not identifiers (`min(psi, cap)`, `Graph.adj`,
+    a module path) are prose, not names, and are left out.
+    """
+    section = README.read_text(encoding="utf-8").split("## Library overview", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        match = TABLE_ROW.match(line)
+        if match:
+            names = [item for item in re.findall(r"`([^`]*)`", match.group(2))
+                     if IDENTIFIER.fullmatch(item)]
+            rows.append((match.group(1), names))
+    return rows
+
+
+def function_level_package_imports(path):
+    """(function name, line) of every import of a trimatch module made
+    inside a function of the given source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                hit = node.level > 0 or (node.module or "").split(".")[0] == "trimatch"
+            elif isinstance(node, ast.Import):
+                hit = any(alias.name.split(".")[0] == "trimatch" for alias in node.names)
+            else:
+                continue
+            if hit:
+                found.append((fn.name, node.lineno))
+    return found
+
+
+def test_readme_names_live_in_their_modules_and_imports_are_top_level():
+    rows = library_table()
+    assert len(rows) >= 8
+    missing = []
+    for module_name, names in rows:
+        module = importlib.import_module(module_name)
+        for name in names:
+            obj = getattr(module, name, None)
+            # a name the module only imports belongs to another row
+            if obj is None or getattr(obj, "__module__", module_name) != module_name:
+                missing.append(f"{module_name}.{name}")
+    assert missing == []
+
+    nested = {path.name: found for path in sorted(PACKAGE.glob("*.py"))
+              if (found := function_level_package_imports(path))}
+    assert nested == {}

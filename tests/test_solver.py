@@ -13,7 +13,6 @@ from trimatch.constructions import (
 )
 from trimatch.errors import BudgetExceededError
 from trimatch.solver import (
-    PartitionedGraph,
     find_bounded_diagonal,
     find_independent_transversal,
     find_rainbow_matching,
@@ -24,6 +23,7 @@ from trimatch.structures import (
     LatinSquare,
     Matching,
     MatchingFamily,
+    PartitionedGraph,
     TriHypergraph,
     family_to_hypergraph,
     latin_to_hypergraph,

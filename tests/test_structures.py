@@ -8,10 +8,10 @@ from trimatch.structures import (
     LatinSquare,
     Matching,
     MatchingFamily,
+    PartitionedGraph,
     TriHypergraph,
     bipartite_graph_from_json,
     bipartite_graph_to_json,
-    c_fibers,
     degree,
     family_from_json,
     family_to_hypergraph,
@@ -22,6 +22,8 @@ from trimatch.structures import (
     hypergraph_to_json,
     is_p_simple,
     latin_to_hypergraph,
+    partitioned_graph_from_json,
+    partitioned_graph_to_json,
     square_from_json,
     square_to_json,
 )
@@ -40,6 +42,12 @@ class TestInvariants:
     def test_graph_rejects_loops(self):
         with pytest.raises(ValueError):
             Graph(3, frozenset({(1, 1)}))
+
+    def test_graph_adjacency_masks(self):
+        G = Graph(4, frozenset({(1, 0), (1, 2)}))
+        assert G.adj == (0b0010, 0b0101, 0b0010, 0b0000)
+        assert G == Graph(4, frozenset({(0, 1), (2, 1)}))
+        assert Graph(0).adj == ()
 
     def test_hypergraph_keeps_multiplicity(self):
         H = TriHypergraph((1, 1, 1), ((0, 0, 0), (0, 0, 0)))
@@ -183,7 +191,9 @@ class TestFamilyToHypergraph:
     def test_round_trip_fibers(self):
         F = gen_drisko_extremal(3)
         H = family_to_hypergraph(F)
-        fibers = c_fibers(H)
+        fibers = [set() for _ in F.members]
+        for a, b, c in H.edges:
+            fibers[c].add((a, b))
         assert [frozenset(f) for f in fibers] == [m.edges for m in F.members]
 
 
@@ -207,6 +217,12 @@ class TestJson:
     def test_square_round_trip(self):
         L = cyclic_latin(4)
         assert square_from_json(square_to_json(L)) == L
+
+    def test_partitioned_graph_round_trip(self):
+        P = PartitionedGraph(Graph(4, frozenset({(0, 1)})), (frozenset({0, 2}), frozenset({3})))
+        data = partitioned_graph_to_json(P)
+        assert data == {"graph": {"vertices": 4, "edges": [[0, 1]]}, "parts": [[0, 2], [3]]}
+        assert partitioned_graph_from_json(data) == P
 
     def test_wire_format_keys(self):
         assert set(bipartite_graph_to_json(BipartiteGraph(1, 1))) == {"left", "right", "edges"}

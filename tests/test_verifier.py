@@ -7,7 +7,7 @@ import pytest
 from trimatch import constructions as cons
 from trimatch import verifier
 from trimatch.errors import BudgetExceededError, InfeasibleScopeError
-from trimatch.game import canonical_graph_key, line_graph, psi, psi_at_least
+from trimatch.game import line_graph, psi, psi_at_least
 from trimatch.solver import SolveResult
 from trimatch.structures import TriHypergraph, is_p_simple, max_degree
 from trimatch.verifier import (
@@ -15,7 +15,6 @@ from trimatch.verifier import (
     CONJECTURE_IDS,
     THEOREM_IDS,
     Scope,
-    check_accommodating,
     deserialize_instance,
     enumerate_graphs_up_to_iso,
     hunt,
@@ -270,23 +269,37 @@ class TestStreamParams:
 
 
 class TestCheckAccommodating:
+    """Both directions of Theorem 1.8 for one sequence, through `verify`."""
+
+    @staticmethod
+    def meeting(a, n, trials, seed):
+        rng = random.Random(seed)
+        return [{"family": verifier._family_meeting_profile(a, n, rng), "n": n, "expect": True}
+                for _ in range(trials)]
+
     def test_accommodating_sequence_no_violations(self):
-        report = check_accommodating((1, 2, 2), 2, trials=40, seed=8)
+        report = verify("ACCOMMODATING_1_8", Scope("stdin"),
+                        instances=self.meeting((1, 2, 2), 2, 40, 8))
         assert report.hypothesis_hits == 40
         assert report.violations == []
 
     def test_non_accommodating_constructed_witness(self):
-        report = check_accommodating((0, 2, 2), 2, trials=10, seed=8)
-        assert report.instances_checked == 1  # the single constructed family
+        fam = cons.gen_accommodating_counterexample((0, 2, 2), 2)
+        report = verify("ACCOMMODATING_1_8", Scope("stdin"),
+                        instances=[{"family": fam, "n": 2, "expect": False}])
+        assert report.instances_checked == report.hypothesis_hits == 1
         assert report.violations == []  # construction confirmed: no rainbow
 
     def test_equality_threshold_case(self):
-        report = check_accommodating((1, 2, 3, 3, 3), 3, trials=15, seed=8)
+        report = verify("ACCOMMODATING_1_8", Scope("stdin"),
+                        instances=self.meeting((1, 2, 3, 3, 3), 3, 15, 8))
+        assert report.hypothesis_hits == 15
         assert report.violations == []
 
     def test_malformed_sequence(self):
-        with pytest.raises(ValueError):
-            check_accommodating((2, 1, 1), 2, trials=1, seed=0)
+        for a in ((2, 1, 1), (0, 1)):
+            with pytest.raises(ValueError):
+                cons.gen_accommodating_counterexample(a, 2)
 
 
 class TestHunt:
@@ -433,14 +446,14 @@ class TestSweepTables:
         with pytest.raises(BudgetExceededError):
             verify("ETA_GE_PSI_2_5", Scope("exhaustive", params={"max_vertices": 5}))
 
-    def test_wrong_table_entry_caught_by_recheck(self, monkeypatch):
+    def test_wrong_table_entry_caught_by_recheck(self, monkeypatch, graph_key):
         real = verifier.psi
         planted = []
 
         def planting(G, *, memo=None, **kw):
             if not planted:  # the first call gets the sweep's table
                 # an exact entry of 50, but psi(K2) is 1
-                memo[canonical_graph_key(2, [(0, 1)])] = (50, True)
+                memo[graph_key(2, [(0, 1)])] = (50, True)
                 planted.append(memo)
             return real(G, memo=memo, **kw)
 
