@@ -1,8 +1,9 @@
 """Canonical labelling of graphs and orbits of their automorphism groups.
 
 One individualisation-refinement search labels a graph given as adjacency
-bitmasks; it serves the psi memo keys of `trimatch.game` and the
-isomorph-free graph generation of `trimatch.verifier`.
+bitmasks, optionally vertex-coloured; it serves the psi memo keys of
+`trimatch.game`, the isomorph-free graph generation of `trimatch.verifier`
+and the root orbits of `trimatch.solver.max_matching_size`.
 """
 
 
@@ -10,14 +11,15 @@ def _refine(adj, cells, splitters):
     """The coarsest equitable refinement of the ordered partition `cells`.
 
     Cells are vertex bitmasks.  `splitters` must hold every cell that may
-    still split another: the root queues its one cell, and a child the
-    vertex it individualises.  Each splitter W splits every cell by the
-    number of neighbours its vertices have in W, fragments in ascending
-    order of that number; every fragment but the first largest becomes a
-    splitter.  The omitted one needs no turn of its own: its counts are
-    those of the cell it came from, already balanced or still queued, minus
-    those of its siblings.  Every step depends on cell positions and counts
-    only, so isomorphic inputs refine alike.
+    still split another: the root queues all of its cells (one, or each
+    cell of a vertex colouring), and a child the vertex it individualises.
+    Each splitter W splits every cell by the number of neighbours its
+    vertices have in W, fragments in ascending order of that number; every
+    fragment but the first largest becomes a splitter.  The omitted one
+    needs no turn of its own: its counts are those of the cell it came
+    from, already balanced or still queued, minus those of its siblings.
+    Every step depends on cell positions and counts only, so isomorphic
+    inputs refine alike.
     """
     n = len(adj)
     for w in splitters:  # grows while it is read: new splitters queue up
@@ -111,7 +113,7 @@ def set_orbit_representatives(n, generators):
                     stack.append(y)
 
 
-def canonical_labelling(adj):
+def canonical_labelling(adj, cells=None):
     """Canonical form of a graph given as adjacency bitmasks, one per vertex.
 
     Returns (key, order, generators).  `key` is equal for two graphs iff
@@ -119,6 +121,14 @@ def canonical_labelling(adj):
     relabelling vertex order[i] as i gives the same graph for every member
     of an isomorphism class.  `generators` are permutations (lists with
     perm[v] the image of v) that generate the automorphism group.
+
+    `cells`, if given, is a vertex colouring: an ordered partition of the
+    vertices into bitmasks, all of them queued as splitters for the first
+    refinement.  Isomorphisms and automorphisms must then map each cell onto
+    itself: two coloured graphs get equal keys iff some such map carries
+    one onto the other, every generator fixes each cell setwise, and the
+    key also records the cell sizes.  Without `cells` the search starts
+    from one cell, `equitable_partition(adj)`.
 
     The search is individualisation-refinement (McKay & Piperno, "Practical
     graph isomorphism II", 2014).  A node is an equitable ordered partition;
@@ -134,7 +144,7 @@ def canonical_labelling(adj):
     """
     n = len(adj)
     if n == 0:
-        return (0, 0), [], []
+        return ((0, 0) if cells is None else (0, (), 0)), [], []
     gens = []  # (perm, mask of the vertices perm fixes)
     first = None  # (code, order, path) of the first leaf
     best = None  # and of the leaf with the largest code so far
@@ -197,5 +207,9 @@ def canonical_labelling(adj):
             done = orbit_mask(done | b, [p for p, fixed in gens if not path_mask & ~fixed])
         return depth
 
-    search(equitable_partition(adj), [], 0)
-    return (n, best[0]), best[1], [perm for perm, _ in gens]
+    if cells is None:
+        search(equitable_partition(adj), [], 0)
+        return (n, best[0]), best[1], [perm for perm, _ in gens]
+    search(_refine(adj, list(cells), list(cells)), [], 0)
+    sizes = tuple(c.bit_count() for c in cells)
+    return (n, sizes, best[0]), best[1], [perm for perm, _ in gens]

@@ -232,7 +232,7 @@ def cyclic_latin(n):
 
 
 def _first(stream, count):
-    """The first `count` items of an exhaustive stream; all of them if None."""
+    """The first `count` items of a stream; all of them if None."""
     return stream if count is None else itertools.islice(stream, max(count, 0))
 
 
@@ -243,7 +243,7 @@ def gen_latin(n, mode, seed=None, count=None):
     in lexicographic cell order; it is capped at order 5.
     """
     if mode == "cyclic":
-        yield cyclic_latin(n)
+        yield from _first([cyclic_latin(n)], count)
         return
     if mode == "random":
         if seed is None:
@@ -303,7 +303,7 @@ def gen_row_latin(n, mode, seed=None, count=None):
     and is capped at order 4.
     """
     if mode == "cyclic":
-        yield cyclic_latin(n)
+        yield from _first([cyclic_latin(n)], count)
         return
     if mode == "random":
         if seed is None:

@@ -98,16 +98,20 @@ def psi_oracle(graph):
     return val((1 << graph.n) - 1, tuple(edge_items))
 
 
-def canonical_key_oracle(n, edges):
-    """The smallest sorted edge list over all n! relabellings of a graph.
+def canonical_key_oracle(n, edges, colours=None):
+    """The smallest (sorted edge list, colour of each vertex) over all n!
+    relabellings of a graph, all vertices of colour 0 if `colours` is None.
 
-    Two graphs on vertices 0..n-1 get equal keys iff they are isomorphic.
+    Two graphs on vertices 0..n-1 get equal keys iff some isomorphism maps
+    every vertex to one of the same colour.
     """
     if n > 7:
         raise ValueError("oracle limited to 7 vertices")
     edges = [(int(u), int(v)) for u, v in edges]
+    colours = [0] * n if colours is None else list(colours)
     return min(
-        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+        (tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges)),
+         tuple(c for _, c in sorted(zip(p, colours))))
         for p in itertools.permutations(range(n))
     )
 

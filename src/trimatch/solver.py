@@ -14,10 +14,21 @@ k copies of a member cost one branch instead of k; the bound counts every
 remaining member of a class that still has a usable edge.  Twins can be
 permuted within their class without changing any matching's size, which
 is why this stays exact (see `max_matching_size`).
+
+At the root the search also uses the hypergraph's wider symmetry, by root
+orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, "Orbital
+branching", Math. Program. 2011; Margot, "Symmetry in integer linear
+programming", 2010): of the root's children that use an edge, it searches
+one per orbit of the automorphism group.  The group comes from
+`trimatch.canonical` applied to the twin quotient, once per call and only
+when a second root child would be searched without the first having
+reached the root's bound.  The cyclic Latin square of order 10, whose
+symmetries are transitive on its cells, falls from 40 896 nodes to 4 102.
 """
 
 from dataclasses import dataclass
 
+from .canonical import canonical_labelling, orbit_mask
 from .errors import BudgetExceededError
 from .structures import Diagonal, Matching, family_to_hypergraph
 
@@ -69,6 +80,39 @@ def _twin_classes(H):
     return edges, classes, slot
 
 
+def _quotient_automorphisms(edges, classes, slot):
+    """Automorphisms of the twin quotient of a hypergraph.
+
+    The quotient is a graph with one node per twin class and one node per
+    distinct class triple (the classes of an edge's three vertices), each
+    triple joined to its three classes.  Its initial cells are the triple
+    nodes, then the class nodes grouped by class size, smallest first, with
+    the classes of all three sides pooled.  Returns a dict from class triple
+    to its node and generators of the group of automorphisms that keep
+    every cell, from `canonical_labelling`.  The triple nodes come first
+    because listing the class nodes first made the labeller far slower on
+    cyclic Latin squares (91 s against 0.07 s at order 10).
+    """
+    node = {}
+    for a, b, c in edges:
+        node.setdefault((slot[0][a], slot[1][b], slot[2][c]), len(node))
+    offsets = [len(node)]
+    for cls in classes:
+        offsets.append(offsets[-1] + len(cls))
+    adj = [0] * offsets[3]
+    by_size = {}
+    for s in range(3):
+        for k, members in enumerate(classes[s]):
+            by_size[len(members)] = by_size.get(len(members), 0) | 1 << (offsets[s] + k)
+    for triple, t in node.items():
+        for s in range(3):
+            k = offsets[s] + triple[s]
+            adj[t] |= 1 << k
+            adj[k] |= 1 << t
+    cells = [(1 << len(node)) - 1] + [by_size[size] for size in sorted(by_size)]
+    return node, canonical_labelling(adj, cells)[2]
+
+
 def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
     """Exact maximum matching of a tripartite hypergraph.
 
@@ -103,6 +147,35 @@ def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
     edge: swap each vertex of such an edge for the front of its class.
     Without twins every class is one vertex, and the tree is the plain
     most-constrained-vertex tree.
+
+    Root orbits.  At the root, the children that use an edge e are searched
+    one per orbit: a use-child is skipped when an automorphism maps its
+    edge's class triple onto that of a use-child already searched.  The
+    group is that of the twin quotient (see `_quotient_automorphisms`): a
+    graph with a node per twin class and a node per distinct class triple,
+    where the automorphisms keep triples apart from classes and keep class
+    sizes.  It is labelled at most once per call, lazily: only when a
+    second root use-child is about to be searched and `best` is still below
+    the root's bound.  So the first root subtree never waits for it, and a
+    call that reaches its target or the bound there labels nothing and
+    searches the same tree as without root orbits.
+
+    Why root orbits are exact.  Every edge usable at the root is made of
+    fronts, and the child "use e" is worth 1 + nu(H - V(e)).  The edges of
+    H are exactly the vertex triples whose classes form a class triple, so
+    a quotient automorphism that keeps class sizes lifts to an automorphism
+    of H (sides may be permuted: a matching is a set of disjoint vertex
+    triples, whatever their sides).  Choose the lift that maps the front of
+    each class to the front of its image class; it maps e onto e' and
+    H - V(e) onto H - V(e'), so the two children have equal value.  When
+    the child of e' would be searched, the child of e has been, so `best`
+    is already at least that value: skipping e' loses no better matching,
+    and the optimum, the witness and the target test are unchanged; only
+    the node count falls.  The give-up child is always searched.  Doing the
+    same at every node, with the group that keeps the set of removed
+    vertices, needs one labelling per node: on the cyclic Latin square of
+    order 12 it took 36 653 nodes instead of 77 354, but 38.5 s instead of
+    0.64 s, so only the root is searched this way.
     """
     edges, classes, slot = _twin_classes(H)
     # left[s][k]: remaining members of class k on side s; a class lists its
@@ -115,10 +188,30 @@ def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
     best_edges = []
     cur = []
     done = False
+    tried = []  # class triples of the root's use-children searched so far
+    node = gens = None  # quotient node of each class triple, and generators
+    seen = 0  # quotient nodes of the orbits of `tried`, once labelled
+
+    def new_at_root(e, bound):
+        """Whether no root child searched so far maps onto `use e`."""
+        nonlocal node, gens, seen
+        triple = (slot[0][e[0]], slot[1][e[1]], slot[2][e[2]])
+        if gens is None:
+            if not tried or best >= bound:
+                tried.append(triple)
+                return True
+            node, gens = _quotient_automorphisms(edges, classes, slot)
+            seen = orbit_mask(sum(1 << node[t] for t in tried), gens)
+        bit = 1 << node[triple]
+        if seen & bit:
+            return False
+        seen = orbit_mask(seen | bit, gens)
+        return True
 
     def rec(f0, f1, f2):
         nonlocal nodes, best, best_edges, done
         nodes += 1
+        root = nodes == 1
         if nodes > node_budget:
             raise BudgetExceededError(f"matching search exceeded {node_budget} nodes", nodes=nodes)
         if len(cur) > best:
@@ -157,6 +250,8 @@ def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
             low = branch & -branch
             branch ^= low
             e = edges[low.bit_length() - 1]
+            if root and not new_at_root(e, bound):
+                continue
             g = list(f)
             for s in range(3):
                 k = slot[s][e[s]]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -49,6 +50,25 @@ def assert_same_partition(pairs):
         by_oracle.setdefault(ref, set()).add(key)
     assert all(len(refs) == 1 for refs in by_key.values())
     assert all(len(keys) == 1 for keys in by_oracle.values())
+
+
+def colouring(colours):
+    """Ordered cells (bitmasks) of a vertex colouring, by increasing colour,
+    and each vertex's cell index."""
+    used = sorted(set(colours))
+    cells = [sum(1 << v for v, c in enumerate(colours) if c == k) for k in used]
+    return cells, [used.index(c) for c in colours]
+
+
+def image(mask, perm):
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
+
+
+def brute_force_coloured_aut_order(n, edges, colours):
+    edge_set = set(edges)
+    return sum(1 for perm in itertools.permutations(range(n))
+               if all(colours[perm[v]] == colours[v] for v in range(n))
+               and all(e in edge_set for e in relabelled(edges, perm)))
 
 
 # strongly regular pairs and others that colour refinement cannot separate
@@ -165,6 +185,84 @@ class TestLabelling:
                 for perm in generators:
                     assert sorted(relabelled(edges, perm)) == edges
                 assert group_order(n, generators) == brute_force_aut_order(n, edges)
+
+
+class TestColouredLabelling:
+    """`canonical_labelling(adj, cells)` on vertex-coloured graphs."""
+
+    def test_generators_keep_every_cell(self):
+        rng = random.Random(61)
+        for n in range(7):
+            for G in enumerate_graphs_up_to_iso(n):
+                edges = sorted(G.edges)
+                for _ in range(3):
+                    cells, colours = colouring([rng.randrange(3) for _ in range(n)])
+                    _, order, generators = canonical_labelling(G.adj, cells)
+                    assert sorted(order) == list(range(n))
+                    for perm in generators:
+                        assert sorted(relabelled(edges, perm)) == edges
+                        assert [image(cell, perm) for cell in cells] == cells
+                    if n <= 5:
+                        assert group_order(n, generators) == \
+                            brute_force_coloured_aut_order(n, edges, colours)
+
+    def test_key_is_invariant_under_colour_preserving_relabelling(self):
+        rng = random.Random(62)
+        for _ in range(300):
+            n = rng.randrange(1, 7)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+            cells, _ = colouring([rng.randrange(3) for _ in range(n)])
+            key = canonical_labelling(Graph(n, edges).adj, cells)[0]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = [image(cell, perm) for cell in cells]
+            assert canonical_labelling(Graph(n, relabelled(edges, perm)).adj, moved)[0] == key
+
+    def test_keys_separate_colourings_like_the_oracle(self):
+        pairs = []
+        for n in range(5):
+            for edges in all_labelled_graphs(n):
+                for colours in itertools.product(range(2), repeat=n):
+                    cells, index = colouring(colours)
+                    pairs.append((canonical_labelling(Graph(n, edges).adj, cells)[0],
+                                  oracle.canonical_key_oracle(n, edges, index)))
+        rng = random.Random(63)
+        for _ in range(200):
+            edges = [e for e in itertools.combinations(range(6), 2) if rng.random() < 0.5]
+            cells, index = colouring([rng.randrange(3) for _ in range(6)])
+            pairs.append((canonical_labelling(Graph(6, edges).adj, cells)[0],
+                          oracle.canonical_key_oracle(6, edges, index)))
+        assert_same_partition(pairs)
+
+    def test_isomorphic_only_by_breaking_colours(self):
+        # the path 0-1-2 with its centre coloured apart, and with an end
+        adj = Graph(3, [(0, 1), (1, 2)]).adj
+        centre = canonical_labelling(adj, [0b101, 0b010])[0]
+        end = canonical_labelling(adj, [0b110, 0b001])[0]
+        assert centre != end
+        # the same sets of colours, listed in the other order
+        assert canonical_labelling(adj, [0b010, 0b101])[0] != centre
+        # a 4-cycle whose two colours alternate, and one whose colours are adjacent pairs
+        square = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]).adj
+        assert (canonical_labelling(square, [0b0101, 0b1010])[0]
+                != canonical_labelling(square, [0b0011, 0b1100])[0])
+
+    def test_without_cells_the_labelling_is_unchanged(self):
+        # digest of (key, order, generators) of every labelled graph on up
+        # to five vertices, recorded before `cells` existed
+        digest = hashlib.sha256()
+        for n in range(6):
+            for edges in all_labelled_graphs(n):
+                adj = Graph(n, edges).adj
+                labelling = canonical_labelling(adj)
+                digest.update(repr(labelling).encode())
+                if n:
+                    # one cell holding every vertex labels the same way
+                    key, order, generators = canonical_labelling(adj, [(1 << n) - 1])
+                    assert (key, order, generators) == (
+                        (n, (n,), labelling[0][1]), labelling[1], labelling[2])
+        assert digest.hexdigest() == \
+            "10d3b4560dfe28bdda9fda55a619e9cf67850e05f68200b937811e0166f1be0b"
 
 
 class TestOrbits:

@@ -129,13 +129,21 @@ class TestGen:
         assert len(json_lines(out)) == 12
 
     @pytest.mark.parametrize("kind", ["latin", "row-latin", "theorem19"])
-    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    @pytest.mark.parametrize("mode", ["exhaustive", "random", "cyclic"])
     def test_gen_count_zero_prints_nothing(self, kind, mode, monkeypatch, capsys):
         code, out, err = run_cli(["gen", kind, "--mode", mode, "--n", "3", "--seed", "1",
                                   "--count", "0"], "", monkeypatch, capsys)
         assert code == 0
         assert out == ""
         assert "0 object(s) generated" in err
+
+    @pytest.mark.parametrize("kind", ["latin", "row-latin"])
+    def test_gen_cyclic_stops_at_count(self, kind, monkeypatch, capsys):
+        # the cyclic stream holds one square; --count 0 is checked above
+        for count in ([], ["--count", "1"], ["--count", "2"]):
+            code, out, _ = run_cli(["gen", kind, "--n", "3"] + count, "", monkeypatch, capsys)
+            assert code == 0
+            assert json_lines(out) == [square_to_json(cyclic_latin(3))]
 
     def test_gen_row_latin_cyclic_is_the_default(self, monkeypatch, capsys):
         code, out, _ = run_cli(["gen", "row-latin", "--n", "4"], "", monkeypatch, capsys)

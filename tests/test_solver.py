@@ -1,14 +1,17 @@
+import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trimatch import oracle
+from trimatch import oracle, solver
 from trimatch.constructions import (
     cyclic_latin,
     gen_drisko_extremal,
     gen_fracd_sharp,
     gen_p3_family,
+    latin_squares,
     random_family,
 )
 from trimatch.errors import BudgetExceededError
@@ -66,6 +69,83 @@ def repeated_members_family(rng):
     return MatchingFamily(base.host, members)
 
 
+def disjoint_copies(rng):
+    """Two disjoint copies of a random hypergraph: cells of a random n x n
+    grid, n = 2..3, each with a random symbol."""
+    n = rng.randrange(2, 4)
+    edges = [(r, c, rng.randrange(n)) for r in range(n) for c in range(n) if rng.random() < 0.8]
+    edges += [(r + n, c + n, s + n) for r, c, s in edges]
+    return TriHypergraph((2 * n, 2 * n, 2 * n), tuple(edges))
+
+
+def rotation_orbits(rng):
+    """A union of orbits of random triples under adding a random shift
+    vector mod n, closed also under rotating the sides half of the time."""
+    n = rng.randrange(2, 6)
+    shift = rng.choice([d for d in itertools.product(range(2), repeat=3) if any(d)])
+    turn_sides = rng.random() < 0.5
+    edges = set()
+    for _ in range(rng.randrange(1, 5)):
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        orbit = {((a + i * shift[0]) % n, (b + i * shift[1]) % n, (c + i * shift[2]) % n)
+                 for i in range(n)}
+        if turn_sides:
+            orbit |= {(y, z, x) for x, y, z in orbit} | {(z, x, y) for x, y, z in orbit}
+        if len(edges | orbit) <= oracle.ORACLE_EDGE_LIMIT:
+            edges |= orbit
+    return TriHypergraph((n, n, n), tuple(edges))
+
+
+def partial_latin(rng):
+    """A cyclic or random Latin square of order 2..5, with random cells deleted."""
+    n = rng.randrange(2, 6)
+    L = cyclic_latin(n) if rng.random() < 0.7 else next(latin_squares(n, rng))
+    cells = [(r, c, L.cells[r][c]) for r in range(n) for c in range(n)]
+    lost = rng.randrange(max(0, n * n - oracle.ORACLE_EDGE_LIMIT), n * n // 2 + 1)
+    return TriHypergraph((n, n, n), tuple(rng.sample(cells, n * n - lost)))
+
+
+def drisko_subfamily(rng):
+    """A Drisko family on C_2n, n = 2..5, with random members left out."""
+    F = gen_drisko_extremal(rng.randrange(2, 6))
+    members = tuple(m for m in F.members if rng.random() < 0.8)
+    return MatchingFamily(F.host, members or F.members)
+
+
+# (instances, total nodes, SHA-256 of the list of node counts) per stream,
+# recorded before root orbits existed
+UNPRUNED_STREAMS = {
+    "random": (300, 1085, "7fefdd489edc2b9a90cc0fefe0798a13f31e900df8325015407136a3b8041fcf"),
+    "twins0": (150, 516, "aa102cc32e2e05d2ef7c3b3900041343023bd8c4e5862a9d3176f93066b3bf58"),
+    "twins1": (150, 540, "089cc90e4c919029a15c2a3002c53d7d97aec48e0a412730837b0e90c9c95221"),
+    "twins2": (150, 510, "d1aef7a2cf2ff9902da69f47334070eae40a8586b91c164e7bcca648b0a6be9c"),
+    "grids": (120, 686, "ca663d931c38ef791d130847a841ee264bd73ea9dec2e86594fc382821adbb62"),
+    "families": (60, 212, "cbb57808e76e97f6d22a302271956ef61a9406212fb8429906ab68254dfe0e53"),
+}
+
+
+def seeded_stream(name):
+    """Solver results on the seeded inputs of the oracle tests below."""
+    if name == "random":
+        rng = random.Random(12345)
+        for _ in range(300):
+            yield max_matching_size(random_hypergraph(rng))
+    elif name.startswith("twins"):
+        side = int(name[-1])
+        rng = random.Random(500 + side)
+        for _ in range(150):
+            yield max_matching_size(planted_twins(rng, side))
+    elif name == "grids":
+        rng = random.Random(41)
+        for _ in range(120):
+            yield max_matching_size(latin_to_hypergraph(repeated_rows_grid(rng)))
+    elif name == "families":
+        rng = random.Random(99)
+        for _ in range(60):
+            sizes = [rng.randrange(0, 3) for _ in range(rng.randrange(1, 5))]
+            yield find_rainbow_matching(random_family(sizes, rng))
+
+
 def assert_every_target(solve, optimum, most=None):
     # a target search may stop at any value >= target, exactly when reachable
     top = optimum + 1 if most is None else min(optimum + 1, most)
@@ -114,10 +194,25 @@ class TestMaxMatching:
         assert (a.optimum, a.witness, a.nodes_explored) == (b.optimum, b.witness, b.nodes_explored)
 
     def test_cyclic_latin_tree_is_unchanged(self):
-        # no twins: the tree is the plain most-constrained-vertex tree
-        for n, nodes in ((4, 20), (6, 208), (8, 2210), (10, 40896)):
+        # no twins, and even orders miss n: below the root the tree is the
+        # plain most-constrained-vertex tree, and the root searches one
+        # child per orbit of the square's symmetries
+        for n, nodes in ((4, 8), (6, 38), (8, 282), (10, 4102), (12, 77354)):
             res = max_matching_size(latin_to_hypergraph(cyclic_latin(n)))
             assert (res.optimum, res.nodes_explored) == (n - 1, nodes)
+
+    def test_unpruned_roots_keep_their_trees(self):
+        # Node counts recorded before root orbits existed.  Odd cyclic
+        # squares have a transversal, found in the first root child; in
+        # these seeded streams no two root children searched are related by
+        # a symmetry, so every tree is searched as before.
+        for n, nodes in ((5, 17), (7, 27), (9, 39)):
+            res = max_matching_size(latin_to_hypergraph(cyclic_latin(n)))
+            assert (res.optimum, res.nodes_explored) == (n, nodes)
+        for name, (size, total, digest) in UNPRUNED_STREAMS.items():
+            counts = [res.nodes_explored for res in seeded_stream(name)]
+            assert (len(counts), sum(counts)) == (size, total)
+            assert hashlib.sha256(repr(counts).encode()).hexdigest() == digest
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(12345)
@@ -220,6 +315,49 @@ class TestTwinClasses:
             res = find_rainbow_matching(gen_drisko_extremal(n), target=n)
             assert res.optimum == n - 1
             assert res.nodes_explored <= 8 * n
+
+
+class TestRootOrbits:
+    """Inputs with planted symmetry, where the root searches one child per
+    orbit of the twin quotient's automorphisms, against the oracles."""
+
+    @pytest.fixture
+    def labellings(self, monkeypatch):
+        calls = []
+        label = solver.canonical_labelling
+
+        def counted(adj, cells=None):
+            calls.append(len(adj))
+            return label(adj, cells)
+
+        monkeypatch.setattr(solver, "canonical_labelling", counted)
+        return calls
+
+    @pytest.mark.parametrize("make,seed", [
+        (disjoint_copies, 71), (rotation_orbits, 72), (partial_latin, 73)])
+    def test_planted_symmetry_matches_oracle(self, make, seed, labellings):
+        rng = random.Random(seed)
+        for _ in range(400):
+            H = make(rng)
+            optimum = oracle.matching_number_oracle(H)
+            assert_every_target(lambda t: max_matching_size(H, target=t), optimum)
+        assert len(labellings) >= 40  # the orbit path really runs
+
+    def test_drisko_subfamilies_match_rainbow_oracle(self, labellings):
+        rng = random.Random(74)
+        for _ in range(300):
+            F = drisko_subfamily(rng)
+            optimum = oracle.rainbow_oracle(F)
+            assert_every_target(lambda t: find_rainbow_matching(F, target=t), optimum,
+                                most=len(F.members))
+        assert len(labellings) >= 40
+
+    def test_drisko_root_children_are_skipped(self, labellings):
+        # one twin class of even members and one of odd members, swapped by
+        # a rotation of C_16: 28 nodes before root orbits, one labelling now
+        res = find_rainbow_matching(gen_drisko_extremal(8), target=8)
+        assert (res.optimum, res.nodes_explored) == (7, 15)
+        assert len(labellings) == 1
 
 
 class TestDiagonal:
