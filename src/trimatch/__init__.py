@@ -13,6 +13,7 @@ from .homology import (
     betti,
     eta_homological,
     euler_characteristic_check,
+    graph_eta,
     independence_complex,
 )
 from .solver import (
@@ -54,6 +55,7 @@ __all__ = [
     "betti",
     "eta_homological",
     "euler_characteristic_check",
+    "graph_eta",
     "independence_complex",
     "SolveResult",
     "find_bounded_diagonal",

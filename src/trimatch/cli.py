@@ -5,7 +5,9 @@ summary and the run manifest go to stderr.  Exit codes: 0 success, 1 when
 a theorem-suite violation occurs or an asserted feasibility fails, 2 on
 usage errors (including malformed JSON, reported with its position, an
 input line that is not a JSON object, and an input line that lacks a
-field, reported with its line and the field).
+field, reported with its line and the field), 3 when a recorded violation
+is contradicted by its own re-check (a disagreement), and 4 when a search
+or complex exceeds its budget (`BudgetExceededError`), so no answer exists.
 """
 
 import argparse
@@ -21,7 +23,7 @@ from . import constructions as cons
 from . import verifier
 from .errors import BudgetExceededError, ConstructionError, InfeasibleScopeError
 from .game import psi, psi_line
-from .homology import betti, eta_homological, independence_complex
+from .homology import betti, graph_eta, independence_complex
 from .solver import (
     find_bounded_diagonal,
     find_independent_transversal,
@@ -43,6 +45,8 @@ from .structures import (
 USAGE_ERROR = 2
 # a recorded violation that its re-check contradicts: a solver or table fault
 DISAGREEMENT = 3
+# a search or complex outgrew its node, memo or face budget: no answer
+BUDGET_EXCEEDED = 4
 
 
 class _UsageError(Exception):
@@ -222,7 +226,7 @@ def _cmd_psi_line(args, manifest):
 
 def _cmd_eta(args, manifest):
     def solve(G):
-        eta = eta_homological(independence_complex(G))
+        eta = graph_eta(G.adj, (1 << G.n) - 1)
         return {"eta": _value_to_json(eta)}, True
 
     return _solve_lines(args, manifest, graph_from_json, solve,
@@ -491,7 +495,7 @@ def main(argv=None):
         return USAGE_ERROR
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 1
+        return BUDGET_EXCEEDED
     manifest.finish(args.manifest)
     return code
 

@@ -7,6 +7,24 @@ sparse columns with +-1 entries and ranked by sparse elimination that
 prefers unit pivots; every step stays in the integers, so ranks are exact
 over the rationals and no floating point is involved anywhere.  The dense
 Bareiss and Fraction eliminations live in oracle.py as cross-checks.
+
+For a graph, `graph_eta` reduces on the adjacency bitmasks before any face
+is built.  Each rule preserves reduced rational homology, so each is exact:
+
+- Join: I(G1 + G2) is the join I(G1) * I(G2), and over a field the Kunneth
+  formula for joins (Milnor, "Construction of universal bundles II", Ann.
+  Math. 1956) gives eta(G1 + G2) = eta(G1) + eta(G2).
+- Cone: a vertex without neighbours is a cone point, so eta is infinite.
+- Clique: I(K_m) is m points, so eta(K_m) = 1 for m >= 2.
+- Fold: if N(u) is contained in N(v) for u != v, then I(G) and I(G - v) are
+  homotopy equivalent (Engstrom, "Independence complexes of claw-free
+  graphs", Eur. J. Combin. 2008).
+
+Only a component with no rule left is ranked through its complex.  A path
+folds down to disjoint edges and at most one isolated vertex, which gives
+Kozlov's closed form ("Complexes of directed trees", J. Combin. Theory
+Ser. A 1999) without a face; a cycle of length 5 or more has no fold and
+is ranked.
 """
 
 from dataclasses import dataclass
@@ -272,6 +290,90 @@ def eta_homological(C):
     raise AssertionError("unreachable: some Betti number is nonzero")
 
 
+def graph_eta(adj, mask, face_limit=DEFAULT_FACE_LIMIT):
+    """eta of the independence complex of the graph induced on `mask`.
+
+    `adj` holds the adjacency bitmasks of the graph (`Graph.adj`).  The
+    mask is split into components by a flood fill.  A one-vertex component
+    makes I(G) a cone, so eta is INFINITY; a clique on m >= 2 vertices
+    contributes 1 (m points).  In any other component, a vertex v with
+    N(u) contained in N(v) for some u != v is deleted (the fold lemma;
+    such u and v are never adjacent), and what is left is split again.
+    eta adds up over components, because I(G1 + G2) = I(G1) * I(G2) and a
+    join adds eta over a field (INFINITY absorbs).  Only a component that
+    no rule reduces is relabelled and ranked by `eta_homological`, after
+    every other component, with `face_limit` faces at most (it raises
+    BudgetExceededError beyond).
+    """
+    total = 0
+    hard = []  # components no rule reduces
+    pieces = [mask]
+    while pieces:
+        rest = pieces.pop()
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                grown = adj[b.bit_length() - 1] & rest & ~comp
+                comp |= grown
+                frontier |= grown
+            rest ^= comp
+            if not comp & (comp - 1):
+                return INFINITY
+            if _is_clique(adj, comp):
+                total += 1
+                continue
+            v = _fold(adj, comp)
+            if v:
+                pieces.append(comp ^ v)
+            else:
+                hard.append(comp)
+    for comp in hard:
+        total += eta_homological(independence_complex(_relabel(adj, comp), face_limit))
+        if total == INFINITY:
+            break
+    return total
+
+
+def _bits(mask):
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        yield b
+
+
+def _is_clique(adj, comp):
+    return all(adj[b.bit_length() - 1] & comp == comp ^ b for b in _bits(comp))
+
+
+def _fold(adj, comp):
+    """The bit of a vertex v of comp with N(u) <= N(v) for some u != v, or 0.
+
+    comp is connected with at least two vertices, so N(u) is not empty, and
+    v must neighbour the lowest vertex w of N(u): only those are tried.
+    """
+    for u in _bits(comp):
+        nu = adj[u.bit_length() - 1] & comp
+        w = nu & -nu
+        for v in _bits(adj[w.bit_length() - 1] & comp ^ u):
+            if not nu & ~adj[v.bit_length() - 1]:
+                return v
+    return 0
+
+
+def _relabel(adj, comp):
+    """The graph induced on comp, its vertices renumbered 0..k-1 in order."""
+    vertices = [b.bit_length() - 1 for b in _bits(comp)]
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = frozenset(
+        (i, index[w.bit_length() - 1])
+        for i, v in enumerate(vertices)
+        for w in _bits(adj[v] & comp & ~((2 << v) - 1))
+    )
+    return Graph(len(vertices), edges)
+
+
 def topological_hall_subsets(P, deficiency=0, face_limit=DEFAULT_FACE_LIMIT):
     """Yield (members, eta, ok) for every subset I of the parts, in mask order.
 
@@ -281,20 +383,11 @@ def topological_hall_subsets(P, deficiency=0, face_limit=DEFAULT_FACE_LIMIT):
     a caller that only needs the hypothesis can stop at the first failure.
     """
     m = len(P.parts)
+    part_masks = [sum(1 << v for v in part) for part in P.parts]
     for mask in range(1 << m):
         members = tuple(i for i in range(m) if mask >> i & 1)
-        union = set()
+        union = 0
         for i in members:
-            union |= set(P.parts[i])
-        sub = _induced_graph(P.graph, sorted(union))
-        eta = eta_homological(independence_complex(sub, face_limit))
+            union |= part_masks[i]
+        eta = graph_eta(P.graph.adj, union, face_limit)
         yield members, eta, eta >= len(members) - deficiency
-
-
-def _induced_graph(G, vertices):
-    relabel = {v: i for i, v in enumerate(vertices)}
-    keep = set(vertices)
-    edges = frozenset(
-        (relabel[u], relabel[v]) for u, v in G.edges if u in keep and v in keep
-    )
-    return Graph(len(vertices), edges)

@@ -35,7 +35,7 @@ from .canonical import (
 )
 from .errors import InfeasibleScopeError
 from .game import line_graph, psi, psi_at_least
-from .homology import eta_homological, independence_complex, topological_hall_subsets
+from .homology import graph_eta, topological_hall_subsets
 from .solver import (
     find_bounded_diagonal,
     find_independent_transversal,
@@ -433,7 +433,8 @@ def _con_transversal(inst, optimum):
 def _con_eta_psi(inst, optimum):
     # eta >= psi iff min(psi, eta + 1) <= eta, so psi is searched only up to
     # eta + 1; with eta = INFINITY the cap is INFINITY, the full value
-    eta = eta_homological(independence_complex(inst["graph"]))
+    G = inst["graph"]
+    eta = graph_eta(G.adj, (1 << G.n) - 1)
     return optimum(inst, eta + 1) <= eta
 
 

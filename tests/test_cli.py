@@ -1,12 +1,13 @@
 import dataclasses
 import io
 import json
+import random
 
 import pytest
 
 from trimatch import verifier
-from trimatch.cli import DISAGREEMENT, main
-from trimatch.constructions import cyclic_latin, gen_drisko_extremal
+from trimatch.cli import BUDGET_EXCEEDED, DISAGREEMENT, main
+from trimatch.constructions import cyclic_latin, gen_drisko_extremal, random_graph
 from trimatch.solver import SolveResult
 from trimatch.structures import (
     family_to_json,
@@ -110,6 +111,32 @@ class TestTopologyVerbs:
         assert json_lines(out) == [{"eta": 2}]
         code, out, _ = run_cli(["betti"], line + "\n", monkeypatch, capsys)
         assert json_lines(out)[0]["betti"] == [0, 0, 2, 0]
+
+    def test_eta_of_a_path_past_the_face_limit(self, monkeypatch, capsys):
+        # P_60 has more than 200 000 independent sets; folds reduce it to 20 edges
+        p60 = Graph(60, frozenset((i, i + 1) for i in range(59)))
+        line = json.dumps(graph_to_json(p60))
+        code, out, _ = run_cli(["eta", "--format", "summary"], line + "\n", monkeypatch, capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "eta = 20"
+
+    def test_eta_of_the_readme_graph(self, monkeypatch, capsys):
+        G = random_graph(22, random.Random(5), p=0.35)
+        line = json.dumps(graph_to_json(G))
+        code, out, _ = run_cli(["eta"], line + "\n", monkeypatch, capsys)
+        assert (code, json_lines(out)) == (0, [{"eta": 3}])
+
+    def test_budget_exceeded_has_its_own_exit_code(self, monkeypatch, capsys):
+        # C_40 has no fold, so its complex still passes the face limit
+        c40 = Graph(40, frozenset((i, (i + 1) % 40) for i in range(40)))
+        line = json.dumps(graph_to_json(c40))
+        code, _, err = run_cli(["eta"], line + "\n", monkeypatch, capsys)
+        assert code == BUDGET_EXCEEDED == 4
+        assert "face count exceeded 200000" in err
+        line = json.dumps(hypergraph_to_json(latin_to_hypergraph(cyclic_latin(6))))
+        code, _, err = run_cli(["nu", "--budget", "3"], line + "\n", monkeypatch, capsys)
+        assert code == BUDGET_EXCEEDED
+        assert "budget exceeded" in err
 
 
 class TestGen:

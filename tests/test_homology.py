@@ -7,12 +7,14 @@ from trimatch.constructions import random_graph, random_partition_system
 from trimatch.errors import BudgetExceededError
 from trimatch.game import psi
 from trimatch.homology import (
+    DEFAULT_FACE_LIMIT,
     BettiVector,
     SimplicialComplex,
     betti,
     boundary_matrix,
     eta_homological,
     euler_characteristic_check,
+    graph_eta,
     independence_complex,
     topological_hall_subsets,
     _rank,
@@ -23,6 +25,26 @@ from trimatch.verifier import STATEMENTS, Scope, enumerate_graphs_up_to_iso, ver
 
 def cycle(n):
     return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+
+
+def path(n):
+    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def complete(m):
+    return Graph(m, frozenset((u, v) for u in range(m) for v in range(u + 1, m)))
+
+
+def full_eta(G, face_limit=DEFAULT_FACE_LIMIT):
+    return graph_eta(G.adj, (1 << G.n) - 1, face_limit)
+
+
+def complex_eta(G, keep):
+    """eta through the complex of the induced graph on keep, relabelled."""
+    index = {v: i for i, v in enumerate(sorted(keep))}
+    induced = Graph(len(index), frozenset(
+        (index[u], index[v]) for u, v in G.edges if u in index and v in index))
+    return eta_homological(independence_complex(induced))
 
 
 def full_simplex_complex(m):
@@ -192,6 +214,77 @@ class TestEta:
             for G in enumerate_graphs_up_to_iso(n):
                 eta = eta_homological(independence_complex(G))
                 assert eta >= psi(G, memo=memo)
+
+
+class TestGraphEta:
+    """graph_eta against the complex route and the closed forms."""
+
+    def test_matches_complex_route_on_all_small_classes(self):
+        for n in range(8):
+            for G in enumerate_graphs_up_to_iso(n):
+                assert full_eta(G) == eta_homological(independence_complex(G)), G
+
+    @pytest.mark.parametrize("p", [0.1, 0.35, 0.5, 0.7, 0.9])
+    def test_matches_complex_route_on_random_graphs(self, p):
+        rng = random.Random(int(p * 100))
+        for _ in range(150):
+            G = random_graph(rng.randint(0, 12), rng, p)
+            assert full_eta(G) == eta_homological(independence_complex(G)), G
+
+    def test_paths_past_the_face_limit(self):
+        # Kozlov: I(P_n) is contractible for n = 1 (mod 3), else a sphere
+        # of dimension ceil(n / 3) - 1
+        for n in list(range(0, 40)) + [299, 300, 301, 998, 999, 1000]:
+            expected = INFINITY if n % 3 == 1 else -(-n // 3)
+            assert full_eta(path(n), face_limit=50) == expected, n
+
+    def test_cycles(self):
+        # Kozlov: eta(C_n) = k for n = 3k or 3k + 1, and k + 1 for n = 3k + 2
+        for n in range(3, 13):
+            k = n // 3
+            assert full_eta(cycle(n)) == (k + 1 if n % 3 == 2 else k), n
+
+    def test_unreduced_component_keeps_the_budget(self):
+        with pytest.raises(BudgetExceededError):
+            full_eta(cycle(40))
+        with pytest.raises(BudgetExceededError):
+            full_eta(cycle(9), face_limit=20)
+
+    def test_edge_cases(self):
+        assert full_eta(Graph(0)) == 0
+        assert graph_eta(cycle(6).adj, 0) == 0
+        assert full_eta(Graph(1)) == INFINITY
+        for m in range(2, 9):
+            assert full_eta(complete(m)) == 1
+        # an isolated vertex makes a cone, whatever the rest costs
+        G = Graph(41, frozenset((i, (i + 1) % 40) for i in range(40)))
+        assert full_eta(G) == INFINITY
+
+    def test_disjoint_unions_add_up(self):
+        parts = [cycle(5), cycle(6), path(5), complete(3), cycle(7)]
+        offset, edges = 0, set()
+        for H in parts:
+            edges |= {(u + offset, v + offset) for u, v in H.edges}
+            offset += H.n
+        union = Graph(offset, frozenset(edges))
+        assert full_eta(union) == sum(full_eta(H) for H in parts) == 2 + 2 + 2 + 1 + 2
+        assert full_eta(Graph(offset + 4, union.edges | {(offset, offset + 1)})) == INFINITY
+
+    def test_sub_mask_equals_the_relabelled_induced_graph(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            n = rng.randint(1, 11)
+            G = random_graph(n, rng, rng.choice([0.2, 0.4, 0.6]))
+            keep = [v for v in range(n) if rng.random() < 0.7]
+            assert graph_eta(G.adj, sum(1 << v for v in keep)) == complex_eta(G, keep)
+
+    def test_topological_hall_subsets_match_the_complex_route(self):
+        rng = random.Random(77)
+        for _ in range(200):
+            P = random_partition_system(rng, max_vertices=10, max_parts=5)
+            for members, eta, _ in topological_hall_subsets(P, 1):
+                keep = set().union(*(P.parts[i] for i in members))
+                assert eta == complex_eta(P.graph, keep)
 
 
 class TestTopologicalHall:
