@@ -1,13 +1,21 @@
 """Command-line entry point wiring all modules together.
 
+Every per-line verb (`nu`, `rainbow`, `diagonal`, `transversal`, `psi`,
+`psi-line`, `eta`, `betti`) is one row of `VERBS`, and every `gen`
+construction is one row of `GENERATORS`; `build_parser` and one driver read
+these tables.  One reader, `_read_input`, yields the JSON lines of `-i` or
+stdin to the solver verbs, `gen double-a` and `verify --stdin`, so
+`verify --stdin` judges each line as it is read and keeps no list of them.
+
 Machine-readable JSON goes to stdout (one line per instance), a short human
 summary and the run manifest go to stderr.  Exit codes: 0 success, 1 when
 a theorem-suite violation occurs or an asserted feasibility fails, 2 on
 usage errors (including malformed JSON, reported with its position, an
-input line that is not a JSON object, and an input line that lacks a
-field, reported with its line and the field), 3 when a recorded violation
-is contradicted by its own re-check (a disagreement), and 4 when a search
-or complex exceeds its budget (`BudgetExceededError`), so no answer exists.
+input line that is not a JSON object, an input line that lacks a field,
+reported with its line and the field, and conflicting or missing `verify`
+scope flags), 3 when a recorded violation is contradicted by its own
+re-check (a disagreement), and 4 when a search or complex exceeds its
+budget (`BudgetExceededError`), so no answer exists.
 """
 
 import argparse
@@ -17,6 +25,8 @@ import math
 import platform
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
 from . import constructions as cons
@@ -53,40 +63,42 @@ class _UsageError(Exception):
     pass
 
 
-def _read_json_lines(stream):
-    """Yield (line_number, parsed object) for each nonempty input line."""
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise _UsageError(
-                f"malformed JSON on input line {lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        if not isinstance(data, dict):
-            raise _UsageError(f"input line {lineno}: expected a JSON object")
-        yield lineno, data
+def _read_input(args, manifest, parse=None):
+    """Yield (line number, object) for each nonempty line of `-i` or stdin.
 
-
-def _parse_line(parse, lineno, data):
+    Each line must be a JSON object; it is recorded in the manifest and
+    passed through `parse` when one is given.  A field that `parse` misses
+    is a usage error naming the line.
+    """
+    path = getattr(args, "input", None) or "-"
+    stream = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
     try:
-        return parse(data)
-    except KeyError as exc:
-        raise _UsageError(f"input line {lineno}: missing field {exc.args[0]!r}") from None
-
-
-def _open_input(args):
-    if getattr(args, "input", None) and args.input != "-":
-        return open(args.input, "r", encoding="utf-8")
-    return sys.stdin
+        for lineno, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise _UsageError(
+                    f"malformed JSON on input line {lineno}, column {exc.colno}: {exc.msg}"
+                ) from exc
+            if not isinstance(data, dict):
+                raise _UsageError(f"input line {lineno}: expected a JSON object")
+            manifest.note_input(data)
+            try:
+                obj = data if parse is None else parse(data)
+            except KeyError as exc:
+                raise _UsageError(
+                    f"input line {lineno}: missing field {exc.args[0]!r}") from None
+            yield lineno, obj
+    finally:
+        if stream is not sys.stdin:
+            stream.close()
 
 
 def _value_to_json(v):
-    if v == math.inf:
-        return "inf"
-    return v
+    return "inf" if v == math.inf else v
 
 
 class _Manifest:
@@ -122,174 +134,141 @@ class _Manifest:
         return data
 
 
-def _solve_lines(args, manifest, parse, solve, summarize):
-    """Shared driver for the per-line solver verbs."""
+# ---------------------------------------------------------------------------
+# Per-line verbs.  Solvers are looked up by their global names at call time,
+# so a patched or traced `trimatch.cli.psi` is the one that runs.
+
+
+@dataclass(frozen=True)
+class _Verb:
+    """One per-line verb: parse each input line, solve it, report it."""
+
+    help: str
+    parse: Callable
+    solve: Callable  # (args, parsed line) -> (result, ok); a miss exits 1
+    summary: str  # --format summary line, formatted with the result's fields
+    miss: str = ""  # appended to the summary line when ok is False
+    options: tuple = ()  # (flag, add_argument keywords) beyond -i and --format
+
+
+_BUDGET = ("--budget", {"type": int, "default": 10_000_000, "help": "search node budget"})
+
+
+def _searched(res, witness):
+    return {"optimum": res.optimum, "witness": witness, "nodes": res.nodes_explored}
+
+
+def _nu(args, H):
+    res = max_matching_size(H, node_budget=args.budget)
+    return _searched(res, [list(e) for e in sorted(res.witness.edges)]), True
+
+
+def _rainbow(args, F):
+    res = find_rainbow_matching(F, target=args.target, node_budget=args.budget)
+    ok = args.target is None or res.optimum >= args.target
+    return _searched(res, [[i, list(e)] for i, e in res.witness]), ok
+
+
+def _diagonal(args, L):
+    res = find_bounded_diagonal(L, args.bound, node_budget=args.budget)
+    witness = (list(res.witness.entries) if hasattr(res.witness, "entries")
+               else [list(c) for c in res.witness])
+    return _searched(res, witness), res.optimum == L.order
+
+
+def _transversal(args, P):
+    res = find_independent_transversal(P, deficiency=args.deficiency,
+                                       node_budget=args.budget)
+    return _searched(res, list(res.witness)), res.optimum >= len(P.parts) - args.deficiency
+
+
+VERBS = {
+    "nu": _Verb("maximum matching size of a tripartite hypergraph", hypergraph_from_json,
+                _nu, "nu = {optimum}", options=(_BUDGET,)),
+    "rainbow": _Verb("rainbow matching in a matching family", family_from_json,
+                     _rainbow, "rainbow optimum = {optimum}", " (target missed)",
+                     (_BUDGET, ("--target", {"type": int, "default": None}))),
+    "diagonal": _Verb("bounded-multiplicity diagonal of a square", square_from_json,
+                      _diagonal, "diagonal size = {optimum}", " (no full diagonal)",
+                      (_BUDGET, ("--bound", {"type": int, "required": True}))),
+    "transversal": _Verb("partial independent transversal", partitioned_graph_from_json,
+                         _transversal, "parts covered = {optimum}", " (deficiency missed)",
+                         (_BUDGET, ("--deficiency", {"type": int, "default": 0}))),
+    "psi": _Verb("deletion/explosion game value of a graph", graph_from_json,
+                 lambda args, G: ({"psi": _value_to_json(psi(G))}, True), "psi = {psi}"),
+    "psi-line": _Verb("game value on the line graph of a bipartite graph",
+                      bipartite_graph_from_json,
+                      lambda args, G: ({"psi": _value_to_json(psi_line(G))}, True),
+                      "psi = {psi}"),
+    "eta": _Verb("homological connectivity of the independence complex", graph_from_json,
+                 lambda args, G: ({"eta": _value_to_json(graph_eta(G.adj, (1 << G.n) - 1))},
+                                  True),
+                 "eta = {eta}"),
+    "betti": _Verb("reduced Betti numbers of the independence complex", graph_from_json,
+                   lambda args, G: ({"betti": list(betti(independence_complex(G)).values),
+                                     "from_dimension": -1}, True),
+                   "betti = {betti}"),
+}
+
+
+def _cmd_verb(args, manifest):
+    """The one driver of the per-line verbs."""
+    verb = VERBS[args.command]
     exit_code = 0
     count = 0
-    stream = _open_input(args)
-    try:
-        for lineno, data in _read_json_lines(stream):
-            manifest.note_input(data)
-            obj = _parse_line(parse, lineno, data)
-            result, ok = solve(obj)
-            manifest.emit_output(result, args.format)
-            if args.format == "summary":
-                print(summarize(result, ok))
-            if not ok:
-                exit_code = 1
-            count += 1
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+    for _, obj in _read_input(args, manifest, verb.parse):
+        result, ok = verb.solve(args, obj)
+        manifest.emit_output(result, args.format)
+        if args.format == "summary":
+            print(verb.summary.format(**result) + ("" if ok else verb.miss))
+        if not ok:
+            exit_code = 1
+        count += 1
     print(f"{count} instance(s) processed", file=sys.stderr)
     return exit_code
 
 
-def _cmd_nu(args, manifest):
-    def solve(H):
-        res = max_matching_size(H, node_budget=args.budget)
-        return (
-            {"optimum": res.optimum, "witness": [list(e) for e in sorted(res.witness.edges)],
-             "nodes": res.nodes_explored},
-            True,
-        )
-
-    return _solve_lines(args, manifest, hypergraph_from_json, solve,
-                        lambda r, ok: f"nu = {r['optimum']}")
+# ---------------------------------------------------------------------------
+# gen: each construction maps (args, manifest) to the JSON objects it emits.
 
 
-def _cmd_rainbow(args, manifest):
-    def solve(F):
-        res = find_rainbow_matching(F, target=args.target, node_budget=args.budget)
-        ok = args.target is None or res.optimum >= args.target
-        return (
-            {"optimum": res.optimum,
-             "witness": [[i, list(e)] for i, e in res.witness],
-             "nodes": res.nodes_explored},
-            ok,
-        )
-
-    return _solve_lines(args, manifest, family_from_json, solve,
-                        lambda r, ok: f"rainbow optimum = {r['optimum']}"
-                                      + ("" if ok else " (target missed)"))
+def _theorem19(args, manifest):
+    if args.seed is None:  # random.Random(None) would not be reproducible
+        raise _UsageError("gen theorem19 requires --seed")
+    return (hypergraph_to_json(cons.gen_theorem19_instance(args.n, args.seed + i))
+            for i in range(1 if args.count is None else args.count))
 
 
-def _cmd_diagonal(args, manifest):
-    def solve(L):
-        res = find_bounded_diagonal(L, args.bound, node_budget=args.budget)
-        ok = res.optimum == L.order
-        witness = (
-            list(res.witness.entries) if hasattr(res.witness, "entries")
-            else [list(c) for c in res.witness]
-        )
-        return (
-            {"optimum": res.optimum, "witness": witness, "nodes": res.nodes_explored},
-            ok,
-        )
-
-    return _solve_lines(args, manifest, square_from_json, solve,
-                        lambda r, ok: f"diagonal size = {r['optimum']}"
-                                      + ("" if ok else " (no full diagonal)"))
-
-
-def _cmd_transversal(args, manifest):
-    def solve(P):
-        res = find_independent_transversal(P, deficiency=args.deficiency,
-                                           node_budget=args.budget)
-        ok = res.optimum >= len(P.parts) - args.deficiency
-        return (
-            {"optimum": res.optimum, "witness": list(res.witness),
-             "nodes": res.nodes_explored},
-            ok,
-        )
-
-    return _solve_lines(args, manifest, partitioned_graph_from_json, solve,
-                        lambda r, ok: f"parts covered = {r['optimum']}"
-                                      + ("" if ok else " (deficiency missed)"))
-
-
-def _cmd_psi(args, manifest):
-    def solve(G):
-        return {"psi": _value_to_json(psi(G))}, True
-
-    return _solve_lines(args, manifest, graph_from_json, solve,
-                        lambda r, ok: f"psi = {r['psi']}")
-
-
-def _cmd_psi_line(args, manifest):
-    def solve(G):
-        return {"psi": _value_to_json(psi_line(G))}, True
-
-    return _solve_lines(args, manifest, bipartite_graph_from_json, solve,
-                        lambda r, ok: f"psi = {r['psi']}")
-
-
-def _cmd_eta(args, manifest):
-    def solve(G):
-        eta = graph_eta(G.adj, (1 << G.n) - 1)
-        return {"eta": _value_to_json(eta)}, True
-
-    return _solve_lines(args, manifest, graph_from_json, solve,
-                        lambda r, ok: f"eta = {r['eta']}")
-
-
-def _cmd_betti(args, manifest):
-    def solve(G):
-        bv = betti(independence_complex(G))
-        return {"betti": list(bv.values), "from_dimension": -1}, True
-
-    return _solve_lines(args, manifest, graph_from_json, solve,
-                        lambda r, ok: f"betti = {r['betti']}")
+GENERATORS = {
+    "drisko": lambda args, manifest: [family_to_json(cons.gen_drisko_extremal(args.n))],
+    "accommodating": lambda args, manifest: [family_to_json(
+        cons.gen_accommodating_counterexample([int(x) for x in args.sizes.split(",")],
+                                              args.n))],
+    "p3": lambda args, manifest: [family_to_json(cons.gen_p3_family(args.k))],
+    "fracd-sharp": lambda args, manifest: [hypergraph_to_json(cons.gen_fracd_sharp(args.n))],
+    "double-a": lambda args, manifest: (
+        hypergraph_to_json(cons.double_side_A(H))
+        for _, H in _read_input(args, manifest, hypergraph_from_json)),
+    "latin": lambda args, manifest: map(square_to_json, cons.gen_latin(
+        args.n, args.mode, seed=args.seed, count=args.count)),
+    "row-latin": lambda args, manifest: map(square_to_json, cons.gen_row_latin(
+        args.n, args.mode, seed=args.seed, count=args.count)),
+    "theorem19": _theorem19,
+}
 
 
 def _cmd_gen(args, manifest):
     manifest.seed = args.seed
     emitted = 0
-
-    def emit(obj):
-        nonlocal emitted
+    for obj in GENERATORS[args.construction](args, manifest):
         manifest.emit_output(obj, "json")  # generated objects are the output
         emitted += 1
-
-    c = args.construction
-    if c == "drisko":
-        emit(family_to_json(cons.gen_drisko_extremal(args.n)))
-    elif c == "accommodating":
-        sizes = [int(x) for x in args.sizes.split(",")]
-        emit(family_to_json(cons.gen_accommodating_counterexample(sizes, args.n)))
-    elif c == "p3":
-        emit(family_to_json(cons.gen_p3_family(args.k)))
-    elif c == "fracd-sharp":
-        emit(hypergraph_to_json(cons.gen_fracd_sharp(args.n)))
-    elif c == "double-a":
-        stream = _open_input(args)
-        try:
-            for lineno, data in _read_json_lines(stream):
-                manifest.note_input(data)
-                H = _parse_line(hypergraph_from_json, lineno, data)
-                emit(hypergraph_to_json(cons.double_side_A(H)))
-        finally:
-            if stream is not sys.stdin:
-                stream.close()
-    elif c == "latin":
-        if args.mode == "random" and args.seed is None:
-            raise _UsageError("gen latin --mode random requires --seed")
-        for L in cons.gen_latin(args.n, args.mode, seed=args.seed, count=args.count):
-            emit(square_to_json(L))
-    elif c == "row-latin":
-        if args.mode == "random" and args.seed is None:
-            raise _UsageError("gen row-latin --mode random requires --seed")
-        for L in cons.gen_row_latin(args.n, args.mode, seed=args.seed, count=args.count):
-            emit(square_to_json(L))
-    elif c == "theorem19":
-        if args.seed is None:
-            raise _UsageError("gen theorem19 requires --seed")
-        for i in range(1 if args.count is None else args.count):
-            emit(hypergraph_to_json(cons.gen_theorem19_instance(args.n, args.seed + i)))
-    else:
-        raise _UsageError(f"unknown construction {c!r}")
     print(f"{emitted} object(s) generated", file=sys.stderr)
     return 0
+
+
+# ---------------------------------------------------------------------------
+# verify, hunt and suite
 
 
 def _parse_params(pairs):
@@ -324,24 +303,18 @@ def _report_out(report, args, manifest):
 def _cmd_verify(args, manifest):
     params = _parse_params(args.param)
     if args.stdin:
-        payloads = []
-        for lineno, data in _read_json_lines(sys.stdin):
-            manifest.note_input(data)
-            payloads.append((lineno, data))
-        report = verifier.verify_serialized_stream(args.statement, payloads,
-                                                   cert_dir=args.cert_dir)
-    elif args.random is not None:
+        report = verifier.verify_serialized_stream(
+            args.statement, _read_input(args, manifest), cert_dir=args.cert_dir)
+    elif args.exhaustive:
+        scope = verifier.Scope("exhaustive", params=params)
+        report = verifier.verify(args.statement, scope, cert_dir=args.cert_dir)
+    else:
         if args.seed is None:
             raise _UsageError("randomized verification requires --seed")
         manifest.seed = args.seed
         scope = verifier.Scope("randomized", trials=args.random, seed=args.seed,
                                params=params)
         report = verifier.verify(args.statement, scope, cert_dir=args.cert_dir)
-    elif args.exhaustive:
-        scope = verifier.Scope("exhaustive", params=params)
-        report = verifier.verify(args.statement, scope, cert_dir=args.cert_dir)
-    else:
-        raise _UsageError("choose one of --exhaustive, --random T, or --stdin")
     _report_out(report, args, manifest)
     if report.disagreements:
         return DISAGREEMENT
@@ -368,11 +341,8 @@ def _cmd_hunt(args, manifest):
 def _cmd_suite(args, manifest):
     if not args.theorems:
         raise _UsageError("suite currently supports --theorems")
-
-    def progress(report):
-        _report_out(report, args, manifest)
-
-    reports, clean = verifier.run_theorem_suite(cert_dir=args.cert_dir, progress=progress)
+    reports, clean = verifier.run_theorem_suite(
+        cert_dir=args.cert_dir, progress=lambda report: _report_out(report, args, manifest))
     if not clean:
         print("theorem suite: VIOLATIONS FOUND", file=sys.stderr)
     else:
@@ -391,52 +361,19 @@ def build_parser():
     parser.add_argument("--manifest", help="also write the run manifest to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, budget=True):
-        p.add_argument("-i", "--input", default="-", help="input file (default stdin)")
+    def add_format(p):
         p.add_argument("--format", choices=["json", "summary"], default="json")
-        if budget:
-            p.add_argument("--budget", type=int, default=10_000_000,
-                           help="search node budget")
 
-    p = sub.add_parser("nu", help="maximum matching size of a tripartite hypergraph")
-    add_common(p)
-    p.set_defaults(func=_cmd_nu)
-
-    p = sub.add_parser("rainbow", help="rainbow matching in a matching family")
-    add_common(p)
-    p.add_argument("--target", type=int, default=None)
-    p.set_defaults(func=_cmd_rainbow)
-
-    p = sub.add_parser("diagonal", help="bounded-multiplicity diagonal of a square")
-    add_common(p)
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(func=_cmd_diagonal)
-
-    p = sub.add_parser("transversal", help="partial independent transversal")
-    add_common(p)
-    p.add_argument("--deficiency", type=int, default=0)
-    p.set_defaults(func=_cmd_transversal)
-
-    p = sub.add_parser("psi", help="deletion/explosion game value of a graph")
-    add_common(p, budget=False)
-    p.set_defaults(func=_cmd_psi)
-
-    p = sub.add_parser("psi-line", help="game value on the line graph of a bipartite graph")
-    add_common(p, budget=False)
-    p.set_defaults(func=_cmd_psi_line)
-
-    p = sub.add_parser("eta", help="homological connectivity of the independence complex")
-    add_common(p, budget=False)
-    p.set_defaults(func=_cmd_eta)
-
-    p = sub.add_parser("betti", help="reduced Betti numbers of the independence complex")
-    add_common(p, budget=False)
-    p.set_defaults(func=_cmd_betti)
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        p.add_argument("-i", "--input", default="-", help="input file (default stdin)")
+        add_format(p)
+        for flag, options in verb.options:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=_cmd_verb)
 
     p = sub.add_parser("gen", help="emit constructions as JSON lines")
-    p.add_argument("construction",
-                   choices=["drisko", "accommodating", "p3", "fracd-sharp",
-                            "double-a", "latin", "row-latin", "theorem19"])
+    p.add_argument("construction", choices=list(GENERATORS))
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--sizes", default="", help="comma-separated size sequence")
@@ -449,14 +386,15 @@ def build_parser():
 
     p = sub.add_parser("verify", help="sweep a statement over a scope")
     p.add_argument("statement", choices=list(verifier.ALL_STATEMENT_IDS))
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--random", type=int, default=None, metavar="TRIALS")
-    p.add_argument("--stdin", action="store_true",
-                   help="judge serialized instances from stdin")
+    scope = p.add_mutually_exclusive_group(required=True)
+    scope.add_argument("--exhaustive", action="store_true")
+    scope.add_argument("--random", type=int, default=None, metavar="TRIALS")
+    scope.add_argument("--stdin", action="store_true",
+                       help="judge serialized instances from stdin")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--cert-dir", default=None)
-    p.add_argument("--format", choices=["json", "summary"], default="json")
+    add_format(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("hunt", help="randomized counterexample hunt for a conjecture")
@@ -465,13 +403,13 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--cert-dir", default=None)
-    p.add_argument("--format", choices=["json", "summary"], default="json")
+    add_format(p)
     p.set_defaults(func=_cmd_hunt)
 
     p = sub.add_parser("suite", help="run the zero-violation theorem catalog")
     p.add_argument("--theorems", action="store_true")
     p.add_argument("--cert-dir", default=None)
-    p.add_argument("--format", choices=["json", "summary"], default="json")
+    add_format(p)
     p.set_defaults(func=_cmd_suite)
 
     return parser

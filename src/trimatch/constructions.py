@@ -231,9 +231,27 @@ def cyclic_latin(n):
     return LatinSquare(n, tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 
-def _first(stream, count):
-    """The first `count` items of a stream; all of them if None."""
-    return stream if count is None else itertools.islice(stream, max(count, 0))
+def _square_stream(n, mode, seed, count, draw, exhaustive, cap):
+    """The first `count` squares (all if None) of one mode's stream.
+
+    `draw(n, rng)` makes one random square, and `exhaustive(n)` yields every
+    square up to order `cap`.  A random stream without a count yields one.
+    """
+    if mode == "cyclic":
+        squares = [cyclic_latin(n)]
+    elif mode == "random":
+        if seed is None:
+            raise ValueError("random mode requires a seed")
+        rng = random.Random(seed)
+        squares = (draw(n, rng) for _ in itertools.count())
+        count = 1 if count is None else count
+    elif mode == "exhaustive":
+        if n > cap:
+            raise ValueError(f"exhaustive stream capped at order {cap}")
+        squares = exhaustive(n)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    yield from squares if count is None else itertools.islice(squares, max(count, 0))
 
 
 def gen_latin(n, mode, seed=None, count=None):
@@ -242,26 +260,8 @@ def gen_latin(n, mode, seed=None, count=None):
     The exhaustive stream yields every Latin square of order n exactly once,
     in lexicographic cell order; it is capped at order 5.
     """
-    if mode == "cyclic":
-        yield from _first([cyclic_latin(n)], count)
-        return
-    if mode == "random":
-        if seed is None:
-            raise ValueError("random mode requires a seed")
-        rng = random.Random(seed)
-        emitted = 0
-        while count is None or emitted < count:
-            yield next(latin_squares(n, rng))
-            emitted += 1
-            if count is None:
-                return
-        return
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_LATIN_CAP:
-            raise ValueError(f"exhaustive stream capped at order {EXHAUSTIVE_LATIN_CAP}")
-        yield from _first(latin_squares(n), count)
-        return
-    raise ValueError(f"unknown mode {mode!r}")
+    return _square_stream(n, mode, seed, count, lambda n, rng: next(latin_squares(n, rng)),
+                          latin_squares, EXHAUSTIVE_LATIN_CAP)
 
 
 def latin_squares(n, rng=None):
@@ -302,39 +302,25 @@ def gen_row_latin(n, mode, seed=None, count=None):
     `gen_latin`.  The exhaustive stream fixes the first row to the identity
     and is capped at order 4.
     """
-    if mode == "cyclic":
-        yield from _first([cyclic_latin(n)], count)
-        return
-    if mode == "random":
-        if seed is None:
-            raise ValueError("random mode requires a seed")
-        rng = random.Random(seed)
-        emitted = 0
-        while count is None or emitted < count:
-            rows = []
-            for _ in range(n):
-                row = list(range(n))
-                rng.shuffle(row)
-                rows.append(tuple(row))
-            yield LatinSquare(n, tuple(rows))
-            emitted += 1
-            if count is None:
-                return
-        return
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_ROW_LATIN_CAP:
-            raise ValueError(
-                f"exhaustive stream capped at order {EXHAUSTIVE_ROW_LATIN_CAP}"
-            )
-        if n == 0:
-            squares = [LatinSquare(0, ())]
-        else:
-            first = tuple(range(n))
-            squares = (LatinSquare(n, (first,) + rest) for rest in
-                       itertools.product(itertools.permutations(range(n)), repeat=n - 1))
-        yield from _first(squares, count)
-        return
-    raise ValueError(f"unknown mode {mode!r}")
+    return _square_stream(n, mode, seed, count, _random_row_latin, _row_latin_squares,
+                          EXHAUSTIVE_ROW_LATIN_CAP)
+
+
+def _random_row_latin(n, rng):
+    rows = []
+    for _ in range(n):
+        row = list(range(n))
+        rng.shuffle(row)
+        rows.append(tuple(row))
+    return LatinSquare(n, tuple(rows))
+
+
+def _row_latin_squares(n):
+    if n == 0:
+        return [LatinSquare(0, ())]
+    first = tuple(range(n))
+    return (LatinSquare(n, (first,) + rest) for rest in
+            itertools.product(itertools.permutations(range(n)), repeat=n - 1))
 
 
 # ---------------------------------------------------------------------------

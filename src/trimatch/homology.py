@@ -27,6 +27,7 @@ Ser. A 1999) without a face; a cycle of length 5 or more has no fold and
 is ranked.
 """
 
+import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -72,8 +73,6 @@ class SimplicialComplex:
     @classmethod
     def from_faces(cls, faces):
         """Downward closure of an arbitrary iterable of faces."""
-        import itertools
-
         by_size = {0: {()}}
         for f in faces:
             f = tuple(sorted(set(int(x) for x in f)))

@@ -452,7 +452,7 @@ def find_independent_transversal(P, deficiency=0, *, node_budget=DEFAULT_NODE_BU
             b = mm & -mm
             u = b.bit_length() - 1
             mm ^= b
-            gain = bin(p & comp[u]).count("1")
+            gain = (p & comp[u]).bit_count()
             if gain > pivot_gain:
                 pivot_gain = gain
                 pivot = u

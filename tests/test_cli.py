@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import random
@@ -85,6 +86,16 @@ class TestSolverVerbs:
             monkeypatch, capsys,
         )
         assert code == 0
+
+    def test_input_file_reads_like_stdin(self, monkeypatch, capsys, tmp_path):
+        text = GOLDEN_INPUTS["hypergraphs"]
+        path = tmp_path / "hypergraphs.jsonl"
+        path.write_text(text)
+        from_stdin = run_cli(["nu", "--format", "summary"], text, monkeypatch, capsys)
+        from_file = run_cli(["nu", "--format", "summary", "-i", str(path)], "", monkeypatch,
+                            capsys)
+        assert from_file[:2] == from_stdin[:2]
+        assert from_file[1].splitlines() == ["nu = 3", "nu = 1", "nu = 1"]
 
 
 class TestTopologyVerbs:
@@ -222,6 +233,38 @@ class TestVerifyHuntSuite:
         code, _, err = run_cli(["verify", "DRISKO_1_5", "--random", "5"], "",
                                monkeypatch, capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("scopes", [
+        ["--stdin", "--random", "5", "--seed", "1"],
+        ["--random", "5", "--seed", "1", "--exhaustive"],
+        ["--exhaustive", "--stdin"],
+        [],
+    ])
+    def test_verify_scope_flags_are_exclusive(self, scopes, monkeypatch, capsys):
+        line = json.dumps(family_to_json(gen_drisko_extremal(3)))
+        code, out, err = run_cli(["verify", "DRISKO_1_5"] + scopes, line + "\n",
+                                 monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert "--exhaustive" in err and "--random" in err and "--stdin" in err
+
+    def test_verify_stdin_judges_each_line_as_it_is_read(self, monkeypatch, capsys):
+        # the third line is not an object: the first two are judged before it is read
+        judged = []
+        real = verifier.graph_eta
+
+        def counting(adj, mask, **kw):
+            judged.append(mask)
+            return real(adj, mask, **kw)
+
+        monkeypatch.setattr(verifier, "graph_eta", counting)
+        stdin = '{"vertices": 2, "edges": [[0, 1]]}\n{"vertices": 3, "edges": []}\n[1, 2]\n'
+        code, out, err = run_cli(["verify", "ETA_GE_PSI_2_5", "--stdin"], stdin,
+                                 monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: input line 3: expected a JSON object" in err
+        assert judged == [0b11, 0b111]
 
     def test_verify_stdin_pipe(self, monkeypatch, capsys):
         # gen X | verify --stdin round-trips without temp files or wrapping
@@ -445,3 +488,129 @@ class TestErrorsAndManifest:
                                monkeypatch, capsys)
         assert code == 0
         assert "nu = 3" in out
+
+
+# Fixed inputs for the golden outputs below, one JSON object per line.
+GOLDEN_INPUTS = {
+    "hypergraphs": (
+        '{"sides": [3, 3, 3], "edges": [[0, 0, 0], [0, 1, 2], [0, 2, 1], [1, 0, 1], '
+        '[1, 1, 0], [1, 2, 2], [2, 0, 2], [2, 1, 1], [2, 2, 0]]}\n'
+        '\n'
+        '{"sides": [2, 2, 2], "edges": [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]]}\n'
+        '{"sides": [2, 1, 1], "edges": [[0, 0, 0], [1, 0, 0], [1, 0, 0]]}\n'
+    ),
+    "families": (
+        '{"graph": {"left": 3, "right": 3, "edges": [[0, 0], [0, 2], [1, 0], [1, 1], '
+        '[2, 1], [2, 2]]}, "members": [[[0, 0], [1, 1], [2, 2]], [[0, 0], [1, 1], [2, 2]], '
+        '[[0, 2], [1, 0], [2, 1]], [[0, 2], [1, 0], [2, 1]]]}\n'
+        '{"graph": {"left": 8, "right": 8, "edges": [[0, 0], [1, 0], [1, 1], [2, 2], [3, 2], '
+        '[3, 3], [4, 4], [5, 4], [5, 5], [6, 6], [7, 6], [7, 7]]}, "members": '
+        '[[[1, 0], [3, 2]], [[1, 0], [3, 2]], [[0, 0], [1, 1], [3, 2]], '
+        '[[0, 0], [1, 1], [2, 2], [3, 3]]]}\n'
+    ),
+    "squares": (
+        '{"n": 4, "cells": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]}\n'
+        '{"n": 3, "cells": [[1, 2, 0], [2, 0, 1], [0, 2, 1]]}\n'
+        '{"n": 2, "cells": [[0, 1], [0, 1]]}\n'
+    ),
+    "partitioned": (
+        '{"graph": {"vertices": 2, "edges": [[0, 1]]}, "parts": [[0], [1]]}\n'
+        '{"graph": {"vertices": 6, "edges": [[0, 2], [1, 3], [2, 4], [3, 5]]}, '
+        '"parts": [[0, 1], [2, 3], [4, 5]]}\n'
+    ),
+    "graphs": (
+        '{"vertices": 0, "edges": []}\n'
+        '{"vertices": 1, "edges": []}\n'
+        '{"vertices": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}\n'
+        '{"vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}\n'
+        '{"vertices": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]}\n'
+    ),
+    "bipartite": (
+        '{"left": 2, "right": 1, "edges": [[0, 0], [1, 0]]}\n'
+        '{"left": 3, "right": 3, "edges": [[0, 0], [0, 1], [1, 1], [1, 2], [2, 2], [2, 0]]}\n'
+    ),
+    "none": "",
+}
+
+# (argv, input) -> (exit code, SHA-256 of stdout), recorded before the verbs
+# became table rows; a change here is a change of the CLI's output bytes
+GOLDEN = {
+    ("nu --format json", "hypergraphs"):
+        (0, "f762a6cc9aa7040a7c7575a035a75745ded998c7c33ff36b623b6c7ba0bb4496"),
+    ("nu --format summary", "hypergraphs"):
+        (0, "0da1a92b680a360de0f9c8bb28621e7aeceff42d5d836c013309f619dd0d9be5"),
+    ("nu --budget 3 --format json", "hypergraphs"):
+        (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("nu --budget 3 --format summary", "hypergraphs"):
+        (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("rainbow --format json", "families"):
+        (0, "6b3efd472aefbe307b9f5a6a06e1c55e9ae687144c601b53505a4c9997e092db"),
+    ("rainbow --format summary", "families"):
+        (0, "d23dcf03bd5d792565c74dc876ef6d1b17765395623fe703d09069d2d5edda9a"),
+    ("rainbow --target 3 --format json", "families"):
+        (1, "b9c12f5fe1b2a1ab9a8c64dce842c1e86102a1cc1649406cd8b84a01c9f580e5"),
+    ("rainbow --target 3 --format summary", "families"):
+        (1, "948d1c55d2d8e5457063183d4b2ac229c4106b5baf27c91290843dedc033759b"),
+    ("diagonal --bound 1 --format json", "squares"):
+        (1, "32ca0d9e3ed6d48a1aa085f81fd889654edac2ef51a13c38e449547173455653"),
+    ("diagonal --bound 1 --format summary", "squares"):
+        (1, "3327c106a6440cbee0cc321aaac41e89e424de9e1f719d6e6c898da51617bbb2"),
+    ("diagonal --bound 2 --format json", "squares"):
+        (0, "52a07b1541c0fead40ba5593ca50fc56cb4a3795aac7d19392d10c63fd919512"),
+    ("diagonal --bound 2 --format summary", "squares"):
+        (0, "7d9defdfd722972e1c1e1cbf906e224c5daaced9acb8932a2ab2bad86194da4a"),
+    ("transversal --format json", "partitioned"):
+        (1, "c14f115b322d0d123db083f2a217a2d16298db989602b79066b77e6dc20ddab9"),
+    ("transversal --format summary", "partitioned"):
+        (1, "92e9195dbe933f6dbf92be11ded1dcb54fc6edc1ed18032b76a4e87c939fdc73"),
+    ("transversal --deficiency 1 --format json", "partitioned"):
+        (0, "c14f115b322d0d123db083f2a217a2d16298db989602b79066b77e6dc20ddab9"),
+    ("transversal --deficiency 1 --format summary", "partitioned"):
+        (0, "9a88f8144240ce2fd1b70c415f420cd2fe2436b0baeaf9921ed63de69a86d04c"),
+    ("psi --format json", "graphs"):
+        (0, "90880dc60984d05147201e62c4546a0766c0e9edd265b63f60238560504d8d8e"),
+    ("psi --format summary", "graphs"):
+        (0, "d6713c9c02459dc0728f767fcfb50fe675a26072181c33a7a49bc45c44c4ff8b"),
+    ("psi-line --format json", "bipartite"):
+        (0, "41d4dd62d8ccd091ba4717644c7567ccc8375b24a82a6480a17a13d9e38144ca"),
+    ("psi-line --format summary", "bipartite"):
+        (0, "9f9351a73752b9354dc11bcfb542410269a5717b1ab33ac9d7d0a142db809285"),
+    ("eta --format json", "graphs"):
+        (0, "9aa041d754c4ea2cea3b01b0ed53629750b347cfd3dd0ec336fd425667b026f2"),
+    ("eta --format summary", "graphs"):
+        (0, "57e5c5558d87af6014975719a84f663666be49de17198090cdd2779bc65db964"),
+    ("betti --format json", "graphs"):
+        (0, "ed3a1cd2e85fb81c7c8560db67b956e0f58df97ba38a1bd2638311e1215cd519"),
+    ("betti --format summary", "graphs"):
+        (0, "c870f441fac071f0b3afef298a2d8e463f5d9a9df873685ce4092ce397567a1d"),
+    ("gen drisko --n 3", "none"):
+        (0, "31b7fe5ba7ea63af6495c0b9cdcf751263e3a7f941f924fd0add9caba5468145"),
+    ("gen accommodating --n 3 --sizes 1,1,2,3,3", "none"):
+        (0, "49cc117773f029bba4d70e11eadec011cef37d997c125ac0624d90a3dfdecc3f"),
+    ("gen p3 --k 3", "none"):
+        (0, "8162f712bf12bb205fb57f4debe35a96a217cb400cbe5c34457d36bbbdeda7c6"),
+    ("gen fracd-sharp --n 3", "none"):
+        (0, "3fbff088febf80a5c66446ab6b87a31da0384e3f81186c431d5bc47f7bc744b5"),
+    ("gen latin --n 3", "none"):
+        (0, "59a520d0fe39849200d2dfbbf41c0527b7fb3dc1e64d833adc9c6d449cdbdc30"),
+    ("gen latin --n 3 --mode random --seed 2 --count 3", "none"):
+        (0, "ae658043447c1b04b2e4b9ba324cc4c64de14d28be501fe013b0b9f1974826f6"),
+    ("gen latin --n 3 --mode exhaustive", "none"):
+        (0, "71e9b20c8ca8437115a7e94c865b0307690a781f16f60c33b4d3027eb6f48b0d"),
+    ("gen row-latin --n 3", "none"):
+        (0, "59a520d0fe39849200d2dfbbf41c0527b7fb3dc1e64d833adc9c6d449cdbdc30"),
+    ("gen row-latin --n 3 --mode random --seed 2 --count 3", "none"):
+        (0, "f42cbe71ea8540fe6f85997d60495083d390f428d912a1b948e808984801e4c3"),
+    ("gen row-latin --n 3 --mode exhaustive --count 7", "none"):
+        (0, "5989bfceb795c0398aa8dcb65c36aa4a619fc78de97bae93c487a2ff999d3a3f"),
+    ("gen theorem19 --n 3 --seed 5 --count 2", "none"):
+        (0, "415440717c56153c7bddfef8e3ae28635ded2ada2195aa62df9e228a13ef0305"),
+    ("gen double-a", "hypergraphs"):
+        (0, "687e24fa91b1dc864f8faea01070181cc4490cdebee25027e1209ee5f81e3056"),
+}
+
+
+@pytest.mark.parametrize("argv,source", sorted(GOLDEN), ids=str)
+def test_golden_output(argv, source, monkeypatch, capsys):
+    code, out, _ = run_cli(argv.split(), GOLDEN_INPUTS[source], monkeypatch, capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv, source]

@@ -1,12 +1,14 @@
-"""The README library table and the package's import structure, checked
-against the code."""
+"""The README library table, its command-line block and the package's
+import structure, checked against the code."""
 
+import argparse
 import ast
 import importlib
 import re
 from pathlib import Path
 
 import trimatch
+from trimatch.cli import GENERATORS, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(trimatch.__file__).resolve().parent
@@ -68,3 +70,27 @@ def test_readme_names_live_in_their_modules_and_imports_are_top_level():
     nested = {path.name: found for path in sorted(PACKAGE.glob("*.py"))
               if (found := function_level_package_imports(path))}
     assert nested == {}
+
+
+def readme_command_block():
+    """(verbs, gen constructions) listed in README's first Command line block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    verbs, constructions, in_gen = [], [], False
+    for line in block.splitlines():
+        if line.startswith("trimatch "):
+            verbs.append(line.split()[1])
+            in_gen = verbs[-1] == "gen"
+        elif not line.lstrip().startswith("#"):
+            in_gen = False
+        if in_gen and "#" in line:
+            constructions += [c.strip() for c in line.split("#", 1)[1].split("|") if c.strip()]
+    return verbs, constructions
+
+
+def test_readme_command_block_lists_every_verb_and_gen_construction():
+    verbs, constructions = readme_command_block()
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert verbs == list(subparsers.choices)
+    assert constructions == list(GENERATORS)
