@@ -10,12 +10,13 @@ stdin to the solver verbs, `gen double-a` and `verify --stdin`, so
 Machine-readable JSON goes to stdout (one line per instance), a short human
 summary and the run manifest go to stderr.  Exit codes: 0 success, 1 when
 a theorem-suite violation occurs or an asserted feasibility fails, 2 on
-usage errors (including malformed JSON, reported with its position, an
-input line that is not a JSON object, an input line that lacks a field,
-reported with its line and the field, and conflicting or missing `verify`
-scope flags), 3 when a recorded violation is contradicted by its own
-re-check (a disagreement), and 4 when a search or complex exceeds its
-budget (`BudgetExceededError`), so no answer exists.
+usage errors (including an `-i` file that cannot be opened, reported with
+its path, malformed JSON, reported with its position, an input line that is
+not a JSON object, an input line that lacks a field, reported with its line
+and the field, and conflicting or missing `verify` scope flags), 3 when a
+recorded violation is contradicted by its own re-check (a disagreement),
+and 4 when a search or complex exceeds its budget (`BudgetExceededError`),
+so no answer exists.
 """
 
 import argparse
@@ -71,7 +72,10 @@ def _read_input(args, manifest, parse=None):
     is a usage error naming the line.
     """
     path = getattr(args, "input", None) or "-"
-    stream = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+    try:
+        stream = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot read input file {path}: {exc.strerror}") from None
     try:
         for lineno, line in enumerate(stream, start=1):
             line = line.strip()

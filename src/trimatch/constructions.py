@@ -31,6 +31,11 @@ EXHAUSTIVE_ROW_LATIN_CAP = 4
 # nodes regular_completions may visit before it gives up
 COMPLETION_NODE_BUDGET = 2_000_000
 
+# repair passes and draws a random generator may take before it gives up
+THEOREM19_REPAIR_PASSES = 1000
+REPAIR_PASSES = 10_000
+REGULAR_SIMPLE_ATTEMPTS = 200
+
 
 def _cycle_host(n):
     """C_{2n} as a bipartite graph: left i joins right i and right i-1."""
@@ -327,7 +332,24 @@ def _row_latin_squares(n):
 # Random hypothesis-satisfying instances
 
 
-def gen_theorem19_instance(n, seed, max_repair_passes=1000):
+def _repair_degrees(assign, n, cap, rng, max_passes):
+    """Move random entries of assign (B-vertices in range(n)) off the first
+    B-vertex over cap to random ones under it, one per pass, until none is over."""
+    for passes in itertools.count():
+        counts = [0] * n
+        for b in assign:
+            counts[b] += 1
+        over = [b for b in range(n) if counts[b] > cap]
+        if not over:
+            return
+        if passes == max_passes:
+            raise ConstructionError("degree repair did not converge")
+        movable = [i for i, b in enumerate(assign) if b == over[0]]
+        under = [b for b in range(n) if counts[b] < cap]
+        assign[rng.choice(movable)] = rng.choice(under)
+
+
+def gen_theorem19_instance(n, seed):
     """Random hypergraph with |A| = 2n-1, |B| = |C| = n, deg(a) = n.
 
     Each A-vertex contributes one edge per C-vertex (a random function from
@@ -341,23 +363,8 @@ def gen_theorem19_instance(n, seed, max_repair_passes=1000):
     edges = []
     for c in range(n):
         assign = [rng.randrange(n) for _ in range(a_size)]
-        passes = 0
-        while True:
-            counts = [0] * n
-            for b in assign:
-                counts[b] += 1
-            overloaded = [b for b in range(n) if counts[b] > 2]
-            if not overloaded:
-                break
-            passes += 1
-            if passes > max_repair_passes:
-                raise ConstructionError("degree repair did not converge; re-seed")
-            b_bad = overloaded[0]
-            movable = [i for i, b in enumerate(assign) if b == b_bad]
-            under = [b for b in range(n) if counts[b] < 2]
-            assign[rng.choice(movable)] = rng.choice(under)
-        for a, b in enumerate(assign):
-            edges.append((a, b, c))
+        _repair_degrees(assign, n, 2, rng, THEOREM19_REPAIR_PASSES)
+        edges.extend((a, b, c) for a, b in enumerate(assign))
     return TriHypergraph((a_size, n, n), tuple(edges))
 
 
@@ -370,10 +377,10 @@ def random_matching(left_size, right_size, size, rng):
     return Matching(frozenset(zip(lefts, rights)))
 
 
-def random_family(sizes, rng, host_size=None):
+def random_family(sizes, rng):
     """Random matchings of the given sizes; the host is their union."""
     m = max(sizes, default=0)
-    side = host_size if host_size is not None else m + rng.randrange(0, m + 1)
+    side = m + rng.randrange(0, m + 1)
     members = [random_matching(side, side, s, rng) for s in sizes]
     edges = frozenset(e for mm in members for e in mm.edges)
     host = BipartiteGraph(side, side, edges)
@@ -385,7 +392,7 @@ def drisko_profile(n):
     return [min(i, n) for i in range(1, 2 * n)]
 
 
-def random_regular_simple(n, d, rng, max_attempts=200):
+def random_regular_simple(n, d, rng):
     """Random simple d-regular tripartite hypergraph with sides of size n.
 
     Built as a union of d random full grid matchings {(i, s(i), t(i))};
@@ -393,7 +400,7 @@ def random_regular_simple(n, d, rng, max_attempts=200):
     """
     if d > n * n:
         raise ValueError("regularity exceeds the grid capacity")
-    for _ in range(max_attempts):
+    for _ in range(REGULAR_SIMPLE_ATTEMPTS):
         edges = set()
         ok = True
         for _ in range(d):
@@ -428,35 +435,21 @@ def random_stein_instance(n, rng):
     return TriHypergraph((n, n, n), tuple(edges))
 
 
-def random_conj_drisko_instance(n, rng, max_repair_passes=10000):
+def random_conj_drisko_instance(n, rng):
     """|A| = 2n-1, deg(a) = n, and every B or C degree at most 2n-1.
 
     Each A-vertex takes one edge per C-vertex through a random C -> B
     function; B-degrees are then repaired down to the 2n-1 cap.
     """
     a_size = 2 * n - 1
-    assign = {(a, c): rng.randrange(n) for a in range(a_size) for c in range(n)}
-    cap = 2 * n - 1
-    passes = 0
-    while True:
-        counts = [0] * n
-        for b in assign.values():
-            counts[b] += 1
-        over = [b for b in range(n) if counts[b] > cap]
-        if not over:
-            break
-        passes += 1
-        if passes > max_repair_passes:
-            raise ConstructionError("degree repair did not converge")
-        b_bad = over[0]
-        keys = [k for k, b in assign.items() if b == b_bad]
-        under = [b for b in range(n) if counts[b] < cap]
-        assign[rng.choice(keys)] = rng.choice(under)
-    edges = [(a, b, c) for (a, c), b in assign.items()]
-    return TriHypergraph((a_size, n, n), tuple(sorted(edges)))
+    # the B-vertex of edge (a, _, c) is entry a * n + c
+    assign = [rng.randrange(n) for _ in range(a_size * n)]
+    _repair_degrees(assign, n, 2 * n - 1, rng, REPAIR_PASSES)
+    edges = [(i // n, b, i % n) for i, b in enumerate(assign)]
+    return TriHypergraph((a_size, n, n), tuple(edges))
 
 
-def random_bounded_tri(rng, a_size, bc_size, deg_a, cap, max_repair_passes=10000):
+def random_bounded_tri(rng, a_size, bc_size, deg_a, cap):
     """Simple tripartite hypergraph: every A-degree exactly deg_a and every
     B or C degree at most cap.  Raises when the cap is impossible to meet."""
     if a_size * deg_a > bc_size * cap:
@@ -481,7 +474,7 @@ def random_bounded_tri(rng, a_size, bc_size, deg_a, cap, max_repair_passes=10000
         if not bad:
             break
         passes += 1
-        if passes > max_repair_passes:
+        if passes > REPAIR_PASSES:
             raise ConstructionError("degree repair did not converge")
         old = sorted(bad)[rng.randrange(len(bad))]
         a = old[0]

@@ -30,9 +30,9 @@ The search holds a state as a vertex mask and one neighbour mask per root
 vertex (labels sorted, the i-th on bit i), 0 for each inactive vertex.
 Exploding (u, v) ANDs the masks with ~(bit u | bit v | adj[u] | adj[v]) and
 zeroes those it removes; deleting (u, v) is two XORs.  A vertex is isolated
-iff it lies outside the OR of the masks.  Components come from a mask flood
-fill, lowest vertex first.  Edges u < v are tried in lexicographic order,
-stably sorted by the vertices their explosion leaves, most first.
+iff it lies outside the OR of the masks.  Components come lowest vertex
+first, from `structures.component`.  Edges u < v are tried in lexicographic
+order, stably sorted by the vertices their explosion leaves, most first.
 
 Every connected state is memoized on its canonical key
 (`canonical_graph_key`, from the labeller in `trimatch.canonical`), so
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 from .canonical import canonical_labelling
 from .errors import BudgetExceededError
-from .structures import Graph, INFINITY
+from .structures import Graph, INFINITY, component, induced_masks, vertices_of
 
 DEFAULT_MEMO_LIMIT = 2_000_000
 
@@ -102,8 +102,9 @@ def _move(state, e):
 
 def _game_state(labels, vmask, adj):
     return GameState(
-        [labels[i] for i in _bits(vmask)],
-        [(labels[i], labels[j]) for i in _bits(vmask) for j in _bits(adj[i]) if j > i])
+        [labels[i] for i in vertices_of(vmask)],
+        [(labels[i], labels[j])
+         for i in vertices_of(vmask) for j in vertices_of(adj[i]) if j > i])
 
 
 def delete_edge(state, e):
@@ -123,20 +124,8 @@ def _masks(state):
     """(labels, vmask, adj): vertex labels[i] is bit i, adj its neighbour masks."""
     labels = sorted(state.vertices)
     index = {v: i for i, v in enumerate(labels)}
-    adj = [0] * len(labels)
-    for u, v in state.edges:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
-    return labels, (1 << len(labels)) - 1, tuple(adj)
-
-
-def _bits(mask):
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
+    graph = Graph(len(labels), [(index[u], index[v]) for u, v in state.edges])
+    return labels, (1 << graph.n) - 1, graph.adj
 
 
 def _restrict(adj, keep):
@@ -192,14 +181,7 @@ class _PsiEngine:
             return cap
         total, rest = 0, vmask
         while rest:
-            # the component of the lowest vertex left, by flood fill
-            comp = frontier = rest & -rest
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                grown = adj[b.bit_length() - 1] & ~comp
-                comp |= grown
-                frontier |= grown
+            comp = component(adj, rest)
             rest ^= comp
             cadj = adj if comp == vmask else _restrict(adj, comp)
             total += self.component_value(comp, cadj, cap - total)
@@ -214,18 +196,7 @@ class _PsiEngine:
         if key is None:
             if len(self.keys) >= self.memo_limit:
                 self.keys.clear()
-            # the component's masks packed to bits 0..k-1
-            verts = _bits(vmask)
-            bit = {1 << v: 1 << i for i, v in enumerate(verts)}
-            packed = []
-            for v in verts:
-                row, a = 0, adj[v]
-                while a:
-                    b = a & -a
-                    a ^= b
-                    row |= bit[b]
-                packed.append(row)
-            key = self.keys[adj] = canonical_graph_key(packed)
+            key = self.keys[adj] = canonical_graph_key(induced_masks(adj, vmask))
         best = 0
         entry = self.memo.get(key)
         if entry is not None:
@@ -237,7 +208,7 @@ class _PsiEngine:
         # explosions that keep the graph large first: their branch has
         # material left to score with
         ordered = []
-        for u in _bits(vmask):
+        for u in vertices_of(vmask):
             later = adj[u] >> u + 1 << u + 1
             while later:
                 b = later & -later

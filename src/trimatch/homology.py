@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import BudgetExceededError
-from .structures import Graph, INFINITY
+from .structures import (
+    INFINITY, component, graph_from_masks, induced_masks, vertices_of)
 
 DEFAULT_FACE_LIMIT = 200_000
 
@@ -293,16 +294,16 @@ def graph_eta(adj, mask, face_limit=DEFAULT_FACE_LIMIT):
     """eta of the independence complex of the graph induced on `mask`.
 
     `adj` holds the adjacency bitmasks of the graph (`Graph.adj`).  The
-    mask is split into components by a flood fill.  A one-vertex component
-    makes I(G) a cone, so eta is INFINITY; a clique on m >= 2 vertices
-    contributes 1 (m points).  In any other component, a vertex v with
-    N(u) contained in N(v) for some u != v is deleted (the fold lemma;
+    mask is split into components (`structures.component`).  A one-vertex
+    component makes I(G) a cone, so eta is INFINITY; a clique on m >= 2
+    vertices contributes 1 (m points).  In any other component, a vertex v
+    with N(u) contained in N(v) for some u != v is deleted (the fold lemma;
     such u and v are never adjacent), and what is left is split again.
     eta adds up over components, because I(G1 + G2) = I(G1) * I(G2) and a
     join adds eta over a field (INFINITY absorbs).  Only a component that
-    no rule reduces is relabelled and ranked by `eta_homological`, after
-    every other component, with `face_limit` faces at most (it raises
-    BudgetExceededError beyond).
+    no rule reduces is ranked, by `eta_homological` on its induced graph
+    (`structures.induced_masks`), after every other component, with
+    `face_limit` faces at most (it raises BudgetExceededError beyond).
     """
     total = 0
     hard = []  # components no rule reduces
@@ -310,13 +311,7 @@ def graph_eta(adj, mask, face_limit=DEFAULT_FACE_LIMIT):
     while pieces:
         rest = pieces.pop()
         while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                grown = adj[b.bit_length() - 1] & rest & ~comp
-                comp |= grown
-                frontier |= grown
+            comp = component(adj, rest)
             rest ^= comp
             if not comp & (comp - 1):
                 return INFINITY
@@ -329,21 +324,15 @@ def graph_eta(adj, mask, face_limit=DEFAULT_FACE_LIMIT):
             else:
                 hard.append(comp)
     for comp in hard:
-        total += eta_homological(independence_complex(_relabel(adj, comp), face_limit))
+        graph = graph_from_masks(induced_masks(adj, comp))
+        total += eta_homological(independence_complex(graph, face_limit))
         if total == INFINITY:
             break
     return total
 
 
-def _bits(mask):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b
-
-
 def _is_clique(adj, comp):
-    return all(adj[b.bit_length() - 1] & comp == comp ^ b for b in _bits(comp))
+    return all(adj[v] & comp == comp ^ 1 << v for v in vertices_of(comp))
 
 
 def _fold(adj, comp):
@@ -352,25 +341,13 @@ def _fold(adj, comp):
     comp is connected with at least two vertices, so N(u) is not empty, and
     v must neighbour the lowest vertex w of N(u): only those are tried.
     """
-    for u in _bits(comp):
-        nu = adj[u.bit_length() - 1] & comp
-        w = nu & -nu
-        for v in _bits(adj[w.bit_length() - 1] & comp ^ u):
-            if not nu & ~adj[v.bit_length() - 1]:
-                return v
+    for u in vertices_of(comp):
+        nu = adj[u] & comp
+        w = (nu & -nu).bit_length() - 1
+        for v in vertices_of(adj[w] & comp ^ 1 << u):
+            if not nu & ~adj[v]:
+                return 1 << v
     return 0
-
-
-def _relabel(adj, comp):
-    """The graph induced on comp, its vertices renumbered 0..k-1 in order."""
-    vertices = [b.bit_length() - 1 for b in _bits(comp)]
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = frozenset(
-        (i, index[w.bit_length() - 1])
-        for i, v in enumerate(vertices)
-        for w in _bits(adj[v] & comp & ~((2 << v) - 1))
-    )
-    return Graph(len(vertices), edges)
 
 
 def topological_hall_subsets(P, deficiency=0, face_limit=DEFAULT_FACE_LIMIT):
@@ -382,11 +359,10 @@ def topological_hall_subsets(P, deficiency=0, face_limit=DEFAULT_FACE_LIMIT):
     a caller that only needs the hypothesis can stop at the first failure.
     """
     m = len(P.parts)
-    part_masks = [sum(1 << v for v in part) for part in P.parts]
     for mask in range(1 << m):
         members = tuple(i for i in range(m) if mask >> i & 1)
         union = 0
         for i in members:
-            union |= part_masks[i]
+            union |= P.part_masks[i]
         eta = graph_eta(P.graph.adj, union, face_limit)
         yield members, eta, eta >= len(members) - deficiency

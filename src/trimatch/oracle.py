@@ -39,17 +39,16 @@ def matching_number_oracle(H):
     return best
 
 
-def rainbow_oracle(F, limit=None):
+def rainbow_oracle(F):
     """Maximum rainbow matching size by trying every member/edge choice."""
     members = [sorted(m.edges) for m in F.members]
-    cap = len(members) if limit is None else limit
     best = 0
 
     def rec(i, used_left, used_right, size):
         nonlocal best
         if size > best:
             best = size
-        if i == len(members) or size == cap:
+        if i == len(members):
             return
         if size + (len(members) - i) <= best:
             return

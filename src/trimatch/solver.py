@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .canonical import canonical_labelling, orbit_mask
 from .errors import BudgetExceededError
-from .structures import Diagonal, Matching, family_to_hypergraph
+from .structures import Diagonal, Matching, family_to_hypergraph, vertices_of
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -418,12 +418,7 @@ def find_independent_transversal(P, deficiency=0, *, node_budget=DEFAULT_NODE_BU
     full = (1 << n) - 1
     adj = P.graph.adj
     comp = [~(adj[v] | (1 << v)) & full for v in range(n)]
-    part_masks = []
-    for p in P.parts:
-        m = 0
-        for v in p:
-            m |= 1 << v
-        part_masks.append(m)
+    part_masks = P.part_masks
 
     nodes = 0
     best = -1
@@ -473,7 +468,7 @@ def find_independent_transversal(P, deficiency=0, *, node_budget=DEFAULT_NODE_BU
         nodes = 1
     else:
         bk(0, full, 0)
-    witness = tuple(v for v in range(n) if best_set >> v & 1)
+    witness = tuple(vertices_of(best_set))
     _validate_transversal(P, witness, best)
     return SolveResult(optimum=best, witness=witness, nodes_explored=nodes)
 

@@ -94,18 +94,26 @@ class Graph:
 
 @dataclass(frozen=True)
 class PartitionedGraph:
-    """A graph together with vertex sets V_1..V_m (not necessarily disjoint)."""
+    """A graph together with vertex sets V_1..V_m (not necessarily disjoint).
+
+    `part_masks` holds one vertex mask per part, built here once."""
 
     graph: Graph
     parts: tuple = ()
+    part_masks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = tuple(frozenset(int(v) for v in p) for p in self.parts)
+        masks = []
         for p in parts:
+            mask = 0
             for v in p:
                 if not (0 <= v < self.graph.n):
                     raise ValueError(f"part vertex {v} out of range")
+                mask |= 1 << v
+            masks.append(mask)
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "part_masks", tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -258,6 +266,55 @@ class Diagonal:
         if square.order != self.order:
             raise ValueError("diagonal and square orders differ")
         return Counter(square.cells[i][c] for i, c in enumerate(self.entries))
+
+
+# ---------------------------------------------------------------------------
+# Graph masks: vertex v is bit v, adj[v] its neighbour mask (as in Graph.adj)
+
+
+def vertices_of(mask):
+    """The vertices of a mask, lowest first."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
+def component(adj, mask):
+    """The component of the lowest vertex of a nonzero mask, in the graph
+    induced on the mask, as a mask (a flood fill)."""
+    comp = frontier = mask & -mask
+    while frontier:
+        b = frontier & -frontier
+        frontier ^= b
+        grown = adj[b.bit_length() - 1] & mask & ~comp
+        comp |= grown
+        frontier |= grown
+    return comp
+
+
+def induced_masks(adj, mask):
+    """The masks of the graph induced on a mask, its vertices renumbered
+    0..k-1 in order."""
+    verts = vertices_of(mask)
+    bit = {1 << v: 1 << i for i, v in enumerate(verts)}
+    packed = []
+    for v in verts:
+        row, a = 0, adj[v] & mask
+        while a:
+            b = a & -a
+            a ^= b
+            row |= bit[b]
+        packed.append(row)
+    return packed
+
+
+def graph_from_masks(adj):
+    """The `Graph` on vertices 0..len(adj)-1 whose adjacency masks are adj."""
+    return Graph(len(adj), frozenset(
+        (u, v) for v, a in enumerate(adj) for u in vertices_of(a & ((1 << v) - 1))))
 
 
 # ---------------------------------------------------------------------------

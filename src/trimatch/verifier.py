@@ -50,6 +50,7 @@ from .structures import (
     family_from_json,
     family_to_json,
     graph_from_json,
+    graph_from_masks,
     graph_to_json,
     hypergraph_from_json,
     hypergraph_to_json,
@@ -508,9 +509,7 @@ def graph_classes(max_n):
                     if orbit_mask(1 << top, child_gens) & new:
                         children.append((child, child_gens))
         level = children
-        levels.append([
-            Graph(n, frozenset((u, v) for v, a in enumerate(adj) for u in range(v) if a >> u & 1))
-            for adj, _ in level])
+        levels.append([graph_from_masks(adj) for adj, _ in level])
     return levels
 
 

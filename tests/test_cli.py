@@ -97,6 +97,12 @@ class TestSolverVerbs:
         assert from_file[:2] == from_stdin[:2]
         assert from_file[1].splitlines() == ["nu = 3", "nu = 1", "nu = 1"]
 
+    def test_missing_input_file_is_a_usage_error(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "missing.jsonl"
+        code, out, err = run_cli(["nu", "-i", str(path)], "", monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert str(path) in err and "Traceback" not in err
+
 
 class TestTopologyVerbs:
     def test_psi_empty_graph(self, monkeypatch, capsys):
@@ -607,6 +613,17 @@ GOLDEN = {
         (0, "415440717c56153c7bddfef8e3ae28635ded2ada2195aa62df9e228a13ef0305"),
     ("gen double-a", "hypergraphs"):
         (0, "687e24fa91b1dc864f8faea01070181cc4490cdebee25027e1209ee5f81e3056"),
+    # the sweeps, recorded before the graph mask operations moved to
+    # structures: they judge every statement through game, homology and
+    # solver
+    ("suite --theorems", "none"):
+        (0, "d485a308c40c3130b95357a171714ee80036fd03bc147c2957e47c60653611d8"),
+    ("verify ETA_GE_PSI_2_5 --exhaustive", "none"):
+        (0, "761a5ec2350837fcb283636feb844f41a0bdf8133a0eb8b5838424306aa13277"),
+    ("verify TOPHALL_DEF_2_4 --random 200 --seed 1", "none"):
+        (0, "a416fef6641b7bbd33cc635d22ddb05ae4425c728dafceb6fb03ba3aad4a6b58"),
+    ("hunt CONJ_DRISKO_1_6 --budget 30 --seed 1", "none"):
+        (0, "029d2f609bbcb9f18e751ba4e533cdbd4c41da581fb9ca768ee8d3635adf7f2e"),
 }
 
 

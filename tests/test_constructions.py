@@ -325,6 +325,20 @@ class TestRandomGenerators:
         assert all(degree(H, "A", a) == 2 for a in range(3))
         assert max_degree(H, "B") <= 3 and max_degree(H, "C") <= 3
 
+    @pytest.mark.parametrize("n,expected", [
+        (2, "cd4ee6c48132faad"), (3, "6462ec65c44364dc"), (4, "c3d7cacfdf8b42ba")])
+    def test_conj_drisko_generator_is_pinned(self, n, expected):
+        # each instance and the next draw of its rng, so the degree repair
+        # must make the same rng calls in the same order
+        from trimatch.structures import hypergraph_to_json
+
+        out = []
+        for seed in range(10):
+            rng = random.Random(seed)
+            H = cons.random_conj_drisko_instance(n, rng)
+            out.append([hypergraph_to_json(H), rng.getrandbits(32)])
+        assert digest(out) == expected
+
     def test_bounded_tri_generator(self):
         from trimatch.structures import max_degree, min_degree
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,20 +14,24 @@ from trimatch.structures import (
     TriHypergraph,
     bipartite_graph_from_json,
     bipartite_graph_to_json,
+    component,
     degree,
     family_from_json,
     family_to_hypergraph,
     family_to_json,
     graph_from_json,
+    graph_from_masks,
     graph_to_json,
     hypergraph_from_json,
     hypergraph_to_json,
+    induced_masks,
     is_p_simple,
     latin_to_hypergraph,
     partitioned_graph_from_json,
     partitioned_graph_to_json,
     square_from_json,
     square_to_json,
+    vertices_of,
 )
 from trimatch.constructions import cyclic_latin, gen_drisko_extremal
 
@@ -195,6 +201,69 @@ class TestFamilyToHypergraph:
         for a, b, c in H.edges:
             fibers[c].add((a, b))
         assert [frozenset(f) for f in fibers] == [m.edges for m in F.members]
+
+
+def seeded_graphs(count=200):
+    """(graph, vertex sets) pairs: sparse graphs leave isolated vertices, and
+    the sets include the empty and the full vertex set."""
+    rng = random.Random(2024)
+    for _ in range(count):
+        n = rng.randrange(0, 13)
+        p = rng.choice((0.0, 0.15, 0.4, 0.8))
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+        subsets = [set(), set(range(n))]
+        subsets += [{v for v in range(n) if rng.random() < 0.5} for _ in range(3)]
+        yield Graph(n, frozenset(edges)), subsets
+
+
+def to_mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+class TestGraphMasks:
+    """The mask operations against plain set-based versions."""
+
+    def test_vertices_of_lists_the_set_bits(self):
+        for G, subsets in seeded_graphs():
+            for S in subsets:
+                assert vertices_of(to_mask(S)) == sorted(S)
+
+    def test_component_is_the_bfs_of_the_lowest_vertex(self):
+        for G, subsets in seeded_graphs():
+            for S in subsets:
+                if not S:
+                    assert component(G.adj, 0) == 0
+                    continue
+                start = min(S)
+                seen, queue = {start}, [start]
+                while queue:
+                    u = queue.pop()
+                    for a, b in G.edges:
+                        for x, y in ((a, b), (b, a)):
+                            if x == u and y in S and y not in seen:
+                                seen.add(y)
+                                queue.append(y)
+                assert component(G.adj, to_mask(S)) == to_mask(seen)
+
+    def test_induced_masks_are_the_restricted_relabelled_edges(self):
+        for G, subsets in seeded_graphs():
+            for S in subsets:
+                index = {v: i for i, v in enumerate(sorted(S))}
+                expected = Graph(len(S), frozenset(
+                    (index[u], index[v]) for u, v in G.edges if u in S and v in S))
+                induced = graph_from_masks(induced_masks(G.adj, to_mask(S)))
+                assert induced == expected
+                assert induced.adj == tuple(induced_masks(G.adj, to_mask(S)))
+            assert graph_from_masks(G.adj) == G
+
+    def test_part_masks_hold_the_parts(self):
+        rng = random.Random(7)
+        for G, subsets in seeded_graphs():
+            parts = subsets + [{v for v in range(G.n) if rng.random() < 0.3}]
+            P = PartitionedGraph(G, tuple(frozenset(p) for p in parts))
+            assert len(P.part_masks) == len(parts)
+            for part, mask in zip(parts, P.part_masks):
+                assert {v for v in range(G.n) if mask >> v & 1} == part
 
 
 class TestJson:
