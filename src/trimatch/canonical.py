@@ -20,6 +20,15 @@ def _refine(adj, cells, splitters):
     from, already balanced or still queued, minus those of its siblings.
     Every step depends on cell positions and counts only, so isomorphic
     inputs refine alike.
+
+    A splitter of several vertices first ORs their neighbour masks into
+    `touched`.  A cell that misses `touched` has count 0 throughout, so it
+    cannot split and is skipped unscanned; in a cell that meets it, only
+    the touched vertices are counted, and the rest form the count-0
+    fragment.  Skipping changes no count, so the cells, their fragments
+    and the queued splitters come out in the same order as a full scan:
+    only the work falls, from every vertex of every cell to the vertices
+    next to the splitter.
     """
     n = len(adj)
     for w in splitters:  # grows while it is read: new splitters queue up
@@ -38,10 +47,18 @@ def _refine(adj, cells, splitters):
                 else:
                     refined.append(x)
         else:
+            touched = 0  # the vertices with a neighbour in w
+            y = w
+            while y:
+                b = y & -y
+                y ^= b
+                touched |= adj[b.bit_length() - 1]
             for x in cells:
-                if x & (x - 1):
-                    groups = {}
-                    y = x
+                hit = x & touched
+                if hit and x & (x - 1):
+                    rest = x ^ hit  # no neighbour in w: count 0
+                    groups = {0: rest} if rest else {}
+                    y = hit
                     while y:
                         b = y & -y
                         y ^= b
@@ -61,7 +78,9 @@ def _refine(adj, cells, splitters):
 def equitable_partition(adj):
     """The coarsest equitable ordered partition of the vertices, refined
     from one cell: the root of the labelling search.  Every canonical order
-    lists its cells in turn."""
+    lists its cells in turn.  The empty graph has no cells."""
+    if not adj:
+        return []
     everything = (1 << len(adj)) - 1
     return _refine(adj, [everything], [everything])
 
@@ -123,12 +142,13 @@ def canonical_labelling(adj, cells=None):
     perm[v] the image of v) that generate the automorphism group.
 
     `cells`, if given, is a vertex colouring: an ordered partition of the
-    vertices into bitmasks, all of them queued as splitters for the first
-    refinement.  Isomorphisms and automorphisms must then map each cell onto
-    itself: two coloured graphs get equal keys iff some such map carries
-    one onto the other, every generator fixes each cell setwise, and the
-    key also records the cell sizes.  Without `cells` the search starts
-    from one cell, `equitable_partition(adj)`.
+    vertices into nonempty bitmasks, all of them queued as splitters for
+    the first refinement; anything else raises ValueError.  Isomorphisms
+    and automorphisms must then map each cell onto itself: two coloured
+    graphs get equal keys iff some such map carries one onto the other,
+    every generator fixes each cell setwise, and the key also records the
+    cell sizes.  Without `cells` the search starts from one cell,
+    `equitable_partition(adj)`.
 
     The search is individualisation-refinement (McKay & Piperno, "Practical
     graph isomorphism II", 2014).  A node is an equitable ordered partition;
@@ -143,6 +163,14 @@ def canonical_labelling(adj, cells=None):
     node's individualised vertices.
     """
     n = len(adj)
+    if cells is not None:
+        union = 0
+        for cell in cells:
+            union |= cell
+        if not all(cells) or union != (1 << n) - 1 or \
+                sum(cell.bit_count() for cell in cells) != n:
+            raise ValueError("cells must be an ordered partition of the vertices "
+                             "into nonempty bitmasks")
     if n == 0:
         return ((0, 0) if cells is None else (0, (), 0)), [], []
     gens = []  # (perm, mask of the vertices perm fixes)
@@ -152,9 +180,9 @@ def canonical_labelling(adj, cells=None):
     def leaf(cells, path):
         nonlocal first, best
         order = [c.bit_length() - 1 for c in cells]
-        pos = [0] * n
+        place = [0] * n  # place[v]: the bit of v's position in order
         for i, v in enumerate(order):
-            pos[v] = i
+            place[v] = 1 << i
         code = 0
         for v in order:
             row = 0
@@ -162,7 +190,7 @@ def canonical_labelling(adj, cells=None):
             while a:
                 b = a & -a
                 a ^= b
-                row |= 1 << pos[b.bit_length() - 1]
+                row |= place[b.bit_length() - 1]
             code = (code << n) | row
         if first is None:
             first = best = (code, order, path)
@@ -186,11 +214,11 @@ def canonical_labelling(adj, cells=None):
 
     def search(cells, path, path_mask):
         """Search below a node; returns the depth to resume at."""
+        if len(cells) == n:
+            return leaf(cells, path)
         for t, cell in enumerate(cells):
             if cell & (cell - 1):
                 break
-        else:
-            return leaf(cells, path)
         depth = len(path)
         done = 0
         rest = cell

@@ -115,6 +115,34 @@ def canonical_key_oracle(n, edges, colours=None):
     )
 
 
+def equitable_refinement_oracle(adj, cells):
+    """The coarsest equitable refinement of the vertex partition `cells`
+    (bitmasks over the vertices of `adj`), as a set of frozensets.
+
+    Each round splits every part by the tuple of neighbour counts of its
+    vertices into every part, until a round splits nothing.  Only splits
+    that every equitable refinement must make are made, so the result is
+    the coarsest one; it is unique as a set partition.
+    """
+    n = len(adj)
+    nbrs = [[u for u in range(n) if adj[v] >> u & 1] for v in range(n)]
+    parts = [frozenset(v for v in range(n) if cell >> v & 1) for cell in cells]
+    while True:
+        part_of = {v: i for i, part in enumerate(parts) for v in part}
+        split = []
+        for part in parts:
+            by_counts = {}
+            for v in part:
+                counts = [0] * len(parts)
+                for u in nbrs[v]:
+                    counts[part_of[u]] += 1
+                by_counts.setdefault(tuple(counts), set()).add(v)
+            split.extend(frozenset(group) for group in by_counts.values())
+        if len(split) == len(parts):
+            return set(parts)
+        parts = split
+
+
 def diagonal_oracle(L, bound):
     """Largest bounded partial diagonal by unpruned row-by-row search."""
     n = L.order

@@ -3,13 +3,17 @@ import itertools
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 
-from trimatch import oracle
-from trimatch.canonical import canonical_labelling, orbit_mask, set_orbit_representatives
+from trimatch import oracle, solver
+from trimatch.canonical import (
+    _refine, canonical_labelling, equitable_partition, orbit_mask, set_orbit_representatives)
+from trimatch.constructions import cyclic_latin, gen_drisko_extremal, random_graph
 from trimatch.game import line_graph, psi
-from trimatch.structures import BipartiteGraph, Graph
+from trimatch.structures import (
+    BipartiteGraph, Graph, family_to_hypergraph, latin_to_hypergraph)
 from trimatch.verifier import enumerate_graphs_up_to_iso, graph_classes
 
 
@@ -102,6 +106,45 @@ HARD_PAIRS = {
         [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
     "rook K4xK4 vs Shrikhande": (16, rook_graph(), shrikhande_graph()),
 }
+
+
+def twin_quotient(H):
+    """(adj, cells) of the twin quotient of H, exactly as
+    `solver._quotient_automorphisms` hands them to the labeller."""
+    seen = []
+
+    def record(adj, cells=None):
+        seen.append((adj, cells))
+        return canonical_labelling(adj, cells)
+
+    with mock.patch.object(solver, "canonical_labelling", record):
+        solver._quotient_automorphisms(*solver._twin_classes(H))
+    return seen[0]
+
+
+def random_inputs(seed, coloured):
+    """Seeded (adj, cells) pairs on 6-40 vertices, cells None if uncoloured."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randrange(6, 41)
+        adj = random_graph(n, rng, rng.choice((0.1, 0.3, 0.5, 0.8))).adj
+        yield adj, colouring([rng.randrange(3) for _ in range(n)])[0] if coloured else None
+
+
+def pinned_inputs(group):
+    """The (adj, cells) pairs of one group of `TestPinnedLabellings`."""
+    if group == "cyclic latin quotients":
+        return [twin_quotient(latin_to_hypergraph(cyclic_latin(n))) for n in range(4, 13)]
+    if group == "drisko quotients":
+        return [twin_quotient(family_to_hypergraph(gen_drisko_extremal(n))) for n in range(4, 9)]
+    if group == "symmetric":
+        graphs = [(10, petersen_graph()), (16, list(itertools.combinations(range(16), 2))),
+                  (16, [])]
+        for name in sorted(HARD_PAIRS):
+            n, left, right = HARD_PAIRS[name]
+            graphs += [(n, left), (n, right)]
+        return [(Graph(n, edges).adj, None) for n, edges in graphs]
+    return list(random_inputs(81 if group == "random" else 82, group == "random coloured"))
 
 
 class TestAgainstOracle:
@@ -263,6 +306,119 @@ class TestColouredLabelling:
                         (n, (n,), labelling[0][1]), labelling[1], labelling[2])
         assert digest.hexdigest() == \
             "10d3b4560dfe28bdda9fda55a619e9cf67850e05f68200b937811e0166f1be0b"
+
+
+class TestPinnedLabellings:
+    """SHA-256 of (key, order, generators) over inputs beyond five vertices,
+    recorded before `_refine` learned to skip cells a splitter cannot touch:
+    the refinement order, and so every key, order and generator list, must
+    not move."""
+
+    PINNED = {
+        "cyclic latin quotients":
+            "82cfefe56021e68b4ba4a9cb03ac2fe50196f013948b7f227a64bd31f1e3b65f",
+        "drisko quotients":
+            "ced47c2bc7e791dfe62fbf8ad05aaa4a355943202bc4ff05e921cc73dc8d22bf",
+        "symmetric":
+            "bc436b268e572e6f61d83b4c7a6809ca016154d6203f9692405fe0387da022d1",
+        "random":
+            "25f609aa0e705192c7ea13997963a037f64a78c1af9b5bc933b63efbd9a1c19b",
+        "random coloured":
+            "5348141f9e3f5543fb20de8c6a7656b6ff23bc52f7de54b25610197bb2f442b8",
+    }
+
+    @pytest.mark.parametrize("group", sorted(PINNED))
+    def test_labelling_is_pinned(self, group):
+        digest = hashlib.sha256()
+        for adj, cells in pinned_inputs(group):
+            key, order, generators = canonical_labelling(adj, cells)
+            # the last entry of a key is the code, an int too long for repr
+            digest.update(repr((key[:-1], hex(key[-1]), order, generators)).encode())
+        assert digest.hexdigest() == self.PINNED[group]
+
+
+def as_sets(cells):
+    """An ordered partition of bitmasks as a set of vertex sets."""
+    return {frozenset(v for v in range(cell.bit_length()) if cell >> v & 1) for cell in cells}
+
+
+def refinement_inputs():
+    """Seeded graphs on 0-20 vertices, half of them coloured, the regular
+    graphs of `HARD_PAIRS`, and the twin quotients of cyclic Latin squares
+    with their cells: (adj, cells) pairs."""
+    rng = random.Random(91)
+    for _ in range(300):
+        n = rng.randrange(21)
+        adj = random_graph(n, rng, rng.choice((0.1, 0.2, 0.5, 0.8))).adj
+        if rng.random() < 0.5:
+            yield adj, colouring([rng.randrange(3) for _ in range(n)])[0]
+        else:
+            yield adj, [(1 << n) - 1] if n else []
+    for n, *pair in HARD_PAIRS.values():
+        for edges in pair:
+            yield Graph(n, edges).adj, [(1 << n) - 1]
+    for n in range(4, 13):
+        yield twin_quotient(latin_to_hypergraph(cyclic_latin(n)))
+
+
+class TestRefinement:
+    """`equitable_partition` and `_refine` against the naive
+    `oracle.equitable_refinement_oracle`, as unordered partitions: the
+    coarsest equitable refinement is unique as a set partition."""
+
+    def test_against_oracle(self):
+        rng = random.Random(92)
+        individualised = 0
+        for adj, cells in refinement_inputs():
+            n = len(adj)
+            assert as_sets(equitable_partition(adj)) == \
+                oracle.equitable_refinement_oracle(adj, [(1 << n) - 1] if n else [])
+            refined = _refine(adj, list(cells), list(cells))
+            assert as_sets(refined) == oracle.equitable_refinement_oracle(adj, cells)
+            # individualise a vertex of the first non-singleton cell, as the
+            # labelling search does, and queue only it
+            t = next((t for t, cell in enumerate(refined) if cell & (cell - 1)), None)
+            if t is None:
+                continue
+            b = 1 << rng.choice([v for v in range(n) if refined[t] >> v & 1])
+            child = refined[:t] + [b, refined[t] ^ b] + refined[t + 1:]
+            assert as_sets(_refine(adj, list(child), [b])) == \
+                oracle.equitable_refinement_oracle(adj, child)
+            individualised += 1
+        assert individualised >= 100
+
+    def test_empty_graph_has_no_cells(self):
+        assert equitable_partition([]) == []
+        assert canonical_labelling([]) == ((0, 0), [], [])
+        assert canonical_labelling([], []) == ((0, (), 0), [], [])
+
+
+class TestCellsValidation:
+    """`cells` must be an ordered partition of the vertices into nonempty
+    bitmasks; here on the path 0-1 plus an isolated vertex 2."""
+
+    ADJ = Graph(3, [(0, 1)]).adj
+
+    @pytest.mark.parametrize("cells", [
+        [0, 0b111],  # an empty cell
+        [0b011],  # vertex 2 in no cell
+        [0b011, 0b110],  # vertex 1 in two cells
+        [0b1111],  # a vertex that does not exist
+    ], ids=["empty cell", "missing vertex", "overlap", "out of range"])
+    def test_non_partition_is_rejected(self, cells):
+        with pytest.raises(ValueError, match="ordered partition"):
+            canonical_labelling(self.ADJ, cells)
+
+    def test_empty_cell_in_empty_graph_is_rejected(self):
+        with pytest.raises(ValueError, match="ordered partition"):
+            canonical_labelling([], [0])
+
+    def test_a_partition_is_accepted(self):
+        # the isolated vertex first, then the edge, whose ends may swap
+        key, order, generators = canonical_labelling(self.ADJ, [0b100, 0b011])
+        assert key[:2] == (3, (1, 2))
+        assert sorted(order) == [0, 1, 2]
+        assert generators == [[1, 0, 2]]
 
 
 class TestOrbits:
