@@ -298,8 +298,8 @@ def _report_out(report, args, manifest):
         )
     print(
         f"{report.statement}: checked={report.instances_checked} "
-        f"hits={report.hypothesis_hits} violations={len(report.violations)} "
-        f"disagreements={report.disagreements}",
+        f"hits={report.hypothesis_hits} judged={report.judged} "
+        f"violations={len(report.violations)} disagreements={report.disagreements}",
         file=sys.stderr,
     )
 

@@ -105,9 +105,15 @@ class VerificationReport:
     # solver or of the shared psi table, not a counterexample
     disagreements: int = 0
     seed: int = None
+    # conclusions computed: the hits whose verdict was not read from the
+    # verdict table.  It goes to the stderr report line only, so to_json
+    # (the stdout form) leaves it out
+    judged: int = 0
 
     def to_json(self):
-        return asdict(self)
+        data = asdict(self)
+        del data["judged"]
+        return data
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +130,12 @@ class _Codec:
     `psi_memo`: their `solve` also takes `memo`, the sweep's psi table, and
     uses a fresh one when it is None.  `oracle(inst)` returns the same
     optimum by brute force, or None when the instance is beyond its reach.
+
+    `canonical(inst)`, when set, maps an instance to a hashable key such that
+    two instances with equal keys get the same verdict from every conclusion
+    stated on the kind; `verify` then computes one conclusion per key.  The
+    key must be sound but need not be complete: instances that share a
+    verdict may still get different keys.  None judges every instance.
     """
 
     key: str
@@ -136,6 +148,7 @@ class _Codec:
     required: tuple = ()
     optional: dict = field(default_factory=dict)  # parameter -> default
     psi_memo: bool = False
+    canonical: object = None
 
     def _with_params(self, obj, source):
         out = {self.key: obj}
@@ -154,14 +167,16 @@ class _Codec:
                 f"{statement or self.key} payload is missing field {exc.args[0]!r}") from None
 
 
-# `verify` clears its sweep's psi table before an instance once the table
-# holds this many entries.  The table has one entry per canonical state,
-# exact or a lower bound, whatever caps the sweep asks at.  ETA_GE_PSI_2_5
-# within its cap needs at most 12 112 (the connected graphs on 2 to 8
-# vertices).  Every state has an exact key of about 210 bytes with its
-# entry, and random LEMMA_3_1 instances share most of their states: a
-# 10**6-trial run at the default parameters fills 1 196 entries (20 MiB
-# peak for the whole process).  The limit holds a table to roughly 40 MiB.
+# `verify` clears its sweep's psi table, and its verdict table, before an
+# instance once the table holds this many entries.  The psi table has one
+# entry per canonical state, exact or a lower bound, whatever caps the sweep
+# asks at.  ETA_GE_PSI_2_5 within its cap needs at most 12 112 (the
+# connected graphs on 2 to 8 vertices).  Every state has an exact key of
+# about 210 bytes with its entry, and random LEMMA_3_1 instances share most
+# of their states: a 10**6-trial run at the default parameters fills 1 196
+# entries (20 MiB peak for the whole process).  The limit holds a psi table
+# to roughly 40 MiB.  A verdict entry is a packed int and a bool, about 63
+# bytes at order 5, so a full verdict table stays near 13 MiB.
 SWEEP_TABLE_LIMIT = 200_000
 
 
@@ -186,6 +201,24 @@ def _hyper_oracle(inst):
 def _square_oracle(inst):
     L = inst["square"]
     return oracle.diagonal_oracle(L, 2) if L.order <= 6 else None
+
+
+def _square_key(inst):
+    """The square's rows in sorted order, packed into one int.
+
+    A row permutation maps full diagonals to full diagonals with the same
+    symbol counts, so squares with the same sorted rows have the same
+    bounded-diagonal optima.  Each symbol takes the bit width of the order,
+    behind a leading 1 bit.  The key's bit length, 1 + n * n * width, grows
+    with the order n, so squares of different orders never share a key.
+    """
+    L = inst["square"]
+    width = L.order.bit_length()
+    key = 1
+    for row in sorted(L.cells):
+        for x in row:
+            key = key << width | x
+    return key
 
 
 def _partition_oracle(inst):
@@ -232,6 +265,7 @@ _SQUARE = _Codec(
     raw_params=_no_params,
     solve=lambda inst, target=None: find_bounded_diagonal(inst["square"], 2).optimum,
     oracle=_square_oracle,
+    canonical=_square_key,
 )
 _GRAPH = _Codec(
     "graph", graph_to_json, graph_from_json,
@@ -537,15 +571,34 @@ def _family_meeting_profile(a, n, rng):
     return cons.random_family(sizes, rng)
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_kind(name, value, default):
+    """Raise a ValueError unless `value` is of the kind of `default`: an int,
+    a list or tuple of ints, or null or an int when the default is None."""
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and all(map(_is_int, value))
+        kind = "a list of ints"
+    elif default is None:
+        ok, kind = value is None or _is_int(value), "null or an int"
+    else:
+        ok, kind = _is_int(value), "an int"
+    if not ok:
+        raise ValueError(f"parameter {name!r} expects {kind}, got {value!r}")
+
+
 def _keyword_params(builder):
     """Let the registry call a stream builder as stream(*args, params).
 
     A builder declares its parameters, each with its default, as keyword-only
     arguments.  A key of `params` that it does not declare raises a
     ValueError naming the key and the accepted ones, instead of being
-    silently ignored.
+    silently ignored, and so does a value not of its default's kind.
     """
-    accepted = list(builder.__kwdefaults__)
+    defaults = builder.__kwdefaults__
+    accepted = list(defaults)
 
     @functools.wraps(builder)
     def stream(*args):
@@ -555,6 +608,8 @@ def _keyword_params(builder):
             raise ValueError(
                 f"unknown parameter {', '.join(map(repr, unknown))}; "
                 f"accepted: {', '.join(accepted)}")
+        for name, value in params.items():
+            _check_kind(name, value, defaults[name])
         return builder(*positional, **params)
 
     return stream
@@ -949,13 +1004,19 @@ def verify(statement, scope, *, cert_dir=None, instances=None):
     re-validated violations.  The instances are solved against one psi
     table, owned by this call: they share most of their subgames, and a
     call counts only the entries it adds against its own budget, so
-    sharing never fails an instance that passes alone."""
+    sharing never fails an instance that passes alone.
+
+    When the codec has a `canonical` key, the call also keeps one verdict
+    table: the conclusion is computed once per key, and `report.judged`
+    counts the conclusions computed.  The hypothesis is still evaluated for
+    every instance, and every instance whose key's verdict is false is
+    recorded as a violation with its own re-check."""
     rec = _record(statement)
     if instances is None:
         instances = _stream(statement, rec, scope)
     report = VerificationReport(statement=statement, scope=scope.describe(), seed=scope.seed)
-    hypothesis, conclusion = rec.hypothesis, rec.conclusion
-    memo = {}
+    hypothesis, conclusion, canonical = rec.hypothesis, rec.conclusion, rec.codec.canonical
+    memo, verdicts = {}, {}
     solve = functools.partial(rec.codec.solve, memo=memo) if rec.codec.psi_memo else rec.codec.solve
     for inst in instances:
         report.instances_checked += 1
@@ -964,7 +1025,18 @@ def verify(statement, scope, *, cert_dir=None, instances=None):
         report.hypothesis_hits += 1
         if len(memo) >= SWEEP_TABLE_LIMIT:
             memo.clear()
-        if not conclusion(inst, solve):
+        if len(verdicts) >= SWEEP_TABLE_LIMIT:
+            verdicts.clear()
+        if canonical is None:
+            holds = conclusion(inst, solve)
+            report.judged += 1
+        else:
+            key = canonical(inst)
+            holds = verdicts.get(key)
+            if holds is None:
+                holds = verdicts[key] = conclusion(inst, solve)
+                report.judged += 1
+        if not holds:
             _record_violation(statement, rec, inst, report, cert_dir)
     return report
 

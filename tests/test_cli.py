@@ -466,6 +466,34 @@ class TestErrorsAndManifest:
         assert out == ""
         assert f"unknown parameter {unknown}; accepted: {accepted}" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "STRONG_CAMWAN_1_12", "--exhaustive", "--param", "max_order=2.5"],
+         "parameter 'max_order' expects an int, got 2.5"),
+        (["verify", "ETA_GE_PSI_2_5", "--exhaustive", "--param", 'max_vertices="x"'],
+         "parameter 'max_vertices' expects an int, got 'x'"),
+        (["verify", "CAMWAN_1_10", "--random", "3", "--seed", "1", "--param", 'n="x"'],
+         "parameter 'n' expects an int, got 'x'"),
+        (["verify", "DRISKO_1_5", "--random", "3", "--seed", "1", "--param", "n_values=5"],
+         "parameter 'n_values' expects a list of ints, got 5"),
+    ])
+    def test_param_of_the_wrong_kind_is_a_usage_error(self, argv, message, monkeypatch,
+                                                      capsys):
+        code, out, err = run_cli(argv, "", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_report_line_counts_conclusions_judged(self, monkeypatch, capsys):
+        # the 39 row-Latin squares of order <= 3 fall into 24 row-order classes
+        code, out, err = run_cli(
+            ["verify", "STRONG_CAMWAN_1_12", "--exhaustive", "--param", "max_order=3"],
+            "", monkeypatch, capsys)
+        assert code == 0
+        assert "judged" not in out
+        assert ("STRONG_CAMWAN_1_12: checked=39 hits=39 judged=24 violations=0 "
+                "disagreements=0") in err
+
     def test_unknown_verb_usage_error(self, monkeypatch, capsys):
         code, _, _ = run_cli(["frobnicate"], "", monkeypatch, capsys)
         assert code == 2

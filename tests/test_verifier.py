@@ -1,6 +1,9 @@
 import dataclasses
+import itertools
 import json
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -8,8 +11,8 @@ from trimatch import constructions as cons
 from trimatch import verifier
 from trimatch.errors import BudgetExceededError, InfeasibleScopeError
 from trimatch.game import line_graph, psi, psi_at_least
-from trimatch.solver import SolveResult
-from trimatch.structures import TriHypergraph, is_p_simple, max_degree
+from trimatch.solver import SolveResult, find_bounded_diagonal
+from trimatch.structures import LatinSquare, TriHypergraph, is_p_simple, max_degree
 from trimatch.verifier import (
     ALL_STATEMENT_IDS,
     CONJECTURE_IDS,
@@ -267,6 +270,29 @@ class TestStreamParams:
             assert [serialize_instance(sid, i) for i in given] == \
                 [serialize_instance(sid, i) for i in default]
 
+    @pytest.mark.parametrize("sid,scope,name,kind,value", [
+        ("STRONG_CAMWAN_1_12", "exhaustive", "max_order", "an int", 2.5),
+        ("ETA_GE_PSI_2_5", "exhaustive", "max_vertices", "an int", "x"),
+        ("CAMWAN_1_10", "randomized", "n", "an int", "x"),
+        ("CAMWAN_1_10", "randomized", "n", "an int", True),
+        ("DRISKO_1_5", "randomized", "n_values", "a list of ints", 5),
+        ("DRISKO_1_5", "randomized", "n_values", "a list of ints", [2, "3"]),
+        ("CONJ_SYM_1_3", "randomized", "d", "null or an int", [3]),
+    ])
+    def test_value_of_the_wrong_kind_names_the_parameter(self, sid, scope, name, kind,
+                                                         value):
+        scope = Scope(scope, trials=2, seed=0, params={name: value})
+        message = f"parameter '{name}' expects {kind}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify(sid, scope)
+
+    def test_values_of_each_kind_are_accepted(self):
+        for sid, params in [("DRISKO_1_5", {"n_values": (2,)}),
+                            ("CONJ_SYM_1_3", {"n": 2, "d": None}),
+                            ("CONJ_SYM_1_3", {"n": 2, "d": 2})]:
+            assert verify(sid, Scope("randomized", trials=2, seed=0,
+                                     params=params)).instances_checked == 2
+
 
 class TestCheckAccommodating:
     """Both directions of Theorem 1.8 for one sequence, through `verify`."""
@@ -479,6 +505,102 @@ class TestSweepTables:
         for sid in ("ETA_GE_PSI_2_5", "LEMMA_3_1"):
             verify(sid, verifier.SHIPPED_SCOPES[sid])
         assert calls == {"psi": 209, "psi_at_least": 200}
+
+
+def row_latin_squares(n):
+    """Every row-Latin square of order n."""
+    rows = list(itertools.permutations(range(n)))
+    return [LatinSquare(n, cells) for cells in itertools.product(rows, repeat=n)]
+
+
+class TestVerdictTable:
+    """verify judges each key of the square codec's `canonical` once."""
+
+    SID = "STRONG_CAMWAN_1_12"
+    SCOPE = Scope("exhaustive", params={"max_order": 3})
+
+    @staticmethod
+    def key(L):
+        return verifier._SQUARE.canonical({"square": L})
+
+    def test_row_permutations_share_key_and_optimum(self):
+        rng = random.Random(16)
+        squares = [L for n in range(4) for L in row_latin_squares(n)]
+        squares += cons.gen_row_latin(4, "random", seed=16, count=40)
+        for L in squares:
+            optimum = find_bounded_diagonal(L, 2).optimum
+            assert optimum == verifier._square_oracle({"square": L})
+            perms = list(itertools.permutations(L.cells))
+            if L.order == 4:
+                perms = rng.sample(perms, 8)
+            for cells in perms:
+                M = LatinSquare(L.order, cells)
+                assert self.key(M) == self.key(L)
+                assert find_bounded_diagonal(M, 2).optimum == optimum
+
+    def test_equal_keys_only_for_equal_sorted_rows(self):
+        # soundness: a key never joins squares that are not row permutations
+        # of each other, of the same order or not
+        squares = [L for n in range(4) for L in row_latin_squares(n)]
+        squares += cons.gen_row_latin(4, "exhaustive")
+        squares += cons.gen_latin(5, "random", seed=16, count=200)
+        keys = {self.key(L) for L in squares}
+        assert len(keys) == len({(L.order, tuple(sorted(L.cells))) for L in squares})
+
+    def test_shipped_sweep_judges_each_row_order_class_once(self):
+        report = verify(self.SID, verifier.SHIPPED_SCOPES[self.SID])
+        assert report.instances_checked == report.hypothesis_hits == 13_863
+        assert report.violations == []
+        assert report.judged == 2_624
+        assert "judged" not in report.to_json()
+
+    def test_codecs_without_a_key_judge_every_hit(self):
+        report = verify("LEMMA_3_1", verifier.SHIPPED_SCOPES["LEMMA_3_1"])
+        assert report.judged == report.hypothesis_hits == 200
+
+    def plant_false_verdict(self, monkeypatch):
+        """Make the codec's solve miss a full diagonal on the most common key
+        of SCOPE; returns the serialized instances that have that key."""
+        rec = verifier.STATEMENTS[self.SID]
+        instances = list(verifier._stream(self.SID, rec, self.SCOPE))
+        chosen, count = Counter(self.key(inst["square"]) for inst in instances).most_common(1)[0]
+        assert count > 1
+        real = rec.codec.solve
+
+        def solve(inst, target=None):
+            if self.key(inst["square"]) == chosen:
+                return inst["square"].order - 1
+            return real(inst, target)
+
+        codec = dataclasses.replace(rec.codec, solve=solve)
+        monkeypatch.setitem(verifier.STATEMENTS, self.SID, dataclasses.replace(rec, codec=codec))
+        return [serialize_instance(self.SID, inst) for inst in instances
+                if self.key(inst["square"]) == chosen]
+
+    def test_false_verdict_records_every_instance_with_its_key(self, monkeypatch, tmp_path):
+        with_key = self.plant_false_verdict(monkeypatch)
+        report = verify(self.SID, self.SCOPE, cert_dir=tmp_path)
+        assert [record["instance"] for record in report.violations] == with_key
+        for record in report.violations:
+            # each its own re-check: the planted solve, contradicted by the oracle
+            assert record["recheck"] == {"hypothesis": True, "conclusion": False,
+                                         "oracle_agrees": False}
+        assert report.disagreements == len(with_key)
+        assert len(list(tmp_path.glob("*.json"))) == len(with_key)
+        assert report.instances_checked == report.hypothesis_hits == 39
+        assert report.judged == 24
+
+    @pytest.mark.parametrize("limit", [0, 1, 10])
+    def test_small_limit_clears_verdicts_without_changing_answers(self, limit, monkeypatch):
+        self.plant_false_verdict(monkeypatch)
+        expected = verify(self.SID, self.SCOPE)
+        monkeypatch.setattr(verifier, "SWEEP_TABLE_LIMIT", limit)
+        report = verify(self.SID, self.SCOPE)
+        assert report.to_json() == expected.to_json()
+        # a cleared table judges again a key it had judged
+        assert expected.judged < report.judged <= report.hypothesis_hits
+        if limit <= 1:
+            assert report.judged == report.hypothesis_hits
 
 
 class TestTheoremSuite:
