@@ -6,7 +6,7 @@ conjecture verification harness."""
 __version__ = "0.1.0"
 
 from .errors import BudgetExceededError, ConstructionError, InfeasibleScopeError
-from .game import GameState, canonical_graph_key, delete_edge, explode, line_graph, psi, psi_line
+from .game import canonical_graph_key, line_graph, psi, psi_line
 from .homology import (
     BettiVector,
     SimplicialComplex,
@@ -43,10 +43,7 @@ __all__ = [
     "BudgetExceededError",
     "ConstructionError",
     "InfeasibleScopeError",
-    "GameState",
     "canonical_graph_key",
-    "delete_edge",
-    "explode",
     "line_graph",
     "psi",
     "psi_line",

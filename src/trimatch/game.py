@@ -26,8 +26,9 @@ reaches the cap.  A nonempty graph without isolated vertices has psi >= 1,
 since vertices only disappear through explosions, so a cap of 1 is met at
 once, and an edge whose explosion cannot beat the running max is skipped.
 
-The search holds a state as a vertex mask and one neighbour mask per root
-vertex (labels sorted, the i-th on bit i), 0 for each inactive vertex.
+The search holds a state as a vertex mask and one neighbour mask per vertex
+of the root graph (vertex i on bit i, as in `Graph.adj`), 0 for each
+inactive vertex.
 Exploding (u, v) ANDs the masks with ~(bit u | bit v | adj[u] | adj[v]) and
 zeroes those it removes; deleting (u, v) is two XORs.  A vertex is isolated
 iff it lies outside the OR of the masks.  Components come lowest vertex
@@ -55,77 +56,11 @@ component's mask tuple; that cache is emptied whenever it reaches
 `memo_limit` entries, so it is bounded as well without ever failing a call.
 """
 
-from dataclasses import dataclass
-
 from .canonical import canonical_labelling
 from .errors import BudgetExceededError
 from .structures import Graph, INFINITY, component, induced_masks, vertices_of
 
 DEFAULT_MEMO_LIMIT = 2_000_000
-
-
-@dataclass(frozen=True)
-class GameState:
-    """A graph position: active vertices and the edges still joining them."""
-
-    vertices: frozenset
-    edges: frozenset
-
-    def __post_init__(self):
-        vertices = frozenset(int(v) for v in self.vertices)
-        if any(v < 0 for v in vertices):
-            raise ValueError(f"negative vertex {min(vertices)}")
-        edges = set()
-        for u, v in self.edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if u not in vertices or v not in vertices:
-                raise ValueError(f"edge ({u}, {v}) joins inactive vertices")
-            edges.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", frozenset(edges))
-
-    @classmethod
-    def from_graph(cls, G):
-        return cls(frozenset(range(G.n)), G.edges)
-
-
-def _move(state, e):
-    """The masks of state and the bits of its active edge e."""
-    e = tuple(sorted((int(e[0]), int(e[1]))))
-    if e not in state.edges:
-        raise ValueError(f"edge {e} is not active")
-    labels, vmask, adj = _masks(state)
-    return labels, vmask, adj, labels.index(e[0]), labels.index(e[1])
-
-
-def _game_state(labels, vmask, adj):
-    return GameState(
-        [labels[i] for i in vertices_of(vmask)],
-        [(labels[i], labels[j])
-         for i in vertices_of(vmask) for j in vertices_of(adj[i]) if j > i])
-
-
-def delete_edge(state, e):
-    """Remove edge e; both endpoints stay (possibly now isolated)."""
-    labels, vmask, adj, u, v = _move(state, e)
-    return _game_state(labels, vmask, _delete(adj, u, v))
-
-
-def explode(state, e):
-    """Remove both endpoints of e, all their neighbours and incident edges."""
-    labels, vmask, adj, u, v = _move(state, e)
-    keep = vmask & ~((1 << u) | (1 << v) | adj[u] | adj[v])
-    return _game_state(labels, keep, _restrict(adj, keep))
-
-
-def _masks(state):
-    """(labels, vmask, adj): vertex labels[i] is bit i, adj its neighbour masks."""
-    labels = sorted(state.vertices)
-    index = {v: i for i, v in enumerate(labels)}
-    graph = Graph(len(labels), [(index[u], index[v]) for u, v in state.edges])
-    return labels, (1 << graph.n) - 1, graph.adj
 
 
 def _restrict(adj, keep):
@@ -240,15 +175,12 @@ class _PsiEngine:
 
 
 def _capped_psi(graph, cap, memo, memo_limit):
-    if isinstance(graph, Graph):
-        vmask, adj = (1 << graph.n) - 1, graph.adj
-    else:
-        _, vmask, adj = _masks(graph)
-    return _PsiEngine({} if memo is None else memo, memo_limit).value(vmask, adj, cap)
+    engine = _PsiEngine({} if memo is None else memo, memo_limit)
+    return engine.value((1 << graph.n) - 1, graph.adj, cap)
 
 
 def psi(graph, *, cap=INFINITY, memo=None, memo_limit=DEFAULT_MEMO_LIMIT):
-    """min(psi, cap) for a Graph or GameState; psi is 0 for the empty graph.
+    """min(psi, cap) for a Graph; psi is 0 for the empty graph.
 
     With the default cap this is the exact game value.  An explicit memo
     dict may be passed to share work across many calls, whatever their

@@ -577,7 +577,9 @@ def _is_int(x):
 
 def _check_kind(name, value, default):
     """Raise a ValueError unless `value` is of the kind of `default`: an int,
-    a list or tuple of ints, or null or an int when the default is None."""
+    a list or tuple of ints, or null or an int when the default is None.
+    Every parameter is a count, so a negative int or an empty list is
+    rejected too."""
     if isinstance(default, tuple):
         ok = isinstance(value, (list, tuple)) and all(map(_is_int, value))
         kind = "a list of ints"
@@ -587,6 +589,11 @@ def _check_kind(name, value, default):
         ok, kind = _is_int(value), "an int"
     if not ok:
         raise ValueError(f"parameter {name!r} expects {kind}, got {value!r}")
+    counts = value if isinstance(default, tuple) else [value]
+    if not counts:
+        raise ValueError(f"parameter {name!r} must not be empty")
+    if any(c is not None and c < 0 for c in counts):
+        raise ValueError(f"parameter {name!r} must not be negative, got {value!r}")
 
 
 def _keyword_params(builder):
@@ -595,7 +602,8 @@ def _keyword_params(builder):
     A builder declares its parameters, each with its default, as keyword-only
     arguments.  A key of `params` that it does not declare raises a
     ValueError naming the key and the accepted ones, instead of being
-    silently ignored, and so does a value not of its default's kind.
+    silently ignored, and so does a value not of its default's kind,
+    a negative count or an empty list.
     """
     defaults = builder.__kwdefaults__
     accepted = list(defaults)

@@ -475,6 +475,17 @@ class TestErrorsAndManifest:
          "parameter 'n' expects an int, got 'x'"),
         (["verify", "DRISKO_1_5", "--random", "3", "--seed", "1", "--param", "n_values=5"],
          "parameter 'n_values' expects a list of ints, got 5"),
+        # every parameter is a count: out of range is a usage error too
+        (["verify", "CAMWAN_1_10", "--random", "3", "--seed", "1", "--param", "n=-1"],
+         "parameter 'n' must not be negative, got -1"),
+        (["hunt", "CONJ_RBS_1_1", "--budget", "3", "--seed", "1", "--param", "n=-1"],
+         "parameter 'n' must not be negative, got -1"),
+        (["verify", "DRISKO_1_5", "--random", "3", "--seed", "1", "--param", "n_values=[]"],
+         "parameter 'n_values' must not be empty"),
+        (["verify", "LEMMA_3_1", "--random", "3", "--seed", "1", "--param", "ells=[]"],
+         "parameter 'ells' must not be empty"),
+        (["verify", "STRONG_CAMWAN_1_12", "--exhaustive", "--param", "max_order=-1"],
+         "parameter 'max_order' must not be negative, got -1"),
     ])
     def test_param_of_the_wrong_kind_is_a_usage_error(self, argv, message, monkeypatch,
                                                       capsys):

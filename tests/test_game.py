@@ -7,15 +7,7 @@ import pytest
 from trimatch import game, oracle
 from trimatch.constructions import random_graph, random_lemma31_graph
 from trimatch.errors import BudgetExceededError
-from trimatch.game import (
-    GameState,
-    delete_edge,
-    explode,
-    line_graph,
-    psi,
-    psi_at_least,
-    psi_line,
-)
+from trimatch.game import line_graph, psi, psi_at_least, psi_line
 from trimatch.structures import BipartiteGraph, Graph, INFINITY
 from trimatch.verifier import PSI_ORACLE_EDGE_LIMIT, enumerate_graphs_up_to_iso, graph_classes
 
@@ -30,57 +22,18 @@ def cycle(n):
     return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 
-class TestExplode:
-    def test_path_center_explodes_everything(self):
-        s = GameState.from_graph(path(3))
-        after = explode(s, (0, 1))
-        assert after.vertices == frozenset()
+def delete_by_definition(G, e):
+    """G - e: the same vertices, without edge e."""
+    return Graph(G.n, G.edges - {e})
 
-    def test_k2(self):
-        s = GameState.from_graph(path(2))
-        assert explode(s, (0, 1)).vertices == frozenset()
 
-    def test_c4_explodes_entirely(self):
-        s = GameState.from_graph(cycle(4))
-        after = explode(s, (0, 1))
-        assert after.vertices == frozenset()
-
-    def test_inactive_edge_rejected(self):
-        s = GameState.from_graph(path(3))
-        with pytest.raises(ValueError):
-            explode(s, (0, 2))
-
-    def test_leaves_far_vertices_and_edges(self):
-        s = GameState.from_graph(path(6))
-        after = explode(s, (0, 1))
-        assert after == GameState({3, 4, 5}, {(3, 4), (4, 5)})
-
-    def test_negative_vertex_rejected(self):
-        with pytest.raises(ValueError, match="negative vertex -1"):
-            GameState({-1, 0}, {(-1, 0)})
-
-    @staticmethod
-    def by_definition(state, e):
-        u, v = e
-        gone = {u, v} | {x for f in state.edges if u in f or v in f for x in f}
-        return GameState(state.vertices - gone, {f for f in state.edges if not gone & set(f)})
-
-    def test_seeded_states_with_scattered_ids(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            ids = rng.sample(range(60), rng.randrange(2, 10))
-            edges = {(u, v) for u, v in itertools.combinations(sorted(ids), 2) if rng.random() < 0.5}
-            s = GameState(ids, edges)
-            for e in edges:
-                assert explode(s, e) == self.by_definition(s, e)
-                assert explode(s, e[::-1]) == explode(s, e)
-                assert delete_edge(s, e) == GameState(ids, edges - {e})
-
-    def test_delete_keeps_vertices(self):
-        s = GameState.from_graph(path(2))
-        after = delete_edge(s, (0, 1))
-        assert after.vertices == frozenset({0, 1})
-        assert after.edges == frozenset()
+def explode_by_definition(G, e):
+    """G * e: remove both ends of e and all their neighbours, then number the
+    surviving vertices 0..k-1 in their old order."""
+    gone = set(e) | {x for f in G.edges if set(e) & set(f) for x in f}
+    index = {v: i for i, v in enumerate(v for v in range(G.n) if v not in gone)}
+    return Graph(len(index), frozenset(
+        (index[u], index[v]) for u, v in G.edges if u in index and v in index))
 
 
 class TestPsi:
@@ -114,10 +67,9 @@ class TestPsi:
             for G in enumerate_graphs_up_to_iso(n):
                 if not G.edges:
                     continue
-                s = GameState.from_graph(G)
                 replay = max(
-                    min(psi(delete_edge(s, e), memo=memo),
-                        psi(explode(s, e), memo=memo) + 1)
+                    min(psi(delete_by_definition(G, e), memo=memo),
+                        psi(explode_by_definition(G, e), memo=memo) + 1)
                     for e in G.edges
                 )
                 degs = G.degrees()
@@ -184,7 +136,7 @@ class TestPsi:
 
 
 class TestStateFormat:
-    """States given with any vertex ids, and the search pinned entry by entry."""
+    """Small states at every cap, and the search pinned entry by entry."""
 
     # One shared table filled by the run below, and the canonical_graph_key
     # calls it makes, as recorded from the edge-tuple engine that the mask
@@ -210,21 +162,10 @@ class TestStateFormat:
         digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
         assert (len(table), len(calls), digest) == self.PINNED
 
-    def test_scattered_ids_search_as_their_relabelling(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            G = random_graph(7, rng)
-            ids = sorted(rng.sample(range(100), 7))
-            s = GameState(ids, {(ids[u], ids[v]) for u, v in G.edges})
-            for k in CAPS:
-                by_graph, by_state = {}, {}
-                assert psi(s, cap=k, memo=by_state) == psi(G, cap=k, memo=by_graph)
-                assert by_state == by_graph
-
     def test_small_states(self):
-        path3 = GameState({3, 17, 40}, {(3, 17), (17, 40)})
-        isolated = GameState({3, 17, 40}, {(3, 17)})
-        empty = GameState(set(), set())
+        path3 = path(3)
+        isolated = Graph(3, {(0, 1)})
+        empty = Graph(0)
         for k in CAPS:
             assert psi(path3, cap=k) == min(1, k)
             assert psi(isolated, cap=k) == k

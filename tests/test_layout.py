@@ -72,6 +72,14 @@ def test_readme_names_live_in_their_modules_and_imports_are_top_level():
     assert nested == {}
 
 
+def test_star_import_gives_every_name_in_all_once():
+    namespace = {}
+    exec("from trimatch import *", namespace)
+    assert len(trimatch.__all__) == len(set(trimatch.__all__))
+    assert [name for name in trimatch.__all__ if not hasattr(trimatch, name)] == []
+    assert set(trimatch.__all__) <= set(namespace)
+
+
 def readme_command_block():
     """(verbs, gen constructions) listed in README's first Command line block."""
     section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]

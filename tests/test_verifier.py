@@ -286,10 +286,29 @@ class TestStreamParams:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify(sid, scope)
 
+    @pytest.mark.parametrize("sid,scope,name,value,message", [
+        ("CAMWAN_1_10", "randomized", "n", -1, "must not be negative, got -1"),
+        ("CONJ_RBS_1_1", "hunt", "n", -1, "must not be negative, got -1"),
+        ("DRISKO_1_5", "randomized", "n_values", [], "must not be empty"),
+        ("DRISKO_1_5", "randomized", "n_values", [2, -3], "must not be negative, got [2, -3]"),
+        ("LEMMA_3_1", "randomized", "ells", [], "must not be empty"),
+        ("STRONG_CAMWAN_1_12", "exhaustive", "max_order", -1, "must not be negative, got -1"),
+        ("CONJ_SYM_1_3", "randomized", "d", -2, "must not be negative, got -2"),
+    ])
+    def test_negative_count_or_empty_list_names_the_parameter(self, sid, scope, name, value,
+                                                             message):
+        message = f"parameter '{name}' {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if scope == "hunt":
+                hunt(sid, 3, 1, params={name: value})
+            else:
+                verify(sid, Scope(scope, trials=3, seed=1, params={name: value}))
+
     def test_values_of_each_kind_are_accepted(self):
         for sid, params in [("DRISKO_1_5", {"n_values": (2,)}),
                             ("CONJ_SYM_1_3", {"n": 2, "d": None}),
-                            ("CONJ_SYM_1_3", {"n": 2, "d": 2})]:
+                            ("CONJ_SYM_1_3", {"n": 2, "d": 2}),
+                            ("CAMWAN_1_10", {"n": 0})]:
             assert verify(sid, Scope("randomized", trials=2, seed=0,
                                      params=params)).instances_checked == 2
 
