@@ -6,7 +6,9 @@ generators are pure functions of (parameters, seed).  Each kind of object
 that needs a backtracking search has exactly one: `regular_completions`
 builds regular hypergraphs (the pinned-corner construction and the
 exhaustive regular sweep), and `latin_squares` fills Latin squares (the
-exhaustive stream, and with an rng the random one).  Exhaustive streams
+exhaustive stream, and with an rng `random_latin`).  A random draw such as
+`random_latin(n, rng)` makes one object from the caller's rng, so a
+seeded stream is a loop of draws on one rng.  Exhaustive streams
 emit in lexicographic order.  Every generator's output is validated
 against the hypothesis it targets by the tests, not assumed.
 """
@@ -265,8 +267,13 @@ def gen_latin(n, mode, seed=None, count=None):
     The exhaustive stream yields every Latin square of order n exactly once,
     in lexicographic cell order; it is capped at order 5.
     """
-    return _square_stream(n, mode, seed, count, lambda n, rng: next(latin_squares(n, rng)),
-                          latin_squares, EXHAUSTIVE_LATIN_CAP)
+    return _square_stream(n, mode, seed, count, random_latin, latin_squares,
+                          EXHAUSTIVE_LATIN_CAP)
+
+
+def random_latin(n, rng):
+    """A random Latin square of order n: the first square of the shuffled fill."""
+    return next(latin_squares(n, rng))
 
 
 def latin_squares(n, rng=None):
@@ -307,11 +314,12 @@ def gen_row_latin(n, mode, seed=None, count=None):
     `gen_latin`.  The exhaustive stream fixes the first row to the identity
     and is capped at order 4.
     """
-    return _square_stream(n, mode, seed, count, _random_row_latin, _row_latin_squares,
+    return _square_stream(n, mode, seed, count, random_row_latin, _row_latin_squares,
                           EXHAUSTIVE_ROW_LATIN_CAP)
 
 
-def _random_row_latin(n, rng):
+def random_row_latin(n, rng):
+    """A row-Latin square of order n whose rows are independent random permutations."""
     rows = []
     for _ in range(n):
         row = list(range(n))

@@ -13,6 +13,7 @@ from .structures import Graph, INFINITY
 
 ORACLE_EDGE_LIMIT = 22
 ORACLE_VERTEX_LIMIT = 22
+PSI_ORACLE_VERTEX_LIMIT = 12
 
 
 def matching_number_oracle(H):
@@ -64,8 +65,8 @@ def rainbow_oracle(F):
 
 def psi_oracle(graph):
     """Game value by unmemoized recursion straight from the definition."""
-    if graph.n > 12:
-        raise ValueError("oracle limited to 12 vertices")
+    if graph.n > PSI_ORACLE_VERTEX_LIMIT:
+        raise ValueError(f"oracle limited to {PSI_ORACLE_VERTEX_LIMIT} vertices")
     edge_items = []
     for u, v in sorted(graph.edges):
         edge_items.append((u, v, (1 << u) | (1 << v)))

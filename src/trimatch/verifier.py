@@ -1,13 +1,17 @@
 """Theorem and conjecture harness.
 
 Every catalogued statement is one `Statement` record in `STATEMENTS`: its
-instance kind, a hypothesis predicate, a conclusion predicate and its
-instance streams.  `verify` sweeps a scope (exhaustive at tiny sizes, seeded
-randomized at small sizes) and records every hypothesis-true,
-conclusion-false instance as a violation; `hunt` does the same for
-conjectures with a trial budget.  Vacuous instances (hypothesis false) are
-counted but never judged, so a sweep can never "confirm" a statement it
-never actually tested.
+instance kind, a hypothesis predicate, a conclusion predicate, a random
+draw and, for some, an exhaustive stream.  A draw, `draw(rng, *, params)`,
+makes one instance; a stream builder, `stream(cap, *, params)`, yields
+every instance up to its cap.  `verify` sweeps a scope (exhaustive at tiny
+sizes, seeded randomized at small sizes, or instances read from stdin) and
+records every hypothesis-true, conclusion-false instance as a violation;
+`hunt` does the same for conjectures with a trial budget.  A randomized
+sweep checks its parameters and trial count once, seeds one rng and calls
+the draw once per trial.  Vacuous instances (hypothesis false) are counted
+but never judged, so a sweep can never "confirm" a statement it never
+actually tested.
 
 Each instance kind has one `_Codec`: its JSON form, the raw `gen` objects
 it accepts, the exact solver for the optimum its conclusions are stated in,
@@ -74,7 +78,13 @@ PSI_ORACLE_EDGE_LIMIT = 8
 
 @dataclass(frozen=True)
 class Scope:
-    """Either exhaustive(params) or randomized(trials, seed, params)."""
+    """What `verify` sweeps: exhaustive(params), randomized(trials, seed,
+    params), or stdin, the instances handed to `verify` by its caller.
+
+    `params` are keyword arguments of the statement's stream builder or
+    draw; `_stream` rejects an unknown key, a value of the wrong kind and a
+    negative trial count before any instance is made.
+    """
 
     mode: str  # "exhaustive" | "randomized" | "stdin"
     trials: int = 0
@@ -227,7 +237,9 @@ def _partition_oracle(inst):
 
 
 def _psi_oracle(G):
-    return oracle.psi_oracle(G) if len(G.edges) <= PSI_ORACLE_EDGE_LIMIT else None
+    if G.n <= oracle.PSI_ORACLE_VERTEX_LIMIT and len(G.edges) <= PSI_ORACLE_EDGE_LIMIT:
+        return oracle.psi_oracle(G)
+    return None
 
 
 def _solve_psi(inst, target=None, memo=None):
@@ -552,13 +564,13 @@ def enumerate_graphs_up_to_iso(n):
     return graph_classes(max(n, 0))[-1]
 
 
+@functools.lru_cache(maxsize=1)
 def ascending_sequences(n, lo=0):
-    """All ascending sequences of length 2n-1 with entries in [lo, n]."""
-    length = 2 * n - 1
-    return [
-        seq
-        for seq in itertools.combinations_with_replacement(range(lo, n + 1), length)
-    ]
+    """All ascending sequences of length 2n-1 with entries in [lo, n].
+
+    The last answer is kept, so a sweep of accommodating draws builds the
+    tuple once (12 376 sequences at n = 6), not once per draw."""
+    return tuple(itertools.combinations_with_replacement(range(lo, n + 1), 2 * n - 1))
 
 
 def is_accommodating_shaped(a, n):
@@ -596,37 +608,27 @@ def _check_kind(name, value, default):
         raise ValueError(f"parameter {name!r} must not be negative, got {value!r}")
 
 
-def _keyword_params(builder):
-    """Let the registry call a stream builder as stream(*args, params).
+def _check_params(builder, params):
+    """Raise a ValueError unless `params` fits a stream builder or a draw.
 
-    A builder declares its parameters, each with its default, as keyword-only
-    arguments.  A key of `params` that it does not declare raises a
-    ValueError naming the key and the accepted ones, instead of being
-    silently ignored, and so does a value not of its default's kind,
-    a negative count or an empty list.
+    Both declare their parameters, each with its default, as keyword-only
+    arguments.  A key that the builder does not declare is named with the
+    accepted ones, instead of being silently ignored, and so is a value not
+    of its default's kind, a negative count or an empty list.
     """
     defaults = builder.__kwdefaults__
-    accepted = list(defaults)
-
-    @functools.wraps(builder)
-    def stream(*args):
-        *positional, params = args
-        unknown = sorted(set(params) - set(accepted))
-        if unknown:
-            raise ValueError(
-                f"unknown parameter {', '.join(map(repr, unknown))}; "
-                f"accepted: {', '.join(accepted)}")
-        for name, value in params.items():
-            _check_kind(name, value, defaults[name])
-        return builder(*positional, **params)
-
-    return stream
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(
+            f"unknown parameter {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(defaults)}")
+    for name, value in params.items():
+        _check_kind(name, value, defaults[name])
 
 
-# exhaustive stream builders: stream(cap, params) -> iterator of instances
+# exhaustive stream builders: stream(cap, *, params) -> iterator of instances
 
 
-@_keyword_params
 def _ex_eta_psi(cap, *, max_vertices=6):
     if max_vertices > cap["max_vertices"]:
         raise InfeasibleScopeError(
@@ -637,7 +639,6 @@ def _ex_eta_psi(cap, *, max_vertices=6):
 
 
 def _ex_squares(squares):
-    @_keyword_params
     def stream(cap, *, max_order=4):
         if max_order > cap["max_order"]:
             raise InfeasibleScopeError(
@@ -649,7 +650,6 @@ def _ex_squares(squares):
     return stream
 
 
-@_keyword_params
 def _ex_accommodating(cap, *, n=2):
     if n > cap["max_n"]:
         raise InfeasibleScopeError(f"exhaustive sequence sweep capped at n = {cap['max_n']}")
@@ -662,7 +662,6 @@ def _ex_accommodating(cap, *, n=2):
         yield {"family": fam, "n": n, "expect": False}
 
 
-@_keyword_params
 def _ex_fracd(cap, *, n=3, d=2):
     if n > cap["max_n"] or d > cap["max_d"]:
         raise InfeasibleScopeError(
@@ -671,19 +670,15 @@ def _ex_fracd(cap, *, n=3, d=2):
         yield {"hyper": H, "n": n, "d": d}
 
 
-# randomized stream builders: stream(rng, trials, params) -> iterator of
-# instances
+# randomized draws: draw(rng, *, params) -> one instance
 
 
-def _rand_family_profile(profile_fn):
-    @_keyword_params
-    def stream(rng, trials, *, n_values=(2, 3)):
-        for _ in range(trials):
-            n = n_values[rng.randrange(len(n_values))]
-            sizes = profile_fn(n, rng)
-            yield {"family": cons.random_family(sizes, rng), "n": n}
+def _draw_family_profile(profile_fn):
+    def draw(rng, *, n_values=(2, 3)):
+        n = n_values[rng.randrange(len(n_values))]
+        return {"family": cons.random_family(profile_fn(n, rng), rng), "n": n}
 
-    return stream
+    return draw
 
 
 def _drisko_sizes(n, rng):
@@ -698,114 +693,76 @@ def _ab_sizes(n, rng):
     return [n for _ in range(n)]
 
 
-@_keyword_params
-def _rand_accommodating(rng, trials, *, n=2):
+def _draw_accommodating(rng, *, n=2):
     sequences = ascending_sequences(n)
-    for _ in range(trials):
-        a = sequences[rng.randrange(len(sequences))]
-        if is_accommodating_shaped(a, n):
-            yield {"family": _family_meeting_profile(a, n, rng), "n": n,
-                   "expect": True}
-        else:
-            yield {
-                "family": cons.gen_accommodating_counterexample(a, n),
-                "n": n,
-                "expect": False,
-            }
+    a = sequences[rng.randrange(len(sequences))]
+    if is_accommodating_shaped(a, n):
+        return {"family": _family_meeting_profile(a, n, rng), "n": n, "expect": True}
+    return {"family": cons.gen_accommodating_counterexample(a, n), "n": n, "expect": False}
 
 
-@_keyword_params
-def _rand_almost_drisko(rng, trials, *, n_values=(2, 3)):
-    for _ in range(trials):
-        n = n_values[rng.randrange(len(n_values))]
-        yield {"hyper": cons.gen_theorem19_instance(n, rng.getrandbits(48)), "n": n}
+def _draw_almost_drisko(rng, *, n_values=(2, 3)):
+    n = n_values[rng.randrange(len(n_values))]
+    return {"hyper": cons.gen_theorem19_instance(n, rng.getrandbits(48)), "n": n}
 
 
-@_keyword_params
-def _rand_latin(rng, trials, *, n=4):
-    for _ in range(trials):
-        yield {"square": next(cons.latin_squares(n, rng))}
+def _draw_square(random_square):
+    def draw(rng, *, n=4):
+        return {"square": random_square(n, rng)}
+
+    return draw
 
 
-@_keyword_params
-def _rand_row_latin(rng, trials, *, n=4):
-    stream = cons.gen_row_latin(n, "random", seed=rng.getrandbits(48), count=trials)
-    for L in stream:
-        yield {"square": L}
+def _draw_tophall(deficiency_choices):
+    def draw(rng, *, max_vertices=7, max_parts=4):
+        P = cons.random_partition_system(rng, max_vertices=max_vertices, max_parts=max_parts)
+        d = deficiency_choices[rng.randrange(len(deficiency_choices))]
+        return {"pgraph": P, "deficiency": min(d, len(P.parts))}
+
+    return draw
 
 
-def _rand_tophall(deficiency_choices):
-    @_keyword_params
-    def stream(rng, trials, *, max_vertices=7, max_parts=4):
-        for _ in range(trials):
-            P = cons.random_partition_system(
-                rng, max_vertices=max_vertices, max_parts=max_parts)
-            d = deficiency_choices[rng.randrange(len(deficiency_choices))]
-            yield {"pgraph": P, "deficiency": min(d, len(P.parts))}
-
-    return stream
-
-
-@_keyword_params
-def _rand_eta_psi(rng, trials, *, vertices=7):
+def _draw_eta_psi(rng, *, vertices=7):
     cap = STATEMENTS["ETA_GE_PSI_2_5"].cap["max_vertices"]
     if vertices > cap:
         raise InfeasibleScopeError(f"random eta/psi capped at {cap} vertices")
-    for _ in range(trials):
-        yield {"graph": cons.random_graph(vertices, rng)}
+    return {"graph": cons.random_graph(vertices, rng)}
 
 
-@_keyword_params
-def _rand_lemma31(rng, trials, *, ells=(2, 3), max_edges=12):
-    for _ in range(trials):
-        ell = ells[rng.randrange(len(ells))]
-        yield {"bipartite": cons.random_lemma31_graph(ell, rng, max_edges), "ell": ell}
+def _draw_lemma31(rng, *, ells=(2, 3), max_edges=12):
+    ell = ells[rng.randrange(len(ells))]
+    return {"bipartite": cons.random_lemma31_graph(ell, rng, max_edges), "ell": ell}
 
 
-@_keyword_params
-def _rand_rbs(rng, trials, *, n=3):
-    for _ in range(trials):
-        yield {"hyper": latin_to_hypergraph(next(cons.latin_squares(n, rng))), "n": n}
+def _draw_rbs(rng, *, n=3):
+    return {"hyper": latin_to_hypergraph(cons.random_latin(n, rng)), "n": n}
 
 
-@_keyword_params
-def _rand_stein(rng, trials, *, n=3):
-    for _ in range(trials):
-        yield {"hyper": cons.random_stein_instance(n, rng), "n": n}
+def _draw_stein(rng, *, n=3):
+    return {"hyper": cons.random_stein_instance(n, rng), "n": n}
 
 
-@_keyword_params
-def _rand_sym(rng, trials, *, n=3, d=None):
-    d = n if d is None else d
-    for _ in range(trials):
-        yield {"hyper": cons.random_regular_simple(n, d, rng), "n": n}
+def _draw_sym(rng, *, n=3, d=None):
+    return {"hyper": cons.random_regular_simple(n, n if d is None else d, rng), "n": n}
 
 
-@_keyword_params
-def _rand_conj_drisko(rng, trials, *, n=2):
-    for _ in range(trials):
-        yield {"hyper": cons.random_conj_drisko_instance(n, rng), "n": n}
+def _draw_conj_drisko(rng, *, n=2):
+    return {"hyper": cons.random_conj_drisko_instance(n, rng), "n": n}
 
 
-@_keyword_params
-def _rand_fracd(rng, trials, *, n=3, d=2):
-    for _ in range(trials):
-        yield {"hyper": cons.random_regular_simple(n, d, rng), "n": n, "d": d}
+def _draw_fracd(rng, *, n=3, d=2):
+    return {"hyper": cons.random_regular_simple(n, d, rng), "n": n, "d": d}
 
 
-@_keyword_params
-def _rand_asym(rng, trials, *, a_size=3, deg_a=3, bc_size=None):
+def _draw_asym(rng, *, a_size=3, deg_a=3, bc_size=None):
     bc = 2 * deg_a if bc_size is None else bc_size
-    for _ in range(trials):
-        yield {"hyper": cons.random_bounded_tri(rng, a_size, bc, deg_a, deg_a)}
+    return {"hyper": cons.random_bounded_tri(rng, a_size, bc, deg_a, deg_a)}
 
 
-@_keyword_params
-def _rand_double_delta(rng, trials, *, a_size=3, deg_a=5, bc_size=None):
+def _draw_double_delta(rng, *, a_size=3, deg_a=5, bc_size=None):
     cap = (deg_a + 1) // 2
     bc = max(2 * deg_a, (a_size * deg_a + cap - 1) // cap) if bc_size is None else bc_size
-    for _ in range(trials):
-        yield {"hyper": cons.random_bounded_tri(rng, a_size, bc, deg_a, cap)}
+    return {"hyper": cons.random_bounded_tri(rng, a_size, bc, deg_a, cap)}
 
 
 # ---------------------------------------------------------------------------
@@ -816,9 +773,11 @@ def _rand_double_delta(rng, trials, *, a_size=3, deg_a=5, bc_size=None):
 class Statement:
     """One catalogued statement and everything needed to sweep it.
 
-    `shipped` is the theorem-suite scope, which must report zero
-    violations; `cap` bounds the exhaustive stream; `raw_params`, when
-    set, replaces the codec's derivation of parameters from raw objects.
+    `randomized` is the draw, `exhaustive` the stream builder (None when
+    the statement has no finite domain).  `shipped` is the theorem-suite
+    scope, which must report zero violations; `cap` bounds the exhaustive
+    stream; `raw_params`, when set, replaces the codec's derivation of
+    parameters from raw objects.
     """
 
     theorem: bool
@@ -850,61 +809,62 @@ def _n_from_a_side(data):
 
 STATEMENTS = {
     "DRISKO_1_5": _theorem(
-        _FAMILY, _hyp_drisko, _reaches("n"), _rand_family_profile(_drisko_sizes),
+        _FAMILY, _hyp_drisko, _reaches("n"), _draw_family_profile(_drisko_sizes),
         _randomized(300, 190041, n_values=[2, 3])),
     "IMPROVED_1_7": _theorem(
-        _FAMILY, _hyp_improved, _reaches("n"), _rand_family_profile(_improved_sizes),
+        _FAMILY, _hyp_improved, _reaches("n"), _draw_family_profile(_improved_sizes),
         _randomized(300, 190042, n_values=[2, 3])),
     "ACCOMMODATING_1_8": _theorem(
-        _FAMILY, _hyp_accommodating, _con_accommodating, _rand_accommodating,
+        _FAMILY, _hyp_accommodating, _con_accommodating, _draw_accommodating,
         _randomized(120, 190043, n=2), exhaustive=_ex_accommodating, cap={"max_n": 6}),
     "ALMOST_DRISKO_1_9": _theorem(
-        _HYPER, _hyp_almost_drisko, _reaches("n"), _rand_almost_drisko,
+        _HYPER, _hyp_almost_drisko, _reaches("n"), _draw_almost_drisko,
         _randomized(300, 190044, n_values=[2, 3]),
         raw_params=lambda data: {"n": data["sides"][1]}),
     "CAMWAN_1_10": _theorem(
-        _SQUARE, _hyp_camwan, _con_full_diagonal, _rand_latin,
+        _SQUARE, _hyp_camwan, _con_full_diagonal, _draw_square(cons.random_latin),
         Scope("exhaustive", params={"max_order": 4}),
         exhaustive=_ex_squares(lambda n: cons.gen_latin(n, "exhaustive")),
         cap={"max_order": 4}),
     "STRONG_CAMWAN_1_12": _theorem(
-        _SQUARE, _hyp_strong_camwan, _con_full_diagonal, _rand_row_latin,
+        _SQUARE, _hyp_strong_camwan, _con_full_diagonal,
+        _draw_square(cons.random_row_latin),
         Scope("exhaustive", params={"max_order": 4}),
         exhaustive=_ex_squares(lambda n: cons.gen_row_latin(n, "exhaustive")),
         cap={"max_order": 4}),
     "TOPHALL_2_3": _theorem(
-        _PARTITION, _hyp_tophall, _con_transversal, _rand_tophall([0]),
+        _PARTITION, _hyp_tophall, _con_transversal, _draw_tophall([0]),
         _randomized(120, 190045)),
     "TOPHALL_DEF_2_4": _theorem(
-        _PARTITION, _hyp_tophall, _con_transversal, _rand_tophall([1, 2]),
+        _PARTITION, _hyp_tophall, _con_transversal, _draw_tophall([1, 2]),
         _randomized(120, 190046)),
     "ETA_GE_PSI_2_5": _theorem(
-        _GRAPH, _always, _con_eta_psi, _rand_eta_psi,
+        _GRAPH, _always, _con_eta_psi, _draw_eta_psi,
         Scope("exhaustive", params={"max_vertices": 6}),
         exhaustive=_ex_eta_psi, cap={"max_vertices": 8}),
     "LEMMA_3_1": _theorem(
-        _LEMMA, _hyp_lemma31, _reaches("ell"), _rand_lemma31,
+        _LEMMA, _hyp_lemma31, _reaches("ell"), _draw_lemma31,
         _randomized(200, 190047, ells=[2, 3])),
-    "CONJ_RBS_1_1": _conjecture(_HYPER, _hyp_rbs, _reaches("n", 1), _rand_rbs),
-    "CONJ_STEIN_1_2": _conjecture(_HYPER, _hyp_stein, _reaches("n", 1), _rand_stein),
-    "CONJ_SYM_1_3": _conjecture(_HYPER, _hyp_sym, _reaches("n", 1), _rand_sym),
+    "CONJ_RBS_1_1": _conjecture(_HYPER, _hyp_rbs, _reaches("n", 1), _draw_rbs),
+    "CONJ_STEIN_1_2": _conjecture(_HYPER, _hyp_stein, _reaches("n", 1), _draw_stein),
+    "CONJ_SYM_1_3": _conjecture(_HYPER, _hyp_sym, _reaches("n", 1), _draw_sym),
     "CONJ_AB_1_4": _conjecture(
-        _FAMILY, _hyp_ab, _reaches("n", 1), _rand_family_profile(_ab_sizes),
+        _FAMILY, _hyp_ab, _reaches("n", 1), _draw_family_profile(_ab_sizes),
         raw_params=lambda data: {"n": len(data["members"])}),
     "CONJ_DRISKO_1_6": _conjecture(
-        _HYPER, _hyp_conj_drisko, _reaches("n"), _rand_conj_drisko,
+        _HYPER, _hyp_conj_drisko, _reaches("n"), _draw_conj_drisko,
         raw_params=_n_from_a_side),
     "CONJ_FRACD_5_1": _conjecture(
-        _HYPER, _hyp_fracd, _con_fracd, _rand_fracd,
+        _HYPER, _hyp_fracd, _con_fracd, _draw_fracd,
         exhaustive=_ex_fracd, cap={"max_n": 3, "max_d": 2},
         raw_params=lambda data: {"n": data["sides"][0],
                                  "d": min_degree(hypergraph_from_json(data), "A")}),
-    "CONJ_ASYM_5_2": _conjecture(_HYPER, _hyp_asym, _con_asym, _rand_asym),
+    "CONJ_ASYM_5_2": _conjecture(_HYPER, _hyp_asym, _con_asym, _draw_asym),
     "CONJ_GEN_5_3": _conjecture(
-        _HYPER, _hyp_conj_gen, _reaches("n"), _rand_conj_drisko,
+        _HYPER, _hyp_conj_gen, _reaches("n"), _draw_conj_drisko,
         raw_params=_n_from_a_side),
     "REMARK_5_DOUBLE_DELTA": _conjecture(
-        _HYPER, _hyp_double_delta, _con_nu_equals_a, _rand_double_delta),
+        _HYPER, _hyp_double_delta, _con_nu_equals_a, _draw_double_delta),
 }
 
 THEOREM_IDS = tuple(sid for sid, s in STATEMENTS.items() if s.theorem)
@@ -992,18 +952,33 @@ def _record_violation(statement, rec, inst, report, cert_dir):
 
 
 def _stream(statement, rec, scope):
+    """The instances of a scope, after one eager check of its parameters.
+
+    An exhaustive scope calls the statement's stream builder.  A randomized
+    scope seeds one rng and calls the statement's draw once per trial.  The
+    first draw is made at once, so a draw's own check (the random eta/psi
+    cap, say) rejects the scope even when it asks for no trials.
+    """
     if scope.mode == "exhaustive":
         if rec.exhaustive is None:
             raise InfeasibleScopeError(
                 f"{statement} has no exhaustive instance domain; use a randomized scope"
             )
-        return rec.exhaustive(rec.cap, scope.params)
+        _check_params(rec.exhaustive, scope.params)
+        return rec.exhaustive(rec.cap, **scope.params)
     if scope.mode == "randomized":
         if scope.seed is None:
             raise ValueError("randomized scope requires a seed")
+        if scope.trials < 0:
+            raise ValueError(f"trial count must not be negative, got {scope.trials}")
         if scope.trials > MAX_RANDOM_TRIALS:
             raise InfeasibleScopeError("trial budget beyond the cap table")
-        return rec.randomized(random.Random(scope.seed), scope.trials, scope.params)
+        _check_params(rec.randomized, scope.params)
+        draw = functools.partial(rec.randomized, **scope.params)
+        rng = random.Random(scope.seed)
+        first = draw(rng)
+        return itertools.islice(
+            itertools.chain([first], map(draw, itertools.repeat(rng))), scope.trials)
     raise ValueError(f"unknown scope mode {scope.mode!r}")
 
 

@@ -486,6 +486,13 @@ class TestErrorsAndManifest:
          "parameter 'ells' must not be empty"),
         (["verify", "STRONG_CAMWAN_1_12", "--exhaustive", "--param", "max_order=-1"],
          "parameter 'max_order' must not be negative, got -1"),
+        # so is the trial count, and the random eta/psi cap holds at 0 trials
+        (["verify", "DRISKO_1_5", "--random", "-5", "--seed", "1"],
+         "trial count must not be negative, got -5"),
+        (["hunt", "CONJ_RBS_1_1", "--budget", "-3", "--seed", "1"],
+         "trial count must not be negative, got -3"),
+        (["verify", "ETA_GE_PSI_2_5", "--random", "0", "--seed", "1", "--param", "vertices=9"],
+         "random eta/psi capped at 8 vertices"),
     ])
     def test_param_of_the_wrong_kind_is_a_usage_error(self, argv, message, monkeypatch,
                                                       capsys):

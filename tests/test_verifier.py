@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -12,7 +13,7 @@ from trimatch import verifier
 from trimatch.errors import BudgetExceededError, InfeasibleScopeError
 from trimatch.game import line_graph, psi, psi_at_least
 from trimatch.solver import SolveResult, find_bounded_diagonal
-from trimatch.structures import LatinSquare, TriHypergraph, is_p_simple, max_degree
+from trimatch.structures import Graph, LatinSquare, TriHypergraph, is_p_simple, max_degree
 from trimatch.verifier import (
     ALL_STATEMENT_IDS,
     CONJECTURE_IDS,
@@ -97,9 +98,10 @@ class TestVerify:
         report = verify("ETA_GE_PSI_2_5",
                         Scope("randomized", trials=5, seed=3, params={"vertices": 8}))
         assert report.instances_checked == 5 and report.violations == []
-        with pytest.raises(InfeasibleScopeError):
-            verify("ETA_GE_PSI_2_5",
-                   Scope("randomized", trials=1, seed=3, params={"vertices": 9}))
+        for trials in (0, 1):  # the cap holds even before the first trial
+            with pytest.raises(InfeasibleScopeError):
+                verify("ETA_GE_PSI_2_5",
+                       Scope("randomized", trials=trials, seed=3, params={"vertices": 9}))
 
     def test_scope_beyond_caps_rejected(self):
         with pytest.raises(InfeasibleScopeError):
@@ -196,15 +198,51 @@ ROUND_TRIP_SCOPES = [
 ]
 
 
+# SHA-256 of the sorted-key JSON list of each ROUND_TRIP_SCOPES stream's
+# serialized instances.  All but STRONG_CAMWAN_1_12 were recorded when each
+# statement still ran its own trial loop; they check that the one loop over
+# draws consumes the rng as those loops did.  STRONG_CAMWAN_1_12 is recorded
+# from the draw loop: its rows used to come from a second rng seeded by 48
+# bits of the sweep's, and now come from the sweep's rng itself, so a seed
+# names other squares (every one row-Latin, as before).
+STREAM_DIGESTS = {
+    "DRISKO_1_5": "ce02a6af736b3859111754ea3363d88801e7729844b35708d176607c5d6ca1fe",
+    "ALMOST_DRISKO_1_9": "c6d5c59954292205961e7aea68e659de09c0de692d029e9cb4bb85e8958fd226",
+    "CAMWAN_1_10": "3d85413b6db5a70c04a8729f1ecb2b051fbe7f08c4dd2c0ceaddb123b8b649a8",
+    "TOPHALL_2_3": "d57e524716cf1d489f9034b4da07ba039efca3a13a53b4d9dc3c18ac52c7c3f1",
+    "ETA_GE_PSI_2_5": "0fb04a8c717905958a1d95511448125321e01428cac6412f532f7932a1c148f4",
+    "LEMMA_3_1": "5afffc5177b1ad4ebfee6efa2a8353465e1d3e610d42684848ee5839fe776847",
+    "IMPROVED_1_7": "5b8ba3bdb87fa401babf4873fa1744d306a4a7c9436fe4000fd97881e846d2ac",
+    "ACCOMMODATING_1_8": "01c33ccee47bad914e2e941a3394a7c705cf099f8bdc449645ab3175f53164a1",
+    "STRONG_CAMWAN_1_12": "0ace9d5466f4776993742861a288383cb92809611f1c40dbb39923ab2e432768",
+    "TOPHALL_DEF_2_4": "b5081974d7c6132eac51fd2f7e05f7c7f37cbca342a590f4f021dbe1439f9d17",
+    "CONJ_RBS_1_1": "912afc3482ff7fc3a04d743c98d465f870d89b05a297229d71be1d16d0d9b66c",
+    "CONJ_STEIN_1_2": "1ac4b892f5178204604f113d2c342f15cecbfedbc198e26263c865f202dbacc1",
+    "CONJ_SYM_1_3": "b908f844baccb02932559ccec8c5ff55eae311b2621c4130d15285a1709bf6e3",
+    "CONJ_AB_1_4": "5b1bea3b1141267d9d1de27d8cd8ace3b7ab56fb78e4d5e0d9be5a7967c4b9c2",
+    "CONJ_DRISKO_1_6": "04c1d1e1c635675ab3d3791032152b45148224ff56d6dd56a1e2dc2aa7a765ee",
+    "CONJ_FRACD_5_1": "4898d32ac45e16d7334f6e8cfaf70d3a945cf36fc6beacfb09d2364bb976c0af",
+    "CONJ_ASYM_5_2": "9b47408e51ca3d388354900b64022b5259871c7b83cefbd7067cb2a4b70700ed",
+    "CONJ_GEN_5_3": "04c1d1e1c635675ab3d3791032152b45148224ff56d6dd56a1e2dc2aa7a765ee",
+    "REMARK_5_DOUBLE_DELTA": "b478a5c17c62a8a56fe129cd1de6f9f33d82b49bf97e6e8a40a6c48a6b3d4f53",
+}
+
+
 class TestSerialization:
     def test_round_trip_scopes_cover_every_statement(self):
         assert sorted(sid for sid, _ in ROUND_TRIP_SCOPES) == sorted(ALL_STATEMENT_IDS)
+        assert sorted(STREAM_DIGESTS) == sorted(ALL_STATEMENT_IDS)
+
+    @pytest.mark.parametrize("sid,scope", ROUND_TRIP_SCOPES)
+    def test_stream_is_pinned(self, sid, scope):
+        instances = verifier._stream(sid, verifier.STATEMENTS[sid], scope)
+        data = json.dumps([serialize_instance(sid, inst) for inst in instances], sort_keys=True)
+        assert hashlib.sha256(data.encode()).hexdigest() == STREAM_DIGESTS[sid]
 
     @pytest.mark.parametrize("sid,scope", ROUND_TRIP_SCOPES)
     def test_round_trip_preserves_judgement(self, sid, scope):
         rec = verifier.STATEMENTS[sid]
-        stream = rec.randomized(random.Random(scope.seed), scope.trials, scope.params)
-        for inst in stream:
+        for inst in verifier._stream(sid, rec, scope):
             payload = serialize_instance(sid, inst)
             payload2 = json.loads(json.dumps(payload))
             inst2 = deserialize_instance(sid, payload2)
@@ -219,11 +257,9 @@ class TestSerialization:
 class TestStdinStream:
     def test_judges_serialized_instances(self):
         scope = Scope("randomized", trials=4, seed=2, params={"n_values": [2]})
-        rng = random.Random(scope.seed)
-        payloads = [
-            serialize_instance("DRISKO_1_5", inst)
-            for inst in verifier.STATEMENTS["DRISKO_1_5"].randomized(rng, 4, scope.params)
-        ]
+        rec = verifier.STATEMENTS["DRISKO_1_5"]
+        payloads = [serialize_instance("DRISKO_1_5", inst)
+                    for inst in verifier._stream("DRISKO_1_5", rec, scope)]
         report = verify_serialized_stream("DRISKO_1_5", enumerate(payloads, start=1))
         assert report.instances_checked == 4
         assert report.violations == []
@@ -265,8 +301,8 @@ class TestStreamParams:
                             ("REMARK_5_DOUBLE_DELTA",
                              {"a_size": 3, "deg_a": 5, "bc_size": 10})]:
             rec = verifier.STATEMENTS[sid]
-            given = list(rec.randomized(random.Random(4), 5, params))
-            default = list(rec.randomized(random.Random(4), 5, {}))
+            given = list(verifier._stream(sid, rec, Scope("randomized", 5, 4, params)))
+            default = list(verifier._stream(sid, rec, Scope("randomized", 5, 4)))
             assert [serialize_instance(sid, i) for i in given] == \
                 [serialize_instance(sid, i) for i in default]
 
@@ -425,11 +461,24 @@ class TestGraphOracleViews:
         for record in report.violations:
             assert record["recheck"]["oracle_agrees"] is False
 
+    def test_oracle_gate_skips_graphs_beyond_its_vertex_limit(self, monkeypatch):
+        # 7 disjoint edges pass the edge gate, but psi_oracle takes at most
+        # 12 vertices: the candidate is kept with no oracle view
+        G = Graph(14, frozenset((2 * i, 2 * i + 1) for i in range(7)))
+        assert len(G.edges) <= verifier.PSI_ORACLE_EDGE_LIMIT
+        assert G.n > verifier.oracle.PSI_ORACLE_VERTEX_LIMIT
+        plant_conclusion(monkeypatch, "ETA_GE_PSI_2_5", lambda inst, optimum: False)
+        report = verify("ETA_GE_PSI_2_5", Scope("stdin"), instances=[{"graph": G}])
+        (record,) = report.violations
+        assert record["recheck"] == {"hypothesis": True, "conclusion": False}
+        assert report.disagreements == 0
+
     def test_passing_instances_agree_with_oracle(self):
         for sid, inst in [
             ("ETA_GE_PSI_2_5", {"graph": enumerate_graphs_up_to_iso(4)[-1]}),
-            ("LEMMA_3_1", next(verifier.STATEMENTS["LEMMA_3_1"].randomized(
-                random.Random(3), 1, {"ells": [2], "max_edges": 5}))),
+            ("LEMMA_3_1", next(verifier._stream(
+                "LEMMA_3_1", verifier.STATEMENTS["LEMMA_3_1"],
+                Scope("randomized", 1, 3, {"ells": [2], "max_edges": 5})))),
         ]:
             recheck = verifier._revalidate(verifier.STATEMENTS[sid],
                                            serialize_instance(sid, inst))
