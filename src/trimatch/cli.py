@@ -4,22 +4,25 @@ Every per-line verb (`nu`, `rainbow`, `diagonal`, `transversal`, `psi`,
 `psi-line`, `eta`, `betti`) is one row of `VERBS`, and every `gen`
 construction is one row of `GENERATORS`; `build_parser` and one driver read
 these tables.  One reader, `_read_input`, yields the JSON lines of `-i` or
-stdin to the solver verbs, `gen double-a` and `verify --stdin`, so
-`verify --stdin` judges each line as it is read and keeps no list of them.
+stdin to the solver verbs, `gen double-a` and `verify --stdin`, each line
+decoded once by its `parse` hook (`verifier.deserialize_instance` for
+`verify --stdin`), so `verify --stdin` judges each line as it is read and
+keeps no list of them.
 
 Machine-readable JSON goes to stdout (one line per instance), a short human
 summary and the run manifest go to stderr.  Exit codes: 0 success, 1 when
 a theorem-suite violation occurs or an asserted feasibility fails, 2 on
 usage errors (including an `-i` file that cannot be opened, reported with
 its path, malformed JSON, reported with its position, an input line that is
-not a JSON object, an input line that lacks a field, reported with its line
-and the field, and conflicting or missing `verify` scope flags), 3 when a
+not a JSON object, lacks a field or holds a value its constructor rejects,
+reported with its line, and conflicting or missing `verify` scope flags), 3 when a
 recorded violation is contradicted by its own re-check (a disagreement),
 and 4 when a search or complex exceeds its budget (`BudgetExceededError`),
 so no answer exists.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -68,8 +71,9 @@ def _read_input(args, manifest, parse=None):
     """Yield (line number, object) for each nonempty line of `-i` or stdin.
 
     Each line must be a JSON object; it is recorded in the manifest and
-    passed through `parse` when one is given.  A field that `parse` misses
-    is a usage error naming the line.
+    passed through `parse` when one is given.  A field that `parse` misses,
+    or a value it rejects with a ValueError, is a usage error naming the
+    line.
     """
     path = getattr(args, "input", None) or "-"
     try:
@@ -95,6 +99,8 @@ def _read_input(args, manifest, parse=None):
             except KeyError as exc:
                 raise _UsageError(
                     f"input line {lineno}: missing field {exc.args[0]!r}") from None
+            except ValueError as exc:
+                raise _UsageError(f"input line {lineno}: {exc}") from exc
             yield lineno, obj
     finally:
         if stream is not sys.stdin:
@@ -306,19 +312,21 @@ def _report_out(report, args, manifest):
 
 def _cmd_verify(args, manifest):
     params = _parse_params(args.param)
+    instances = None
     if args.stdin:
-        report = verifier.verify_serialized_stream(
-            args.statement, _read_input(args, manifest), cert_dir=args.cert_dir)
+        scope = verifier.Scope("stdin")
+        parse = functools.partial(verifier.deserialize_instance, args.statement)
+        instances = (inst for _, inst in _read_input(args, manifest, parse))
     elif args.exhaustive:
         scope = verifier.Scope("exhaustive", params=params)
-        report = verifier.verify(args.statement, scope, cert_dir=args.cert_dir)
     else:
         if args.seed is None:
             raise _UsageError("randomized verification requires --seed")
         manifest.seed = args.seed
         scope = verifier.Scope("randomized", trials=args.random, seed=args.seed,
                                params=params)
-        report = verifier.verify(args.statement, scope, cert_dir=args.cert_dir)
+    report = verifier.verify(args.statement, scope, cert_dir=args.cert_dir,
+                             instances=instances)
     _report_out(report, args, manifest)
     if report.disagreements:
         return DISAGREEMENT

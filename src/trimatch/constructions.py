@@ -4,13 +4,14 @@ instances.
 Deterministic generators are pure functions of their parameters; random
 generators are pure functions of (parameters, seed).  Each kind of object
 that needs a backtracking search has exactly one: `regular_completions`
-builds regular hypergraphs (the pinned-corner construction and the
-exhaustive regular sweep), and `latin_squares` fills Latin squares (the
-exhaustive stream, and with an rng `random_latin`).  A random draw such as
-`random_latin(n, rng)` makes one object from the caller's rng, so a
-seeded stream is a loop of draws on one rng.  Exhaustive streams
-emit in lexicographic order.  Every generator's output is validated
-against the hypothesis it targets by the tests, not assumed.
+builds regular hypergraphs (the exhaustive regular sweep), and
+`latin_squares` fills Latin squares (the exhaustive stream, and with an
+rng `random_latin`); the pinned-corner construction `gen_fracd_sharp` is
+closed-form.  A random draw such as `random_latin(n, rng)` makes one
+object from the caller's rng, so a seeded stream is a loop of draws on
+one rng.  Exhaustive streams emit in lexicographic order.  Every
+generator's output is validated against the hypothesis it targets by the
+tests, not assumed.
 """
 
 import itertools
@@ -145,9 +146,16 @@ def double_side_A(H):
 def gen_fracd_sharp(n):
     """(2n-2)-regular simple hypergraph on sides of size n with nu = n-1.
 
-    Three forced stars pin one vertex per side so that no single matching
-    covers all three; the rest of the grid is the first completion of the
-    residual triples to regularity.
+    Three forced stars pin vertex 0 of each side: their edges (0, 0, x),
+    (0, x, 0) and (x, 0, 0) for x = 1..n-1 give each 0-vertex degree 2n-2
+    and each other vertex degree 1.  Every forced edge holds two of the
+    three 0-vertices, so a matching takes at most one forced edge, leaves
+    some 0-vertex uncovered and has at most n-1 edges.  The rest are the
+    first 2n-3 cyclic layers {(1+i, 1+(i+s) mod (n-1), 1+(i+t) mod (n-1))}
+    of {1..n-1}^3, taking (s, t) in lexicographic order.  Distinct layers
+    are disjoint perfect matchings of that grid, so the result is simple
+    and every vertex reaches degree 2n-2; one layer alone is a matching of
+    size n-1.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -156,12 +164,10 @@ def gen_fracd_sharp(n):
         forced.append((0, 0, x))
         forced.append((0, x, 0))
         forced.append((x, 0, 0))
-    others = range(1, n)
-    candidates = list(itertools.product(others, repeat=3))
-    need = {(side, v): 2 * n - 3 for side in range(3) for v in others}
-    for chosen in regular_completions(candidates, need):
-        return TriHypergraph((n, n, n), tuple(forced) + chosen)
-    raise ConstructionError(f"no completion to a {2 * n - 2}-regular hypergraph was found")
+    m = n - 1
+    shifts = itertools.islice(itertools.product(range(m), repeat=2), 2 * n - 3)
+    layers = [(1 + i, 1 + (i + s) % m, 1 + (i + t) % m) for s, t in shifts for i in range(m)]
+    return TriHypergraph((n, n, n), tuple(forced + layers))
 
 
 def enumerate_regular_simple(n, d):
@@ -311,10 +317,10 @@ def gen_row_latin(n, mode, seed=None, count=None):
     """Stream of row-Latin squares (each row an independent permutation).
 
     The cyclic Latin square is row-Latin, so the cyclic stream is that of
-    `gen_latin`.  The exhaustive stream fixes the first row to the identity
-    and is capped at order 4.
+    `gen_latin`.  The exhaustive stream is `row_latin_squares`, capped at
+    order 4.
     """
-    return _square_stream(n, mode, seed, count, random_row_latin, _row_latin_squares,
+    return _square_stream(n, mode, seed, count, random_row_latin, row_latin_squares,
                           EXHAUSTIVE_ROW_LATIN_CAP)
 
 
@@ -328,7 +334,9 @@ def random_row_latin(n, rng):
     return LatinSquare(n, tuple(rows))
 
 
-def _row_latin_squares(n):
+def row_latin_squares(n):
+    """Every row-Latin square of order n whose first row is the identity,
+    in lexicographic order of the later rows."""
     if n == 0:
         return [LatinSquare(0, ())]
     first = tuple(range(n))

@@ -274,19 +274,26 @@ def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
         left[pick_side][pick_class] = r
 
     rec(*fronts)
-    witness = Matching(frozenset(best_edges))
-    _validate_hyper_matching(H, witness, best)
-    return SolveResult(optimum=best, witness=witness, nodes_explored=nodes)
+    _validate_hyper_matching(H, best_edges, best)
+    return SolveResult(optimum=best, witness=Matching(frozenset(best_edges)),
+                       nodes_explored=nodes)
 
 
-def _validate_hyper_matching(H, matching, claimed):
-    if len(matching) != claimed:
+def _disjoint(edges):
+    """True iff no two of the listed edges, a repeated edge included, share
+    a vertex in one side."""
+    return all(len(set(side)) == len(edges) for side in zip(*edges))
+
+
+def _validate_hyper_matching(H, edges, claimed):
+    if len(edges) != claimed:
         raise AssertionError("witness size does not match the reported optimum")
     support = set(H.support())
-    for e in matching.edges:
+    for e in edges:
         if e not in support:
             raise AssertionError(f"witness edge {e} is not in the hypergraph")
-    # Matching() already rejects edges sharing a vertex in any side.
+    if not _disjoint(edges):
+        raise AssertionError("witness edges share a vertex")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +325,8 @@ def _validate_rainbow(F, witness, claimed):
     for i, edge in witness:
         if edge not in F.members[i].edges:
             raise AssertionError(f"edge {edge} not in member {i}")
-    Matching(frozenset(edge for _, edge in witness))  # disjointness
+    if not _disjoint([edge for _, edge in witness]):
+        raise AssertionError("rainbow witness edges share a vertex")
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +380,7 @@ def find_bounded_diagonal(L, bound, *, node_budget=DEFAULT_NODE_BUDGET):
         rec(row + 1)  # leave this row unused
 
     rec(0)
+    _validate_diagonal(L, best_cells, bound, best)
     if best == n:
         entries = [0] * n
         for row, col in best_cells:
@@ -379,7 +388,6 @@ def find_bounded_diagonal(L, bound, *, node_budget=DEFAULT_NODE_BUDGET):
         witness = Diagonal(tuple(entries))
     else:
         witness = tuple(sorted(best_cells))
-    _validate_diagonal(L, best_cells, bound, best)
     return SolveResult(optimum=best, witness=witness, nodes_explored=nodes)
 
 

@@ -3,8 +3,9 @@
 Every catalogued statement is one `Statement` record in `STATEMENTS`: its
 instance kind, a hypothesis predicate, a conclusion predicate, a random
 draw and, for some, an exhaustive stream.  A draw, `draw(rng, *, params)`,
-makes one instance; a stream builder, `stream(cap, *, params)`, yields
-every instance up to its cap.  `verify` sweeps a scope (exhaustive at tiny
+makes one instance; a stream builder, `stream(*, params)`, yields every
+instance its parameters name, once `verify` has held them to the
+statement's cap.  `verify` sweeps a scope (exhaustive at tiny
 sizes, seeded randomized at small sizes, or instances read from stdin) and
 records every hypothesis-true, conclusion-false instance as a violation;
 `hunt` does the same for conjectures with a trial budget.  A randomized
@@ -24,6 +25,7 @@ enough, by the oracle, through the same predicate.
 import functools
 import itertools
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -152,7 +154,7 @@ class _Codec:
     to_json: object
     from_json: object
     raw_keys: set  # keys of a raw object straight out of `gen`
-    raw_params: object  # raw object -> the parameters derived from it
+    raw_params: object  # decoded raw object -> the parameters derived from it
     solve: object
     oracle: object
     required: tuple = ()
@@ -190,7 +192,7 @@ class _Codec:
 SWEEP_TABLE_LIMIT = 200_000
 
 
-def _no_params(data):
+def _no_params(obj):
     return {}
 
 
@@ -257,7 +259,7 @@ def _solve_lemma(inst, target=None, memo=None):
 _FAMILY = _Codec(
     "family", family_to_json, family_from_json,
     raw_keys={"graph", "members"},
-    raw_params=lambda data: {"n": (len(data["members"]) + 1) // 2},
+    raw_params=lambda F: {"n": (len(F.members) + 1) // 2},
     solve=lambda inst, target=None: find_rainbow_matching(
         inst["family"], target=target).optimum,
     oracle=_family_oracle,
@@ -266,7 +268,7 @@ _FAMILY = _Codec(
 _HYPER = _Codec(
     "hyper", hypergraph_to_json, hypergraph_from_json,
     raw_keys={"sides", "edges"},
-    raw_params=lambda data: {"n": data["sides"][0]},
+    raw_params=lambda H: {"n": H.side_sizes[0]},
     solve=lambda inst, target=None: max_matching_size(inst["hyper"], target=target).optimum,
     oracle=_hyper_oracle,
     optional={"n": None, "d": None},
@@ -290,7 +292,7 @@ _GRAPH = _Codec(
 _PARTITION = _Codec(
     "pgraph", partitioned_graph_to_json, partitioned_graph_from_json,
     raw_keys={"graph", "parts"},
-    raw_params=lambda data: {"deficiency": 0},
+    raw_params=lambda P: {"deficiency": 0},
     solve=lambda inst, target=None: find_independent_transversal(
         inst["pgraph"], deficiency=inst["deficiency"]).optimum,
     oracle=_partition_oracle,
@@ -299,7 +301,7 @@ _PARTITION = _Codec(
 _LEMMA = _Codec(
     "bipartite", bipartite_graph_to_json, bipartite_graph_from_json,
     raw_keys={"left", "right", "edges"},
-    raw_params=lambda data: {"ell": 2},
+    raw_params=lambda G: {"ell": 2},
     solve=_solve_lemma,
     oracle=lambda inst: _psi_oracle(line_graph(inst["bipartite"])),
     required=("ell",),
@@ -564,13 +566,26 @@ def enumerate_graphs_up_to_iso(n):
     return graph_classes(max(n, 0))[-1]
 
 
-@functools.lru_cache(maxsize=1)
-def ascending_sequences(n, lo=0):
-    """All ascending sequences of length 2n-1 with entries in [lo, n].
+def ascending_sequences(n):
+    """All ascending sequences of length 2n-1 with entries in [0, n], in
+    lexicographic order; there are comb(3n - 1, 2n - 1) of them."""
+    return itertools.combinations_with_replacement(range(n + 1), 2 * n - 1)
 
-    The last answer is kept, so a sweep of accommodating draws builds the
-    tuple once (12 376 sequences at n = 6), not once per draw."""
-    return tuple(itertools.combinations_with_replacement(range(lo, n + 1), 2 * n - 1))
+
+def _ascending_sequence(n, index):
+    """The sequence at `index` of `ascending_sequences(n)`, built alone.
+
+    With r entries still to follow, the comb(n - v + r, r) sequences whose
+    next entry is v come before those whose next entry is v + 1, so each
+    entry skips whole blocks of the index until it lands in one."""
+    seq = []
+    v = 0
+    for r in range(2 * n - 2, -1, -1):
+        while index >= (block := math.comb(n - v + r, r)):
+            index -= block
+            v += 1
+        seq.append(v)
+    return tuple(seq)
 
 
 def is_accommodating_shaped(a, n):
@@ -626,23 +641,18 @@ def _check_params(builder, params):
         _check_kind(name, value, defaults[name])
 
 
-# exhaustive stream builders: stream(cap, *, params) -> iterator of instances
+# exhaustive stream builders: stream(*, params) -> iterator of instances;
+# `_stream` holds each parameter to the statement's cap before it calls one
 
 
-def _ex_eta_psi(cap, *, max_vertices=6):
-    if max_vertices > cap["max_vertices"]:
-        raise InfeasibleScopeError(
-            f"exhaustive eta/psi capped at {cap['max_vertices']} vertices")
+def _ex_eta_psi(*, max_vertices=6):
     for level in graph_classes(max_vertices):
         for G in level:
             yield {"graph": G}
 
 
 def _ex_squares(squares):
-    def stream(cap, *, max_order=4):
-        if max_order > cap["max_order"]:
-            raise InfeasibleScopeError(
-                f"exhaustive square sweep capped at order {cap['max_order']}")
+    def stream(*, max_order=4):
         for n in range(1, max_order + 1):
             for L in squares(n):
                 yield {"square": L}
@@ -650,9 +660,7 @@ def _ex_squares(squares):
     return stream
 
 
-def _ex_accommodating(cap, *, n=2):
-    if n > cap["max_n"]:
-        raise InfeasibleScopeError(f"exhaustive sequence sweep capped at n = {cap['max_n']}")
+def _ex_accommodating(*, n=2):
     # necessity direction only: each non-accommodating sequence yields its
     # constructed counterexample, expected to lack a rainbow n-matching
     for a in ascending_sequences(n):
@@ -662,10 +670,7 @@ def _ex_accommodating(cap, *, n=2):
         yield {"family": fam, "n": n, "expect": False}
 
 
-def _ex_fracd(cap, *, n=3, d=2):
-    if n > cap["max_n"] or d > cap["max_d"]:
-        raise InfeasibleScopeError(
-            f"exhaustive regular sweep capped at n={cap['max_n']}, d={cap['max_d']}")
+def _ex_fracd(*, n=3, d=2):
     for H in cons.enumerate_regular_simple(n, d):
         yield {"hyper": H, "n": n, "d": d}
 
@@ -694,8 +699,7 @@ def _ab_sizes(n, rng):
 
 
 def _draw_accommodating(rng, *, n=2):
-    sequences = ascending_sequences(n)
-    a = sequences[rng.randrange(len(sequences))]
+    a = _ascending_sequence(n, rng.randrange(math.comb(3 * n - 1, 2 * n - 1)))
     if is_accommodating_shaped(a, n):
         return {"family": _family_meeting_profile(a, n, rng), "n": n, "expect": True}
     return {"family": cons.gen_accommodating_counterexample(a, n), "n": n, "expect": False}
@@ -775,9 +779,11 @@ class Statement:
 
     `randomized` is the draw, `exhaustive` the stream builder (None when
     the statement has no finite domain).  `shipped` is the theorem-suite
-    scope, which must report zero violations; `cap` bounds the exhaustive
-    stream; `raw_params`, when set, replaces the codec's derivation of
-    parameters from raw objects.
+    scope, which must report zero violations.  `cap` maps keywords of the
+    stream builder to the largest value an exhaustive scope may ask for;
+    `_stream` checks it, the builder does not.  `raw_params`, when set,
+    replaces the codec's derivation of parameters from a decoded raw
+    object.
     """
 
     theorem: bool
@@ -803,8 +809,8 @@ def _randomized(trials, seed, **params):
     return Scope("randomized", trials=trials, seed=seed, params=params)
 
 
-def _n_from_a_side(data):
-    return {"n": (data["sides"][0] + 1) // 2}
+def _n_from_a_side(H):
+    return {"n": (H.side_sizes[0] + 1) // 2}
 
 
 STATEMENTS = {
@@ -816,22 +822,20 @@ STATEMENTS = {
         _randomized(300, 190042, n_values=[2, 3])),
     "ACCOMMODATING_1_8": _theorem(
         _FAMILY, _hyp_accommodating, _con_accommodating, _draw_accommodating,
-        _randomized(120, 190043, n=2), exhaustive=_ex_accommodating, cap={"max_n": 6}),
+        _randomized(120, 190043, n=2), exhaustive=_ex_accommodating, cap={"n": 6}),
     "ALMOST_DRISKO_1_9": _theorem(
         _HYPER, _hyp_almost_drisko, _reaches("n"), _draw_almost_drisko,
         _randomized(300, 190044, n_values=[2, 3]),
-        raw_params=lambda data: {"n": data["sides"][1]}),
+        raw_params=lambda H: {"n": H.side_sizes[1]}),
     "CAMWAN_1_10": _theorem(
         _SQUARE, _hyp_camwan, _con_full_diagonal, _draw_square(cons.random_latin),
         Scope("exhaustive", params={"max_order": 4}),
-        exhaustive=_ex_squares(lambda n: cons.gen_latin(n, "exhaustive")),
-        cap={"max_order": 4}),
+        exhaustive=_ex_squares(cons.latin_squares), cap={"max_order": 5}),
     "STRONG_CAMWAN_1_12": _theorem(
         _SQUARE, _hyp_strong_camwan, _con_full_diagonal,
         _draw_square(cons.random_row_latin),
         Scope("exhaustive", params={"max_order": 4}),
-        exhaustive=_ex_squares(lambda n: cons.gen_row_latin(n, "exhaustive")),
-        cap={"max_order": 4}),
+        exhaustive=_ex_squares(cons.row_latin_squares), cap={"max_order": 4}),
     "TOPHALL_2_3": _theorem(
         _PARTITION, _hyp_tophall, _con_transversal, _draw_tophall([0]),
         _randomized(120, 190045)),
@@ -850,15 +854,14 @@ STATEMENTS = {
     "CONJ_SYM_1_3": _conjecture(_HYPER, _hyp_sym, _reaches("n", 1), _draw_sym),
     "CONJ_AB_1_4": _conjecture(
         _FAMILY, _hyp_ab, _reaches("n", 1), _draw_family_profile(_ab_sizes),
-        raw_params=lambda data: {"n": len(data["members"])}),
+        raw_params=lambda F: {"n": len(F.members)}),
     "CONJ_DRISKO_1_6": _conjecture(
         _HYPER, _hyp_conj_drisko, _reaches("n"), _draw_conj_drisko,
         raw_params=_n_from_a_side),
     "CONJ_FRACD_5_1": _conjecture(
         _HYPER, _hyp_fracd, _con_fracd, _draw_fracd,
-        exhaustive=_ex_fracd, cap={"max_n": 3, "max_d": 2},
-        raw_params=lambda data: {"n": data["sides"][0],
-                                 "d": min_degree(hypergraph_from_json(data), "A")}),
+        exhaustive=_ex_fracd, cap={"n": 3, "d": 2},
+        raw_params=lambda H: {"n": H.side_sizes[0], "d": min_degree(H, "A")}),
     "CONJ_ASYM_5_2": _conjecture(_HYPER, _hyp_asym, _con_asym, _draw_asym),
     "CONJ_GEN_5_3": _conjecture(
         _HYPER, _hyp_conj_gen, _reaches("n"), _draw_conj_drisko,
@@ -887,7 +890,8 @@ def statement_kind(statement):
 
 
 def feasibility_caps():
-    """Per-statement exhaustive caps, plus the randomized trial cap."""
+    """Per-statement exhaustive caps, keyed by the stream builder's
+    parameter names, plus the randomized trial cap."""
     caps = {sid: dict(s.cap) for sid, s in STATEMENTS.items() if s.cap}
     caps["MAX_RANDOM_TRIALS"] = MAX_RANDOM_TRIALS
     return caps
@@ -898,26 +902,22 @@ def serialize_instance(statement, inst):
 
 
 def deserialize_instance(statement, data):
-    return _record(statement).codec.decode(data, statement)
+    """Decode a serialized instance, or a raw core-format object, once.
 
-
-def adapt_payload(statement, data):
-    """Accept either a serialized instance or a raw core-format object.
-
-    Raw objects straight out of `gen` are wrapped and their statement
-    parameters derived from the object itself (e.g. n from the number of
-    family members or the side sizes), so generator output pipes directly
-    into the verifier.
+    A raw object straight out of `gen` is decoded by the codec and its
+    statement parameters are derived from the decoded object (e.g. n from
+    the number of family members or the side sizes), so generator output
+    pipes directly into the verifier.  A payload that is neither, or whose
+    object its constructor rejects, raises a ValueError.
     """
     rec = _record(statement)
     codec = rec.codec
-    if not isinstance(data, dict):
-        raise ValueError("expected a JSON object")
     if codec.key in data:
-        return data
+        return codec.decode(data, statement)
     if not codec.raw_keys <= set(data):
         raise ValueError(f"cannot interpret payload for {statement}: keys {sorted(data)}")
-    return {codec.key: data, **(rec.raw_params or codec.raw_params)(data)}
+    obj = codec.from_json(data)
+    return codec._with_params(obj, (rec.raw_params or codec.raw_params)(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -954,10 +954,12 @@ def _record_violation(statement, rec, inst, report, cert_dir):
 def _stream(statement, rec, scope):
     """The instances of a scope, after one eager check of its parameters.
 
-    An exhaustive scope calls the statement's stream builder.  A randomized
-    scope seeds one rng and calls the statement's draw once per trial.  The
-    first draw is made at once, so a draw's own check (the random eta/psi
-    cap, say) rejects the scope even when it asks for no trials.
+    An exhaustive scope holds each parameter that the statement's `cap`
+    names, given or default, to its cap and then calls the stream builder.
+    A randomized scope seeds one rng and calls the statement's draw once
+    per trial.  The first draw is made at once, so a draw's own check (the
+    random eta/psi cap, say) rejects the scope even when it asks for no
+    trials.
     """
     if scope.mode == "exhaustive":
         if rec.exhaustive is None:
@@ -965,7 +967,13 @@ def _stream(statement, rec, scope):
                 f"{statement} has no exhaustive instance domain; use a randomized scope"
             )
         _check_params(rec.exhaustive, scope.params)
-        return rec.exhaustive(rec.cap, **scope.params)
+        params = {**rec.exhaustive.__kwdefaults__, **scope.params}
+        for name, cap in rec.cap.items():
+            if params[name] > cap:
+                raise InfeasibleScopeError(
+                    f"{statement}: exhaustive {name} is capped at {cap}, "
+                    f"asked for {params[name]}")
+        return rec.exhaustive(**scope.params)
     if scope.mode == "randomized":
         if scope.seed is None:
             raise ValueError("randomized scope requires a seed")
@@ -1022,23 +1030,6 @@ def verify(statement, scope, *, cert_dir=None, instances=None):
         if not holds:
             _record_violation(statement, rec, inst, report, cert_dir)
     return report
-
-
-def verify_serialized_stream(statement, payloads, *, cert_dir=None):
-    """Judge already-serialized instances (the stdin pipe mode).
-
-    `payloads` yields (input line number, serialized instance or raw `gen`
-    object) pairs.  A payload that cannot be decoded raises a ValueError
-    that names its line.
-    """
-    def instances():
-        for lineno, data in payloads:
-            try:
-                yield deserialize_instance(statement, adapt_payload(statement, data))
-            except ValueError as exc:
-                raise ValueError(f"input line {lineno}: {exc}") from exc
-
-    return verify(statement, Scope("stdin"), cert_dir=cert_dir, instances=instances())
 
 
 def hunt(statement, budget, seed, *, params=None, cert_dir=None):

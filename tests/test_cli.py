@@ -430,6 +430,24 @@ class TestErrorsAndManifest:
         assert out == ""
         assert f"error: input line 2: missing field '{field}'" in err
 
+    @pytest.mark.parametrize("argv,good,line,message", [
+        (["nu"], '{"sides": [1, 1, 1], "edges": [[0, 0, 0]]}',
+         '{"sides": [1, 1, 1], "edges": [[5, 0, 0]]}',
+         "edge (5, 0, 0) out of bounds for sides (1, 1, 1)"),
+        (["psi"], '{"vertices": 2, "edges": [[0, 1]]}', '{"vertices": 2, "edges": [[0, 2]]}',
+         "edge (0, 2) out of bounds"),
+        (["diagonal", "--bound", "2"], '{"n": 1, "cells": [[0]]}',
+         '{"n": 2, "cells": [[0, 2], [1, 0]]}', "symbol 2 out of range [0, 2)"),
+        (["gen", "double-a"], '{"sides": [1, 1, 1], "edges": [[0, 0, 0]]}',
+         '{"sides": [1, -1, 1], "edges": []}', "side_sizes must be three non-negative counts"),
+    ])
+    def test_out_of_range_value_names_its_line(self, argv, good, line, message, monkeypatch,
+                                               capsys):
+        code, _, err = run_cli(argv, f"{good}\n{line}\n", monkeypatch, capsys)
+        assert code == 2
+        assert f"error: input line 2: {message}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv,good,line", [
         (["psi"], '{"vertices": 2, "edges": [[0, 1]]}', "[1, 2]"),
         (["verify", "ETA_GE_PSI_2_5", "--stdin"], '{"vertices": 2, "edges": []}', "[1, 2]"),

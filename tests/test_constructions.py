@@ -91,18 +91,19 @@ class TestP3Family:
 
 
 class TestFracdSharp:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_regular_simple(self, n):
         H = cons.gen_fracd_sharp(n)
         assert H.side_sizes == (n, n, n)
         assert H.is_simple()
         assert is_regular(H, 2 * n - 2)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_nu_is_n_minus_1(self, n):
         H = cons.gen_fracd_sharp(n)
         assert max_matching_size(H).optimum == n - 1
-        assert oracle.matching_number_oracle(H) == n - 1
+        if n <= 3:
+            assert oracle.matching_number_oracle(H) == n - 1
 
     def test_special_stars_have_full_degree(self):
         H = cons.gen_fracd_sharp(3)
@@ -110,9 +111,9 @@ class TestFracdSharp:
         assert degree(H, "B", 0) == 4
         assert degree(H, "C", 0) == 4
 
-    # pinned outputs: a change of the completion search's order changes them
-    GOLDEN = {2: "6d38a62739188062", 3: "3f641917c020b7f7", 4: "d42e8d92b6faf6df",
-              5: "ab78e156fd4e7799", 6: "58c617bfc09d635d"}
+    # pinned outputs: a change of the layers or of their order changes them
+    GOLDEN = {2: "6d38a62739188062", 3: "3f641917c020b7f7", 4: "96702bb65b3f849c",
+              5: "0d950ddc6343abf9", 6: "d7461f5628aa29b9"}
 
     @pytest.mark.parametrize("n", sorted(GOLDEN))
     def test_golden_edges(self, n):

@@ -446,3 +446,33 @@ def test_nu_matches_subset_enumeration(seed):
     rng = random.Random(seed)
     H = random_hypergraph(rng, max_edges=10)
     assert max_matching_size(H).optimum == oracle.matching_number_oracle(H)
+
+
+class TestWitnessValidators:
+    """Each validator checks the witness list itself and rejects a broken
+    one with an AssertionError, before any Matching or Diagonal is built."""
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 0, 0), (0, 2, 1)],  # two edges on symbol 0
+        [(0, 0, 0), (0, 0, 0)],  # one edge used twice
+    ])
+    def test_hyper_matching_that_shares_a_vertex(self, edges):
+        with pytest.raises(AssertionError, match="share a vertex"):
+            solver._validate_hyper_matching(latin_to_hypergraph(cyclic_latin(3)), edges, 2)
+
+    @pytest.mark.parametrize("witness", [
+        [(0, (0, 0)), (1, (0, 0))],  # one host edge for two members
+        [(0, (0, 0)), (2, (1, 0))],  # two edges on right vertex 0
+    ])
+    def test_rainbow_that_shares_a_vertex(self, witness):
+        with pytest.raises(AssertionError, match="share a vertex"):
+            solver._validate_rainbow(gen_drisko_extremal(3), witness, 2)
+
+    def test_diagonal_that_repeats_a_column(self):
+        with pytest.raises(AssertionError, match="repeats a row or column"):
+            solver._validate_diagonal(cyclic_latin(3), [(0, 0), (1, 0)], 2, 2)
+
+    def test_transversal_that_is_not_independent(self):
+        P = PartitionedGraph(Graph(2, frozenset({(0, 1)})), (frozenset({0}), frozenset({1})))
+        with pytest.raises(AssertionError, match="not independent"):
+            solver._validate_transversal(P, (0, 1), 2)

@@ -1,19 +1,32 @@
 import dataclasses
 import hashlib
+import inspect
+import io
 import itertools
 import json
+import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+from trimatch import cli
 from trimatch import constructions as cons
 from trimatch import verifier
 from trimatch.errors import BudgetExceededError, InfeasibleScopeError
 from trimatch.game import line_graph, psi, psi_at_least
 from trimatch.solver import SolveResult, find_bounded_diagonal
-from trimatch.structures import Graph, LatinSquare, TriHypergraph, is_p_simple, max_degree
+from trimatch.structures import (
+    Graph,
+    LatinSquare,
+    TriHypergraph,
+    family_to_json,
+    hypergraph_to_json,
+    is_p_simple,
+    max_degree,
+)
 from trimatch.verifier import (
     ALL_STATEMENT_IDS,
     CONJECTURE_IDS,
@@ -24,7 +37,6 @@ from trimatch.verifier import (
     hunt,
     serialize_instance,
     verify,
-    verify_serialized_stream,
 )
 
 
@@ -49,12 +61,22 @@ class TestCatalog:
         assert tuple(verifier.SHIPPED_SCOPES) == THEOREM_IDS
         assert verifier.feasibility_caps() == {
             "ETA_GE_PSI_2_5": {"max_vertices": 8},
-            "CAMWAN_1_10": {"max_order": 4},
+            "CAMWAN_1_10": {"max_order": 5},
             "STRONG_CAMWAN_1_12": {"max_order": 4},
-            "ACCOMMODATING_1_8": {"max_n": 6},
-            "CONJ_FRACD_5_1": {"max_n": 3, "max_d": 2},
+            "ACCOMMODATING_1_8": {"n": 6},
+            "CONJ_FRACD_5_1": {"n": 3, "d": 2},
             "MAX_RANDOM_TRIALS": 1_000_000,
         }
+
+    def test_caps_are_keywords_of_the_exhaustive_builder(self):
+        # _stream checks every cap; a builder takes only keyword parameters
+        for sid, rec in verifier.STATEMENTS.items():
+            if rec.exhaustive is None:
+                assert rec.cap is None, sid
+                continue
+            kinds = {p.kind for p in inspect.signature(rec.exhaustive).parameters.values()}
+            assert kinds == {inspect.Parameter.KEYWORD_ONLY}, sid
+            assert rec.cap and set(rec.cap) <= set(rec.exhaustive.__kwdefaults__), sid
 
     def test_kinds_partition(self):
         assert set(THEOREM_IDS) & set(CONJECTURE_IDS) == set()
@@ -108,6 +130,27 @@ class TestVerify:
             verify("ETA_GE_PSI_2_5", Scope("exhaustive", params={"max_vertices": 9}))
         with pytest.raises(InfeasibleScopeError):
             verify("STRONG_CAMWAN_1_12", Scope("exhaustive", params={"max_order": 6}))
+
+    @pytest.mark.parametrize("sid,params,name,cap,asked", [
+        ("ETA_GE_PSI_2_5", {"max_vertices": 9}, "max_vertices", 8, 9),
+        ("CAMWAN_1_10", {"max_order": 6}, "max_order", 5, 6),
+        ("STRONG_CAMWAN_1_12", {"max_order": 5}, "max_order", 4, 5),
+        ("ACCOMMODATING_1_8", {"n": 7}, "n", 6, 7),
+        ("CONJ_FRACD_5_1", {"n": 4}, "n", 3, 4),
+        ("CONJ_FRACD_5_1", {"d": 3}, "d", 2, 3),
+    ])
+    def test_over_cap_scope_is_rejected_before_the_stream_is_returned(self, sid, params, name,
+                                                                      cap, asked):
+        message = f"{sid}: exhaustive {name} is capped at {cap}, asked for {asked}"
+        with pytest.raises(InfeasibleScopeError, match=f"^{re.escape(message)}$"):
+            verifier._stream(sid, verifier.STATEMENTS[sid], Scope("exhaustive", params=params))
+
+    def test_the_registry_cap_alone_bounds_a_square_sweep(self):
+        sid = "STRONG_CAMWAN_1_12"
+        rec = dataclasses.replace(verifier.STATEMENTS[sid], cap={"max_order": 5})
+        stream = verifier._stream(sid, rec, Scope("exhaustive", params={"max_order": 5}))
+        square = next(inst["square"] for inst in stream if inst["square"].order == 5)
+        assert square.cells[0] == (0, 1, 2, 3, 4) and square.is_row_latin()
 
     def test_exhaustive_unavailable_statements_rejected(self):
         with pytest.raises(InfeasibleScopeError):
@@ -255,31 +298,83 @@ class TestSerialization:
 
 
 class TestStdinStream:
-    def test_judges_serialized_instances(self):
+    """`verify --stdin` decodes each line once, through the CLI's one reader."""
+
+    @staticmethod
+    def run(statement, lines, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+        code = cli.main(["verify", statement, "--stdin"])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_judges_serialized_instances(self, monkeypatch, capsys):
         scope = Scope("randomized", trials=4, seed=2, params={"n_values": [2]})
         rec = verifier.STATEMENTS["DRISKO_1_5"]
-        payloads = [serialize_instance("DRISKO_1_5", inst)
-                    for inst in verifier._stream("DRISKO_1_5", rec, scope)]
-        report = verify_serialized_stream("DRISKO_1_5", enumerate(payloads, start=1))
-        assert report.instances_checked == 4
-        assert report.violations == []
+        lines = [json.dumps(serialize_instance("DRISKO_1_5", inst))
+                 for inst in verifier._stream("DRISKO_1_5", rec, scope)]
+        # a raw family straight out of `gen` is accepted next to them
+        lines.append(json.dumps(family_to_json(cons.gen_drisko_extremal(2))))
+        code, out, _ = self.run("DRISKO_1_5", lines, monkeypatch, capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["instances_checked"] == 5
+        assert report["violations"] == []
 
-    def test_undecodable_payload_names_its_line(self):
-        payloads = [(1, {"graph": {"vertices": 2, "edges": [[0, 1]]}}), (3, {"edges": []})]
-        with pytest.raises(ValueError, match="input line 3: cannot interpret payload"):
-            verify_serialized_stream("ETA_GE_PSI_2_5", payloads)
+    def test_undecodable_payload_names_its_line(self, monkeypatch, capsys):
+        lines = ['{"graph": {"vertices": 2, "edges": [[0, 1]]}}', "", '{"edges": []}']
+        code, out, err = self.run("ETA_GE_PSI_2_5", lines, monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert "error: input line 3: cannot interpret payload for ETA_GE_PSI_2_5" in err
 
-    def test_raw_hypergraph_without_edges_is_undecodable(self):
+    def test_raw_hypergraph_without_edges_is_undecodable(self, monkeypatch, capsys):
         # CONJ_FRACD_5_1 derives d from the edges of a raw hypergraph
-        with pytest.raises(ValueError, match="input line 1: cannot interpret payload"):
-            verify_serialized_stream("CONJ_FRACD_5_1", [(1, {"sides": [2, 2, 2]})])
+        code, _, err = self.run("CONJ_FRACD_5_1", ['{"sides": [2, 2, 2]}'], monkeypatch, capsys)
+        assert code == 2
+        assert "error: input line 1: cannot interpret payload" in err
 
     @pytest.mark.parametrize("data", [[1, 2], 5, "graph", None])
-    def test_payload_that_is_not_an_object_is_rejected(self, data):
-        with pytest.raises(ValueError, match="^expected a JSON object$"):
-            verifier.adapt_payload("ETA_GE_PSI_2_5", data)
-        with pytest.raises(ValueError, match="^input line 4: expected a JSON object$"):
-            verify_serialized_stream("ETA_GE_PSI_2_5", [(4, data)])
+    def test_payload_that_is_not_an_object_is_rejected(self, data, monkeypatch, capsys):
+        lines = ['{"vertices": 2, "edges": []}', "", "", json.dumps(data)]
+        code, out, err = self.run("ETA_GE_PSI_2_5", lines, monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: input line 4: expected a JSON object\n")
+
+    @pytest.mark.parametrize("sid,line,message", [
+        # the raw object's parameters come from the decoded object, so its
+        # constructor rejects it first
+        ("CONJ_DRISKO_1_6", '{"sides": [], "edges": []}',
+         "side_sizes must be three non-negative counts"),
+        ("CONJ_FRACD_5_1", '{"sides": [1, 1, 1], "edges": [[5, 0, 0]]}',
+         "edge (5, 0, 0) out of bounds for sides (1, 1, 1)"),
+        ("CONJ_AB_1_4", '{"graph": {"left": 1, "right": 1, "edges": []}, "members": [[[0, 0]]]}',
+         "member 0 uses edge (0, 0) outside the host"),
+        ("CAMWAN_1_10", '{"square": {"n": 2, "cells": [[0, 1]]}}',
+         "cells must form an n x n grid"),
+    ])
+    def test_out_of_range_value_names_its_line(self, sid, line, message, monkeypatch, capsys):
+        code, out, err = self.run(sid, [line], monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert f"error: input line 1: {message}" in err
+        assert "Traceback" not in err
+
+    def test_each_raw_line_is_decoded_once(self, monkeypatch, capsys):
+        calls = []
+        real = verifier.hypergraph_from_json
+
+        def counting(data):
+            calls.append(data)
+            return real(data)
+
+        # both the codec's decoder and the module name, which a parameter
+        # derivation from the raw JSON would have to call again
+        monkeypatch.setattr(verifier, "hypergraph_from_json", counting)
+        monkeypatch.setitem(verifier.STATEMENTS, "CONJ_FRACD_5_1", dataclasses.replace(
+            verifier.STATEMENTS["CONJ_FRACD_5_1"],
+            codec=dataclasses.replace(verifier._HYPER, from_json=counting)))
+        H = hypergraph_to_json(cons.enumerate_regular_simple(3, 2)[0])
+        code, out, _ = self.run("CONJ_FRACD_5_1", [json.dumps(H)] * 2, monkeypatch, capsys)
+        assert code == 0 and json.loads(out)["hypothesis_hits"] == 2
+        assert calls == [H, H]
 
 
 class TestStreamParams:
@@ -381,6 +476,25 @@ class TestCheckAccommodating:
         for a in ((2, 1, 1), (0, 1)):
             with pytest.raises(ValueError):
                 cons.gen_accommodating_counterexample(a, 2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_unranking_follows_the_table(self, n):
+        table = list(verifier.ascending_sequences(n))
+        assert len(table) == math.comb(3 * n - 1, 2 * n - 1)
+        assert [verifier._ascending_sequence(n, i) for i in range(len(table))] == table
+
+    def test_draws_build_no_table(self):
+        # the table at n = 12 would hold comb(35, 23) = 834 451 800 sequences
+        scope = Scope("randomized", trials=100, seed=1, params={"n": 12})
+        tracemalloc.start()
+        try:
+            stream = verifier._stream("ACCOMMODATING_1_8",
+                                      verifier.STATEMENTS["ACCOMMODATING_1_8"], scope)
+            assert sum(1 for _ in stream) == 100
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestHunt:
