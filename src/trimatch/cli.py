@@ -14,11 +14,11 @@ summary and the run manifest go to stderr.  Exit codes: 0 success, 1 when
 a theorem-suite violation occurs or an asserted feasibility fails, 2 on
 usage errors (including an `-i` file that cannot be opened, reported with
 its path, malformed JSON, reported with its position, an input line that is
-not a JSON object, lacks a field or holds a value its constructor rejects,
-reported with its line, and conflicting or missing `verify` scope flags), 3 when a
-recorded violation is contradicted by its own re-check (a disagreement),
-and 4 when a search or complex exceeds its budget (`BudgetExceededError`),
-so no answer exists.
+not a JSON object, lacks a field, or holds a value of the wrong JSON type or
+one its constructor rejects, reported with its line, and conflicting or
+missing `verify` scope flags), 3 when a recorded violation is contradicted
+by its own re-check (a disagreement), and 4 when a search or complex
+exceeds its budget (`BudgetExceededError`), so no answer exists.
 """
 
 import argparse
@@ -72,8 +72,8 @@ def _read_input(args, manifest, parse=None):
 
     Each line must be a JSON object; it is recorded in the manifest and
     passed through `parse` when one is given.  A field that `parse` misses,
-    or a value it rejects with a ValueError, is a usage error naming the
-    line.
+    or a value it rejects with a ValueError or a TypeError (a value of the
+    wrong JSON type), is a usage error naming the line.
     """
     path = getattr(args, "input", None) or "-"
     try:
@@ -99,7 +99,7 @@ def _read_input(args, manifest, parse=None):
             except KeyError as exc:
                 raise _UsageError(
                     f"input line {lineno}: missing field {exc.args[0]!r}") from None
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise _UsageError(f"input line {lineno}: {exc}") from exc
             yield lineno, obj
     finally:

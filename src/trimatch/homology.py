@@ -3,10 +3,21 @@
 Betti numbers are computed from boundary-matrix ranks of the augmented
 chain complex (the empty face is a genuine face of dimension -1, and the
 boundary of a vertex is the empty face).  Each boundary map is built as
-sparse columns with +-1 entries and ranked by sparse elimination that
+sparse columns with +-1 entries and reduced by sparse elimination that
 prefers unit pivots; every step stays in the integers, so ranks are exact
 over the rationals and no floating point is involved anywhere.  The dense
 Bareiss and Fraction eliminations live in oracle.py as cross-checks.
+
+The maps are ranked bottom-up, d_0 first, and each is built with clearing
+(Chen and Kerber, "Persistent homology computation with a twist", EuroCG
+2011, in its low-to-high direction): the pivot columns P_j of d_j, which
+are j-faces, are left out of d_(j+1) as rows.  This keeps the rank exact:
+P_j is a column basis of d_j, so the kernel of d_j meets the span of the
+e_f, f in P_j, only in 0; the image of d_(j+1) lies in that kernel, so
+deleting the rows P_j from d_(j+1) is injective on its image.  d_(j+1) then
+has n_j - r_j = r_(j+1) + b_j rows instead of n_j.  Betti numbers come out
+one at a time, lowest first, so `eta_homological` stops at the first
+nonzero one and never builds or ranks the maps above its answer.
 
 For a graph, `graph_eta` reduces on the adjacency bitmasks before any face
 is built.  Each rule preserves reduced rational homology, so each is exact:
@@ -19,16 +30,18 @@ is built.  Each rule preserves reduced rational homology, so each is exact:
 - Fold: if N(u) is contained in N(v) for u != v, then I(G) and I(G - v) are
   homotopy equivalent (Engstrom, "Independence complexes of claw-free
   graphs", Eur. J. Combin. 2008).
+- Cycle: I(C_k) is a sphere of dimension ceil(k / 3) - 1 for k not a
+  multiple of 3, and a wedge of two spheres of dimension k / 3 - 1 for k a
+  multiple of 3 (Kozlov, "Complexes of directed trees", J. Combin. Theory
+  Ser. A 1999), so eta(C_k) = floor((k + 1) / 3).
 
 Only a component with no rule left is ranked through its complex.  A path
 folds down to disjoint edges and at most one isolated vertex, which gives
-Kozlov's closed form ("Complexes of directed trees", J. Combin. Theory
-Ser. A 1999) without a face; a cycle of length 5 or more has no fold and
-is ranked.
+Kozlov's closed form for paths without a face too.
 """
 
-import itertools
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import gcd
 
 from .errors import BudgetExceededError
@@ -50,24 +63,28 @@ class SimplicialComplex:
 
     def __post_init__(self):
         groups = tuple(
-            tuple(sorted(tuple(sorted(int(x) for x in f)) for f in group))
+            tuple(sorted([tuple(sorted(map(int, f))) for f in group]))
             for group in self.faces
         )
         if not groups or groups[0] != ((),):
             raise ValueError("complex must contain exactly the empty face at dimension -1")
-        face_set = set()
         for k, group in enumerate(groups):
+            # the loop below runs only to name the first bad face
+            if set(map(len, group)) | set(map(len, map(set, group))) <= {k}:
+                continue
             for f in group:
                 if len(f) != k:
                     raise ValueError(f"face {f} stored at wrong dimension")
                 if len(set(f)) != len(f):
                     raise ValueError(f"face {f} repeats a vertex")
-                face_set.add(f)
-        for group in groups:
-            for f in group:
+        face_set = set(chain.from_iterable(groups))
+        for k in range(1, len(groups)):
+            group = groups[k]
+            if face_set.issuperset(chain.from_iterable(combinations(f, k - 1) for f in group)):
+                continue
+            for f in group:  # name the first face with a missing facet
                 for i in range(len(f)):
-                    sub = f[:i] + f[i + 1 :]
-                    if sub not in face_set:
+                    if f[:i] + f[i + 1 :] not in face_set:
                         raise ValueError(f"complex not closed downward at {f}")
         object.__setattr__(self, "faces", groups)
 
@@ -78,7 +95,7 @@ class SimplicialComplex:
         for f in faces:
             f = tuple(sorted(set(int(x) for x in f)))
             for k in range(len(f) + 1):
-                for sub in itertools.combinations(f, k):
+                for sub in combinations(f, k):
                     by_size.setdefault(k, set()).add(sub)
         top = max(by_size)
         groups = [tuple(sorted(by_size.get(k, set()))) for k in range(top + 1)]
@@ -144,19 +161,27 @@ def independence_complex(G, face_limit=DEFAULT_FACE_LIMIT):
     return SimplicialComplex(tuple(tuple(sorted(groups.get(k, []))) for k in range(top + 1)))
 
 
-def _boundary_columns(C, j):
+def _boundary_columns(C, j, cleared=()):
     """The boundary map from j-chains to (j-1)-chains as sparse columns.
 
     The column of a j-face f maps the row of f minus its i-th vertex to
-    (-1)**i; rows and columns are numbered as in boundary_matrix.
+    (-1)**i; rows and columns are numbered as in boundary_matrix.  The rows
+    in `cleared`, indices of (j-1)-faces, are left out: `_betti_numbers`
+    passes the pivot columns of the map from (j-1)-chains, which keeps the
+    rank (see the module docstring).
     """
-    row_index = {f: i for i, f in enumerate(C.faces_of_dim(j - 1))}
+    rows = C.faces_of_dim(j - 1)
+    row_index = {f: i for i, f in enumerate(rows)}
+    for i in cleared:
+        del row_index[rows[i]]
     columns = []
     for face in C.faces_of_dim(j):
         column = {}
         sign = 1
         for i in range(len(face)):
-            column[row_index[face[:i] + face[i + 1 :]]] = sign
+            r = row_index.get(face[:i] + face[i + 1 :])
+            if r is not None:
+                column[r] = sign
             sign = -sign
         columns.append(column)
     return columns
@@ -175,8 +200,8 @@ def boundary_matrix(C, j):
     return matrix
 
 
-def _rank(cols):
-    """Rank over the rationals of an integer matrix given as sparse columns.
+def _pivots(cols):
+    """The pivot columns of an integer matrix given as sparse columns.
 
     Each column maps a row index to its nonzero entry; the list of columns
     is consumed.  Every pivot clears its row from all other columns and
@@ -187,12 +212,18 @@ def _rank(cols):
     Only when no pending column holds a unit is the pivot the smallest entry
     of a column; each other column c is then replaced by a*c - b*pivot
     column and divided by its content (the gcd of its entries).
+
+    A column changes only by a nonzero scaling and by adding multiples of
+    columns already pivoted, and each pivot owns a row that every later
+    column has cleared; so the original pivot columns are linearly
+    independent over the rationals, every other column lies in their span,
+    and their count is the rank.
     """
     rows = {}  # row index -> the columns with an entry in that row
     for c, column in enumerate(cols):
         for r in column:
             rows.setdefault(r, set()).add(c)
-    rank = 0
+    pivots = []
     pending = [c for c, column in enumerate(cols) if column]
     while pending:
         stuck = []
@@ -204,16 +235,16 @@ def _rank(cols):
                     pivot, shared = r, len(rows[r])
             if pivot is not None:
                 _eliminate(cols, rows, c, pivot)
-                rank += 1
+                pivots.append(c)
             elif column:
                 stuck.append(c)
         if stuck == pending:  # no unit pivot remains, and no column changed
             c = stuck.pop(0)
             column = cols[c]
             _eliminate(cols, rows, c, min(column, key=lambda r: abs(column[r])))
-            rank += 1
+            pivots.append(c)
         pending = stuck
-    return rank
+    return pivots
 
 
 def _eliminate(cols, rows, c, r):
@@ -254,16 +285,25 @@ def _eliminate(cols, rows, c, r):
     cols[c] = {}
 
 
-def betti(C):
-    """Reduced rational Betti numbers via exact boundary ranks."""
-    dim = C.dimension
+def _betti_numbers(C):
+    """Yield the reduced Betti numbers b_-1, b_0, ..., b_dim of C in order.
+
+    b_j = n_j - r_j - r_(j+1), where r_j is the rank of the map from
+    j-chains (r_-1 = 0).  The map from (j+1)-chains is built only when b_j
+    is asked for, without the rows that the pivots of the map from j-chains
+    clear.
+    """
     counts = C.face_counts()
-    # ranks[j] is the rank of the map from j-chains, j = 0 .. dim + 1;
-    # the map from (-1)-chains is zero
-    ranks = [_rank(_boundary_columns(C, j)) for j in range(dim + 1)] + [0]
-    values = [counts[0] - ranks[0]]
-    values += [counts[j + 1] - ranks[j] - ranks[j + 1] for j in range(dim + 1)]
-    return BettiVector(tuple(values))
+    rank, cleared = 0, ()
+    for j in range(-1, C.dimension + 1):
+        pivots = _pivots(_boundary_columns(C, j + 1, cleared))
+        yield counts[j + 1] - rank - len(pivots)
+        rank, cleared = len(pivots), pivots
+
+
+def betti(C):
+    """Reduced rational Betti numbers via exact, cleared boundary ranks."""
+    return BettiVector(tuple(_betti_numbers(C)))
 
 
 def euler_characteristic_check(C, bv):
@@ -279,15 +319,14 @@ def eta_homological(C):
     """2 plus the largest k with vanishing reduced homology through dimension k.
 
     INFINITY when every reduced Betti number vanishes; 0 when already the
-    (-1)-st fails (the one-face complex {{}}).
+    (-1)-st fails (the one-face complex {{}}).  The Betti numbers are taken
+    lowest first and the first nonzero one ends the search, so the boundary
+    maps above it are never built.
     """
-    bv = betti(C)
-    if bv.all_zero():
-        return INFINITY
-    for j in range(-1, C.dimension + 1):
-        if bv.get(j) != 0:
+    for j, b in enumerate(_betti_numbers(C), start=-1):
+        if b:
             return j + 1
-    raise AssertionError("unreachable: some Betti number is nonzero")
+    return INFINITY
 
 
 def graph_eta(adj, mask, face_limit=DEFAULT_FACE_LIMIT):
@@ -298,10 +337,12 @@ def graph_eta(adj, mask, face_limit=DEFAULT_FACE_LIMIT):
     component makes I(G) a cone, so eta is INFINITY; a clique on m >= 2
     vertices contributes 1 (m points).  In any other component, a vertex v
     with N(u) contained in N(v) for some u != v is deleted (the fold lemma;
-    such u and v are never adjacent), and what is left is split again.
-    eta adds up over components, because I(G1 + G2) = I(G1) * I(G2) and a
-    join adds eta over a field (INFINITY absorbs).  Only a component that
-    no rule reduces is ranked, by `eta_homological` on its induced graph
+    such u and v are never adjacent), and what is left is split again.  A
+    component with no fold whose every vertex has degree 2 is a cycle C_k
+    and contributes Kozlov's floor((k + 1) / 3).  eta adds up over
+    components, because I(G1 + G2) = I(G1) * I(G2) and a join adds eta over
+    a field (INFINITY absorbs).  Only a component that no rule reduces is
+    ranked, by `eta_homological` on its induced graph
     (`structures.induced_masks`), after every other component, with
     `face_limit` faces at most (it raises BudgetExceededError beyond).
     """
@@ -321,6 +362,8 @@ def graph_eta(adj, mask, face_limit=DEFAULT_FACE_LIMIT):
             v = _fold(adj, comp)
             if v:
                 pieces.append(comp ^ v)
+            elif _is_cycle(adj, comp):
+                total += (comp.bit_count() + 1) // 3
             else:
                 hard.append(comp)
     for comp in hard:
@@ -333,6 +376,11 @@ def graph_eta(adj, mask, face_limit=DEFAULT_FACE_LIMIT):
 
 def _is_clique(adj, comp):
     return all(adj[v] & comp == comp ^ 1 << v for v in vertices_of(comp))
+
+
+def _is_cycle(adj, comp):
+    """comp is connected, so it is a cycle when every vertex has degree 2."""
+    return all((adj[v] & comp).bit_count() == 2 for v in vertices_of(comp))
 
 
 def _fold(adj, comp):

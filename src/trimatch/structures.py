@@ -220,7 +220,7 @@ class LatinSquare:
         n = self.order
         if n < 0:
             raise ValueError("order must be non-negative")
-        cells = tuple(tuple(int(x) for x in row) for row in self.cells)
+        cells = tuple(tuple(map(int, row)) for row in self.cells)
         if len(cells) != n or any(len(row) != n for row in cells):
             raise ValueError("cells must form an n x n grid")
         for row in cells:

@@ -143,10 +143,18 @@ class TestTopologyVerbs:
         code, out, _ = run_cli(["eta"], line + "\n", monkeypatch, capsys)
         assert (code, json_lines(out)) == (0, [{"eta": 3}])
 
-    def test_budget_exceeded_has_its_own_exit_code(self, monkeypatch, capsys):
-        # C_40 has no fold, so its complex still passes the face limit
+    def test_cycle_is_answered_without_faces(self, monkeypatch, capsys):
         c40 = Graph(40, frozenset((i, (i + 1) % 40) for i in range(40)))
         line = json.dumps(graph_to_json(c40))
+        code, out, _ = run_cli(["eta"], line + "\n", monkeypatch, capsys)
+        assert (code, json_lines(out)) == (0, [{"eta": 13}])
+
+    def test_budget_exceeded_has_its_own_exit_code(self, monkeypatch, capsys):
+        # the circulant C_40(1, 3) has no fold and is not a cycle, so its
+        # complex still passes the face limit
+        c40_13 = Graph(40, frozenset(
+            (min(i, (i + s) % 40), max(i, (i + s) % 40)) for i in range(40) for s in (1, 3)))
+        line = json.dumps(graph_to_json(c40_13))
         code, _, err = run_cli(["eta"], line + "\n", monkeypatch, capsys)
         assert code == BUDGET_EXCEEDED == 4
         assert "face count exceeded 200000" in err
@@ -460,6 +468,31 @@ class TestErrorsAndManifest:
         assert code == 2
         assert "error: input line 2: expected a JSON object" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,good,line,message", [
+        (["nu"], '{"sides": [1, 1, 1], "edges": []}', '{"sides": 5, "edges": []}',
+         "'int' object is not iterable"),
+        (["verify", "CONJ_RBS_1_1", "--stdin"], '{"sides": [1, 1, 1], "edges": [[0, 0, 0]]}',
+         '{"sides": 5, "edges": []}', "'int' object is not iterable"),
+        (["psi"], '{"vertices": 2, "edges": []}', '{"vertices": "3", "edges": []}',
+         "'<' not supported"),
+        (["verify", "ETA_GE_PSI_2_5", "--stdin"], '{"vertices": 2, "edges": []}',
+         '{"vertices": "3", "edges": []}', "'<' not supported"),
+    ])
+    def test_value_of_the_wrong_type_names_its_line(self, argv, good, line, message,
+                                                    monkeypatch, capsys):
+        code, _, err = run_cli(argv, f"{good}\n{line}\n", monkeypatch, capsys)
+        assert code == 2
+        assert f"error: input line 2: {message}" in err
+        assert "Traceback" not in err
+
+    def test_internal_type_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        def broken(G):
+            raise TypeError("internal")
+
+        monkeypatch.setattr("trimatch.cli.psi", broken)
+        with pytest.raises(TypeError, match="internal"):
+            run_cli(["psi"], '{"vertices": 2, "edges": [[0, 1]]}\n', monkeypatch, capsys)
 
     def test_internal_key_error_is_not_a_usage_error(self, monkeypatch, capsys):
         def broken(G):

@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from trimatch import oracle
+from trimatch import homology, oracle
 from trimatch.constructions import random_graph, random_partition_system
 from trimatch.errors import BudgetExceededError
 from trimatch.game import psi
@@ -17,7 +18,8 @@ from trimatch.homology import (
     graph_eta,
     independence_complex,
     topological_hall_subsets,
-    _rank,
+    _boundary_columns,
+    _pivots,
 )
 from trimatch.structures import Graph, INFINITY, PartitionedGraph
 from trimatch.verifier import STATEMENTS, Scope, enumerate_graphs_up_to_iso, verify
@@ -29,6 +31,17 @@ def cycle(n):
 
 def path(n):
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def circulant(n, steps):
+    return Graph(n, frozenset(tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps))
+
+
+def petersen():
+    return Graph(10, frozenset(
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]))
 
 
 def complete(m):
@@ -57,7 +70,20 @@ def columns(m, n_cols):
 
 
 def sparse_rank(m, n_cols=None):
-    return _rank(columns(m, len(m[0]) if n_cols is None else n_cols))
+    return len(_pivots(columns(m, len(m[0]) if n_cols is None else n_cols)))
+
+
+def random_complex(rng):
+    """Downward closure of a few random faces on at most 7 vertices."""
+    n = rng.randint(1, 7)
+    return SimplicialComplex.from_faces(
+        rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(0, 6)))
+
+
+RP2 = SimplicialComplex.from_faces([
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+])
 
 
 def oracle_betti(C):
@@ -86,6 +112,22 @@ class TestComplex:
     def test_downward_closure_enforced(self):
         with pytest.raises(ValueError):
             SimplicialComplex((((),), (), (((0, 1)),)))
+
+    @pytest.mark.parametrize("faces, message", [
+        ((((),), ((0,),), ((0, 1),), ((0, 1), (0, 2))), "face (0, 1) stored at wrong dimension"),
+        ((((),), ((0,), (1, 1))), "face (1, 1) stored at wrong dimension"),
+        ((((),), ((0,), (1,)), ((0, 1), (1, 1))), "face (1, 1) repeats a vertex"),
+        ((((),), ((0,), (1,)), ((1, 0), (0, 2), (1, 2))), "not closed downward at (0, 2)"),
+        ((((),), (), ((0, 1),)), "not closed downward at (0, 1)"),
+        ((((0,),),), "exactly the empty face"),
+    ])
+    def test_each_check_names_its_face(self, faces, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimplicialComplex(faces)
+
+    def test_faces_are_sorted_integers(self):
+        C = SimplicialComplex((((),), (("1",), (0,)), ((1.0, 0),)))
+        assert C.faces == (((),), ((0,), (1,)), ((0, 1),))
 
     def test_void_complex_rejected(self):
         with pytest.raises(ValueError):
@@ -152,8 +194,8 @@ class TestRank:
 
     def test_empty_and_zero_matrices(self):
         for n in range(4):
-            assert _rank(columns([], n)) == 0  # 0 x n
-            assert _rank(columns([[] for _ in range(n)], 0)) == 0  # n x 0
+            assert _pivots(columns([], n)) == []  # 0 x n
+            assert _pivots(columns([[] for _ in range(n)], 0)) == []  # n x 0
             assert sparse_rank([[0] * 3 for _ in range(n)], 3) == 0
 
     def test_no_unit_pivot_matches_fraction_elimination(self):
@@ -174,15 +216,51 @@ class TestRank:
     def test_rank_is_rational_not_mod_2(self):
         # RP^2 on 6 vertices: the boundary of the 10 triangles has rational
         # rank 10 but rank 9 mod 2, so a mod-2 rank would give b1 = b2 = 1
-        rp2 = SimplicialComplex.from_faces([
-            (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
-            (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
-        ])
-        assert rp2.face_counts() == (1, 6, 15, 10)
-        bv = betti(rp2)
+        assert RP2.face_counts() == (1, 6, 15, 10)
+        bv = betti(RP2)
         assert bv.all_zero()
-        assert euler_characteristic_check(rp2, bv)
-        assert sparse_rank(boundary_matrix(rp2, 2)) == 10
+        assert bv.values == oracle_betti(RP2)
+        assert euler_characteristic_check(RP2, bv)
+        assert sparse_rank(boundary_matrix(RP2, 2)) == 10
+
+    def test_pivot_columns_are_a_column_basis(self):
+        # non-unit entries force the scaled steps; the pivot columns alone
+        # must have the full rank, so every other column is in their span
+        rng = random.Random(53)
+        entries = (0, 0, 1, -1, 2, -2, 3, -3, 4, 6, -6)
+        for _ in range(300):
+            n_rows, n_cols = rng.randrange(0, 8), rng.randrange(0, 8)
+            m = [[rng.choice(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+            pivots = _pivots(columns(m, n_cols))
+            assert len(set(pivots)) == len(pivots) == oracle.rational_rank_oracle(m)
+            if pivots and n_rows:
+                basis = [[row[c] for c in pivots] for row in m]
+                assert oracle.rational_rank_oracle(basis) == len(pivots)
+
+    def test_betti_matches_bareiss_on_random_complexes(self):
+        rng = random.Random(59)
+        for _ in range(400):
+            C = random_complex(rng)
+            expected = oracle_betti(C)
+            assert betti(C).values == expected, C
+            nonzero = [j for j in range(-1, C.dimension + 1) if expected[j + 1]]
+            assert eta_homological(C) == (nonzero[0] + 1 if nonzero else INFINITY), C
+
+    def test_cleared_map_keeps_exactly_the_unpivoted_rows(self):
+        rng = random.Random(61)
+        for C in [RP2, independence_complex(cycle(9))] + [random_complex(rng) for _ in range(100)]:
+            for j in range(1, C.dimension + 1):
+                cleared = set(_pivots(_boundary_columns(C, j - 1)))
+                full = _boundary_columns(C, j)
+                kept = _boundary_columns(C, j, cleared)
+                assert [set(c) for c in kept] == [set(c) - cleared for c in full]
+                assert len(_pivots(kept)) == len(_pivots(full))
+        # in a simplex every (j-1)-face bounds a j-face, so no row is empty
+        C = full_simplex_complex(5)
+        for j in range(1, C.dimension + 1):
+            cleared = _pivots(_boundary_columns(C, j - 1))
+            kept = set().union(*_boundary_columns(C, j, cleared))
+            assert len(kept) == len(C.faces_of_dim(j - 1)) - len(cleared)
 
     def test_large_complexes_match_bareiss(self):
         rng = random.Random(43)
@@ -207,6 +285,26 @@ class TestEta:
 
     def test_c6_matches_game_value(self):
         assert eta_homological(independence_complex(cycle(6))) == 2 == psi(cycle(6))
+
+    def test_stops_at_the_first_nonzero_betti_number(self, monkeypatch):
+        # K_{3,4}: its complex is a triangle and a tetrahedron, apart, so
+        # b_0 = 1 and the maps from 2- and 3-chains are never built
+        K34 = Graph(7, frozenset((u, v) for u in range(3) for v in range(3, 7)))
+        C = independence_complex(K34)
+        assert C.dimension == 3
+        built = []
+        real = homology._boundary_columns
+
+        def recording(C, j, cleared=()):
+            built.append(j)
+            return real(C, j, cleared)
+
+        monkeypatch.setattr(homology, "_boundary_columns", recording)
+        assert eta_homological(C) == 1
+        assert built == [0, 1]
+        built.clear()
+        assert betti(C).values == (0, 1, 0, 0, 0)
+        assert built == [0, 1, 2, 3, 4]
 
     def test_dominates_psi_small(self):
         memo = {}
@@ -244,11 +342,19 @@ class TestGraphEta:
             k = n // 3
             assert full_eta(cycle(n)) == (k + 1 if n % 3 == 2 else k), n
 
+    def test_cycle_rule_matches_the_complex_route(self):
+        for k in range(4, 19):
+            expected = eta_homological(independence_complex(cycle(k)))
+            assert full_eta(cycle(k), face_limit=1) == expected == (k + 1) // 3, k
+        assert full_eta(cycle(40)) == 13
+
     def test_unreduced_component_keeps_the_budget(self):
+        # neither the circulant C_40(1, 3) nor the Petersen graph has a fold
         with pytest.raises(BudgetExceededError):
-            full_eta(cycle(40))
+            full_eta(circulant(40, (1, 3)))
         with pytest.raises(BudgetExceededError):
-            full_eta(cycle(9), face_limit=20)
+            full_eta(petersen(), face_limit=20)
+        assert full_eta(petersen()) == 3
 
     def test_edge_cases(self):
         assert full_eta(Graph(0)) == 0

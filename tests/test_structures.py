@@ -87,6 +87,24 @@ class TestInvariants:
         assert rows_only.is_row_latin()
         assert not rows_only.is_column_latin()
 
+    @pytest.mark.parametrize("order, cells, message", [
+        (-1, (), "order must be non-negative"),
+        (2, ((0, 1),), "cells must form an n x n grid"),
+        # every grid length is checked before any symbol
+        (2, ((0, 9), (1,)), "cells must form an n x n grid"),
+        (2, ((0, 1), (3, -1)), "symbol 3 out of range [0, 2)"),
+        (2, ((0, 1), (1, -1)), "symbol -1 out of range [0, 2)"),
+    ])
+    def test_latin_square_checks_in_order(self, order, cells, message):
+        with pytest.raises(ValueError) as info:
+            LatinSquare(order, cells)
+        assert str(info.value) == message
+
+    def test_latin_square_cells_become_int_tuples(self):
+        L = LatinSquare(2, [["0", 1.0], [1, 0]])
+        assert L.cells == ((0, 1), (1, 0))
+        assert LatinSquare(0).cells == ()
+
     def test_diagonal_is_permutation(self):
         with pytest.raises(ValueError):
             Diagonal((0, 0))
