@@ -2,8 +2,16 @@
 
 One individualisation-refinement search labels a graph given as adjacency
 bitmasks, optionally vertex-coloured; it serves the psi memo keys of
-`trimatch.game`, the isomorph-free graph generation of `trimatch.verifier`
-and the root orbits of `trimatch.solver.max_matching_size`.
+`trimatch.game`, the root orbits of `trimatch.solver.max_matching_size`
+and `graph_classes`, the isomorph-free graph stream here that the
+exhaustive sweeps of `trimatch.verifier` read.  Everything in this module
+deals in masks only: a graph is a tuple of adjacency bitmasks, one per
+vertex, the form of `Graph.adj`.
+
+`graph_classes` relies on one fact about the labeller: a canonical order
+lists the cells of the equitable partition (`equitable_partition`) in
+turn, so the first vertex of maximum degree in canonical order lies in
+the first cell of maximum degree.  It is stated and used here only.
 """
 
 
@@ -241,3 +249,62 @@ def canonical_labelling(adj, cells=None):
     search(_refine(adj, list(cells), list(cells)), [], 0)
     sizes = tuple(c.bit_count() for c in cells)
     return (n, sizes, best[0]), best[1], [perm for perm, _ in gens]
+
+
+def graph_classes(max_n):
+    """The graphs on 0..max_n vertices, one per isomorphism class, as tuples
+    of adjacency bitmasks: by vertex count, then in generation order.
+    Nothing is yielded for a negative max_n.
+
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 1998) builds each vertex count from the one below.  A
+    child adds vertex n - 1 to a parent on n - 1 vertices, joined to one
+    neighbourhood per orbit of the parent's automorphism group on vertex
+    sets.  A graph's canonical parent deletes the first vertex of maximum
+    degree in canonical order, so a child is kept iff its new vertex lies
+    in that vertex's orbit.  Since the canonical order lists the cells of
+    the equitable partition in turn, that vertex lies in the first cell of
+    maximum degree.  A child is kept at once if its new vertex is the only
+    one of maximum degree or alone in that cell, dropped at once if the
+    vertex has lower degree or lies outside the cell, and labelled
+    otherwise.  Every class then arises exactly once.
+
+    The stream is lazy: each class is yielded as soon as it is kept.  It
+    holds the (masks, generators) of the parent level being extended and
+    of the kept children, which become the next parents, and at max_n it
+    keeps no child: streaming every class on 9 vertices holds the 12 346
+    classes on 8, not the 274 668 on 9.  Generators are None for a child
+    kept without a labelling; its parent labels it when it is extended.
+    """
+    if max_n < 0:
+        return
+    yield ()
+    level = [((), [])]  # (adjacency bitmasks, automorphism generators or None)
+    for n in range(1, max_n + 1):
+        new = 1 << (n - 1)
+        keep = n < max_n  # the last level is yielded, never extended
+        children = []
+        for adj, gens in level:
+            if gens is None:
+                gens = canonical_labelling(adj)[2]
+            for nbrs in set_orbit_representatives(n - 1, gens):
+                child = tuple(a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)) + (nbrs,)
+                degree = nbrs.bit_count()
+                degrees = [a.bit_count() for a in child]
+                if max(degrees) > degree:
+                    continue
+                child_gens = None
+                if degrees.count(degree) > 1:
+                    top_cell = next(c for c in equitable_partition(child)
+                                    if degrees[c.bit_length() - 1] == degree)
+                    if top_cell != new:
+                        if not top_cell & new:
+                            continue
+                        _, order, child_gens = canonical_labelling(child)
+                        top = next(v for v in order if top_cell >> v & 1)
+                        if not orbit_mask(1 << top, child_gens) & new:
+                            continue
+                yield child
+                if keep:
+                    children.append((child, child_gens))
+        level = children

@@ -6,12 +6,12 @@ generators are pure functions of (parameters, seed).  Each kind of object
 that needs a backtracking search has exactly one: `regular_completions`
 builds regular hypergraphs (the exhaustive regular sweep), and
 `latin_squares` fills Latin squares (the exhaustive stream, and with an
-rng `random_latin`); the pinned-corner construction `gen_fracd_sharp` is
-closed-form.  A random draw such as `random_latin(n, rng)` makes one
-object from the caller's rng, so a seeded stream is a loop of draws on
-one rng.  Exhaustive streams emit in lexicographic order.  Every
-generator's output is validated against the hypothesis it targets by the
-tests, not assumed.
+rng `random_latin`, up to order RANDOM_LATIN_CAP); the pinned-corner
+construction `gen_fracd_sharp` is closed-form.  A random draw such as
+`random_latin(n, rng)` makes one object from the caller's rng, so a
+seeded stream is a loop of draws on one rng.  Exhaustive streams emit in
+lexicographic order, one object at a time.  Every generator's output is
+validated against the hypothesis it targets by the tests, not assumed.
 """
 
 import itertools
@@ -28,8 +28,15 @@ from .structures import (
     TriHypergraph,
 )
 
+# the largest orders of the exhaustive square streams; the verifier's
+# CAMWAN_1_10 and STRONG_CAMWAN_1_12 sweeps share them
 EXHAUSTIVE_LATIN_CAP = 5
 EXHAUSTIVE_ROW_LATIN_CAP = 4
+
+# the largest order `random_latin` draws: its fill recurses n * n deep, and
+# past this order some seeds backtrack for seconds (one of 40 at order 24)
+# and from order 32 every draw exceeds Python's recursion limit
+RANDOM_LATIN_CAP = 22
 
 # nodes regular_completions may visit before it gives up
 COMPLETION_NODE_BUDGET = 2_000_000
@@ -171,11 +178,13 @@ def gen_fracd_sharp(n):
 
 
 def enumerate_regular_simple(n, d):
-    """All simple d-regular tripartite hypergraphs with sides of size n."""
+    """Every simple d-regular tripartite hypergraph with sides of size n,
+    one at a time, in the order of `regular_completions`."""
     vertices = range(n)
     candidates = list(itertools.product(vertices, repeat=3))
     need = {(side, v): d for side in range(3) for v in vertices}
-    return [TriHypergraph((n, n, n), edges) for edges in regular_completions(candidates, need)]
+    for edges in regular_completions(candidates, need):
+        yield TriHypergraph((n, n, n), edges)
 
 
 def regular_completions(candidates, need):
@@ -278,7 +287,13 @@ def gen_latin(n, mode, seed=None, count=None):
 
 
 def random_latin(n, rng):
-    """A random Latin square of order n: the first square of the shuffled fill."""
+    """A random Latin square of order n: the first square of the shuffled fill.
+
+    Raises ValueError for an order above RANDOM_LATIN_CAP or below 0.
+    """
+    if n > RANDOM_LATIN_CAP:
+        raise ValueError(f"random Latin squares are capped at order {RANDOM_LATIN_CAP}, "
+                         f"asked for {n}")
     return next(latin_squares(n, rng))
 
 
@@ -288,7 +303,10 @@ def latin_squares(n, rng=None):
     Without an rng each cell tries its symbols in increasing order, so the
     squares come in lexicographic cell order.  With an rng each cell's
     candidates are shuffled first, and the first square is a random one.
+    A negative order raises ValueError.
     """
+    if n < 0:
+        raise ValueError("order must be non-negative")
     cells = [[-1] * n for _ in range(n)]
     row_used = [set() for _ in range(n)]
     col_used = [set() for _ in range(n)]
@@ -310,7 +328,7 @@ def latin_squares(n, rng=None):
             col_used[c].remove(s)
             cells[r][c] = -1
 
-    yield from rec(0)
+    return rec(0)
 
 
 def gen_row_latin(n, mode, seed=None, count=None):
@@ -538,10 +556,11 @@ def random_graph(n, rng, p=0.5):
     return Graph(n, frozenset(edges))
 
 
-def random_partition_system(rng, max_vertices=8, max_parts=4, p=0.35):
-    """Random graph plus disjoint nonempty vertex parts, for transversal checks."""
+def random_partition_system(rng, max_vertices=8, max_parts=4):
+    """Random graph, each pair joined with probability 0.35, plus disjoint
+    nonempty vertex parts, for transversal checks."""
     n = rng.randrange(2, max_vertices + 1)
-    graph = random_graph(n, rng, p)
+    graph = random_graph(n, rng, 0.35)
     vertices = list(range(n))
     rng.shuffle(vertices)
     m = rng.randrange(1, min(max_parts, n) + 1)

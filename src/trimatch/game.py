@@ -207,6 +207,6 @@ def line_graph(G):
     return Graph(n, frozenset(adj))
 
 
-def psi_line(G, *, memo=None, memo_limit=DEFAULT_MEMO_LIMIT):
+def psi_line(G):
     """Game value played on the line graph of a bipartite graph."""
-    return psi(line_graph(G), memo=memo, memo_limit=memo_limit)
+    return psi(line_graph(G))

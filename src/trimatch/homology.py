@@ -398,13 +398,14 @@ def _fold(adj, comp):
     return 0
 
 
-def topological_hall_subsets(P, deficiency=0, face_limit=DEFAULT_FACE_LIMIT):
+def topological_hall_subsets(P, deficiency=0):
     """Yield (members, eta, ok) for every subset I of the parts, in mask order.
 
     The connectivity hypothesis asks that the independence complex of the
     graph induced on the union of the parts in I has eta at least
     |I| - deficiency; `ok` says whether this subset meets it.  Being lazy,
     a caller that only needs the hypothesis can stop at the first failure.
+    Each eta is computed within DEFAULT_FACE_LIMIT faces.
     """
     m = len(P.parts)
     for mask in range(1 << m):
@@ -412,5 +413,5 @@ def topological_hall_subsets(P, deficiency=0, face_limit=DEFAULT_FACE_LIMIT):
         union = 0
         for i in members:
             union |= P.part_masks[i]
-        eta = graph_eta(P.graph.adj, union, face_limit)
+        eta = graph_eta(P.graph.adj, union)
         yield members, eta, eta >= len(members) - deficiency

@@ -33,12 +33,7 @@ from pathlib import Path
 
 from . import constructions as cons
 from . import oracle
-from .canonical import (
-    canonical_labelling,
-    equitable_partition,
-    orbit_mask,
-    set_orbit_representatives,
-)
+from .canonical import graph_classes
 from .errors import InfeasibleScopeError
 from .game import line_graph, psi, psi_at_least
 from .homology import graph_eta, topological_hall_subsets
@@ -50,7 +45,6 @@ from .solver import (
 )
 from .structures import (
     INFINITY,
-    Graph,
     bipartite_graph_from_json,
     bipartite_graph_to_json,
     family_from_json,
@@ -513,57 +507,10 @@ def _con_nu_equals_a(inst, optimum):
 # Instance streams
 
 
-def graph_classes(max_n):
-    """Graphs on 0..max_n vertices, one per isomorphism class, by size.
-
-    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
-    1998) builds every size in one pass.  A child adds vertex n - 1 to a
-    parent on n - 1 vertices, joined to one neighbourhood per orbit of the
-    parent's automorphism group on vertex sets.  A graph's canonical parent
-    deletes the first vertex of maximum degree in canonical order, so a
-    child is kept iff its new vertex lies in that vertex's orbit.  The
-    canonical order lists the cells of the equitable partition in turn, so
-    that vertex lies in the first cell of maximum degree.  A child is kept
-    at once if its new vertex is the only one of maximum degree or alone in
-    that cell, dropped at once if the vertex has lower degree or lies
-    outside the cell, and labelled otherwise.  Every class then arises
-    exactly once.
-    """
-    levels = [[Graph(0)]]
-    level = [([], [])]  # (adjacency bitmasks, automorphism generators or None)
-    for n in range(1, max_n + 1):
-        new = 1 << (n - 1)
-        children = []
-        for adj, gens in level:
-            if gens is None:
-                gens = canonical_labelling(adj)[2]
-            for nbrs in set_orbit_representatives(n - 1, gens):
-                child = [a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)]
-                child.append(nbrs)
-                degree = nbrs.bit_count()
-                degrees = [a.bit_count() for a in child]
-                if max(degrees) > degree:
-                    continue
-                if degrees.count(degree) == 1:
-                    children.append((child, None))
-                    continue
-                top_cell = next(c for c in equitable_partition(child)
-                                if degrees[c.bit_length() - 1] == degree)
-                if top_cell == new:
-                    children.append((child, None))
-                elif top_cell & new:
-                    _, order, child_gens = canonical_labelling(child)
-                    top = next(v for v in order if top_cell >> v & 1)
-                    if orbit_mask(1 << top, child_gens) & new:
-                        children.append((child, child_gens))
-        level = children
-        levels.append([graph_from_masks(adj) for adj, _ in level])
-    return levels
-
-
 def enumerate_graphs_up_to_iso(n):
-    """All graphs on exactly n labelled vertices, one per isomorphism class."""
-    return graph_classes(max(n, 0))[-1]
+    """All graphs on exactly n labelled vertices, one per isomorphism class,
+    in the order of `canonical.graph_classes`; none for a negative n."""
+    return [graph_from_masks(adj) for adj in graph_classes(n) if len(adj) == n]
 
 
 def ascending_sequences(n):
@@ -646,9 +593,8 @@ def _check_params(builder, params):
 
 
 def _ex_eta_psi(*, max_vertices=6):
-    for level in graph_classes(max_vertices):
-        for G in level:
-            yield {"graph": G}
+    for adj in graph_classes(max_vertices):
+        yield {"graph": graph_from_masks(adj)}
 
 
 def _ex_squares(squares):
@@ -830,12 +776,14 @@ STATEMENTS = {
     "CAMWAN_1_10": _theorem(
         _SQUARE, _hyp_camwan, _con_full_diagonal, _draw_square(cons.random_latin),
         Scope("exhaustive", params={"max_order": 4}),
-        exhaustive=_ex_squares(cons.latin_squares), cap={"max_order": 5}),
+        exhaustive=_ex_squares(cons.latin_squares),
+        cap={"max_order": cons.EXHAUSTIVE_LATIN_CAP}),
     "STRONG_CAMWAN_1_12": _theorem(
         _SQUARE, _hyp_strong_camwan, _con_full_diagonal,
         _draw_square(cons.random_row_latin),
         Scope("exhaustive", params={"max_order": 4}),
-        exhaustive=_ex_squares(cons.row_latin_squares), cap={"max_order": 4}),
+        exhaustive=_ex_squares(cons.row_latin_squares),
+        cap={"max_order": cons.EXHAUSTIVE_ROW_LATIN_CAP}),
     "TOPHALL_2_3": _theorem(
         _PARTITION, _hyp_tophall, _con_transversal, _draw_tophall([0]),
         _randomized(120, 190045)),

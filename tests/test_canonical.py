@@ -3,18 +3,20 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
 
 from trimatch import oracle, solver
 from trimatch.canonical import (
-    _refine, canonical_labelling, equitable_partition, orbit_mask, set_orbit_representatives)
+    _refine, canonical_labelling, equitable_partition, graph_classes, orbit_mask,
+    set_orbit_representatives)
 from trimatch.constructions import cyclic_latin, gen_drisko_extremal, random_graph
 from trimatch.game import line_graph, psi
 from trimatch.structures import (
-    BipartiteGraph, Graph, family_to_hypergraph, latin_to_hypergraph)
-from trimatch.verifier import enumerate_graphs_up_to_iso, graph_classes
+    BipartiteGraph, Graph, family_to_hypergraph, graph_from_masks, latin_to_hypergraph)
+from trimatch.verifier import enumerate_graphs_up_to_iso
 
 
 def relabelled(edges, perm):
@@ -447,13 +449,44 @@ class TestEnumeration:
             assert labelled == 2 ** (n * (n - 1) // 2)
 
     def test_classes_are_pairwise_non_isomorphic(self, graph_key):
-        for level in graph_classes(6):
-            keys = [graph_key(G.n, G.edges) for G in level]
-            assert len(set(keys)) == len(keys)
+        keys = [graph_key(G.n, G.edges) for G in map(graph_from_masks, graph_classes(6))]
+        assert len(set(keys)) == len(keys)
 
     def test_calls_return_equal_lists(self):
         assert enumerate_graphs_up_to_iso(6) == enumerate_graphs_up_to_iso(6)
-        assert graph_classes(5) == [enumerate_graphs_up_to_iso(n) for n in range(6)]
+        assert list(map(graph_from_masks, graph_classes(5))) == \
+            [G for n in range(6) for G in enumerate_graphs_up_to_iso(n)]
+
+    # SHA-256 of repr(adj) over the stream at 8 vertices, recorded from the
+    # list-of-levels generator this stream replaced: it pins the order too
+    CLASSES_8 = (13599, "192829ab163e85b256344f7e92472bc78d4392546ec29c17ef6543fa9dddc2c4")
+
+    def test_mask_sequence_is_pinned(self):
+        digest = hashlib.sha256()
+        count = 0
+        for adj in graph_classes(8):
+            assert isinstance(adj, tuple) and all(isinstance(a, int) for a in adj)
+            digest.update(repr(adj).encode())
+            count += 1
+        assert (count, digest.hexdigest()) == self.CLASSES_8
+
+    def test_stream_holds_one_level(self):
+        # the 1 253 classes on at most 7 vertices: the list of levels
+        # peaked at 2.09 MB, the stream holds the 156 parents on 6
+        stream = graph_classes(7)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 1253
+        assert peak < 500_000
+
+    def test_negative_size_yields_nothing(self):
+        assert list(graph_classes(-1)) == []
+        assert list(graph_classes(0)) == [()]
+        assert enumerate_graphs_up_to_iso(-1) == []
 
 
 class TestPsiMemoKeys:

@@ -208,6 +208,20 @@ class TestGen:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        ("gen latin --n 40 --mode random --seed 1", "capped at order 22, asked for 40"),
+        ("verify CAMWAN_1_10 --random 1 --seed 1 --param n=40", "capped at order 22"),
+        ("hunt CONJ_RBS_1_1 --budget 1 --seed 1 --param n=40", "capped at order 22"),
+        ("gen latin --n -1 --mode random --seed 1", "order must be non-negative"),
+        ("gen latin --n -1 --mode exhaustive", "order must be non-negative"),
+    ])
+    def test_latin_orders_out_of_reach_are_usage_errors(self, argv, message, monkeypatch,
+                                                        capsys):
+        code, out, err = run_cli(argv.split(), "", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: " in err and message in err
+
     def test_gen_seed_determinism(self, monkeypatch, capsys):
         args = ["gen", "theorem19", "--n", "2", "--seed", "5", "--count", "3"]
         _, out1, _ = run_cli(args, "", monkeypatch, capsys)

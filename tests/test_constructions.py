@@ -144,7 +144,7 @@ class TestRegularCompletions:
         assert list(cons.regular_completions(candidates, need)) == brute
 
     def test_enumerate_regular_simple_counts(self):
-        counts = {(n, d): len(cons.enumerate_regular_simple(n, d))
+        counts = {(n, d): len(list(cons.enumerate_regular_simple(n, d)))
                   for n in (1, 2, 3) for d in (0, 1, 2, 3)}
         # d = 1 on sides of size n: pairs of permutations, (n!)**2
         assert counts[(1, 1)] == 1 and counts[(2, 1)] == 4 and counts[(3, 1)] == 36
@@ -153,6 +153,12 @@ class TestRegularCompletions:
         for H in cons.enumerate_regular_simple(2, 2):
             assert H.is_simple() and is_regular(H, 2)
 
+    def test_enumerate_regular_simple_is_a_stream(self):
+        stream = cons.enumerate_regular_simple(3, 3)
+        assert iter(stream) is stream
+        first = next(stream)
+        assert first.is_simple() and is_regular(first, 3)
+
     def test_unmeetable_need_yields_nothing(self):
         candidates, need = grid_need(2, 5)
         assert list(cons.regular_completions(candidates, need)) == []
@@ -160,7 +166,7 @@ class TestRegularCompletions:
     def test_node_budget(self, monkeypatch):
         monkeypatch.setattr(cons, "COMPLETION_NODE_BUDGET", 10)
         with pytest.raises(ConstructionError, match="budget"):
-            cons.enumerate_regular_simple(3, 1)
+            list(cons.enumerate_regular_simple(3, 1))
 
 
 class TestDoubleSideA:
@@ -227,6 +233,18 @@ class TestLatinStreams:
     def test_random_requires_seed(self):
         with pytest.raises(ValueError):
             next(cons.gen_latin(3, "random"))
+
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            cons.latin_squares(-1)
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            cons.random_latin(-1, random.Random(1))
+
+    def test_random_order_is_capped(self):
+        L = cons.random_latin(cons.RANDOM_LATIN_CAP, random.Random(0))
+        assert L.order == cons.RANDOM_LATIN_CAP and L.is_latin()
+        with pytest.raises(ValueError, match=f"capped at order {cons.RANDOM_LATIN_CAP}"):
+            cons.random_latin(cons.RANDOM_LATIN_CAP + 1, random.Random(0))
 
     # pinned outputs: a change of the fill order or of its rng calls changes them
     GOLDEN = {4: "6f3b634f2522c51d", 5: "807c9a688fbd354e", 6: "37eda2be7f7d48c4",

@@ -1,15 +1,15 @@
 import hashlib
-import itertools
 import random
 
 import pytest
 
 from trimatch import game, oracle
+from trimatch.canonical import graph_classes
 from trimatch.constructions import random_graph, random_lemma31_graph
 from trimatch.errors import BudgetExceededError
 from trimatch.game import line_graph, psi, psi_at_least, psi_line
-from trimatch.structures import BipartiteGraph, Graph, INFINITY
-from trimatch.verifier import PSI_ORACLE_EDGE_LIMIT, enumerate_graphs_up_to_iso, graph_classes
+from trimatch.structures import BipartiteGraph, Graph, INFINITY, graph_from_masks
+from trimatch.verifier import PSI_ORACLE_EDGE_LIMIT, enumerate_graphs_up_to_iso
 
 CAPS = (0, 1, 2, 3, INFINITY)
 
@@ -149,8 +149,8 @@ class TestStateFormat:
         calls = []
         monkeypatch.setattr(game, "canonical_graph_key", lambda *a: calls.append(a) or real(*a))
         table = {}
-        for G in itertools.chain.from_iterable(graph_classes(6)):
-            psi(G, memo=table)
+        for adj in graph_classes(6):
+            psi(graph_from_masks(adj), memo=table)
         rng = random.Random(7)
         for _ in range(20):
             psi(random_graph(7, rng), memo=table)

@@ -14,13 +14,16 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(trimatch.__file__).resolve().parent
 TABLE_ROW = re.compile(r"^\| `(trimatch\.\w+)` \| (.*) \|$")
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+QUALIFIED = re.compile(r"(trimatch\.\w+)\.(\w+)")
 
 
 def library_table():
     """(module name, backticked identifiers) per row of the library table.
 
-    Backticked items that are not identifiers (`min(psi, cap)`, `Graph.adj`,
-    a module path) are prose, not names, and are left out.
+    A backticked `trimatch.<module>.<name>` is read as that module's row
+    naming the identifier.  Other backticked items that are not identifiers
+    (`min(psi, cap)`, `Graph.adj`, a module path) are prose, not names, and
+    are left out.
     """
     section = README.read_text(encoding="utf-8").split("## Library overview", 1)[1]
     section = section.split("\n## ", 1)[0]
@@ -28,9 +31,10 @@ def library_table():
     for line in section.splitlines():
         match = TABLE_ROW.match(line)
         if match:
-            names = [item for item in re.findall(r"`([^`]*)`", match.group(2))
-                     if IDENTIFIER.fullmatch(item)]
+            items = re.findall(r"`([^`]*)`", match.group(2))
+            names = [item for item in items if IDENTIFIER.fullmatch(item)]
             rows.append((match.group(1), names))
+            rows += [(q.group(1), [q.group(2)]) for q in map(QUALIFIED.fullmatch, items) if q]
     return rows
 
 

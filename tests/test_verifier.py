@@ -15,6 +15,7 @@ import pytest
 from trimatch import cli
 from trimatch import constructions as cons
 from trimatch import verifier
+from trimatch.canonical import graph_classes
 from trimatch.errors import BudgetExceededError, InfeasibleScopeError
 from trimatch.game import line_graph, psi, psi_at_least
 from trimatch.solver import SolveResult, find_bounded_diagonal
@@ -68,6 +69,11 @@ class TestCatalog:
             "MAX_RANDOM_TRIALS": 1_000_000,
         }
 
+    def test_square_caps_are_the_gen_caps(self):
+        caps = verifier.feasibility_caps()
+        assert caps["CAMWAN_1_10"] == {"max_order": cons.EXHAUSTIVE_LATIN_CAP}
+        assert caps["STRONG_CAMWAN_1_12"] == {"max_order": cons.EXHAUSTIVE_ROW_LATIN_CAP}
+
     def test_caps_are_keywords_of_the_exhaustive_builder(self):
         # _stream checks every cap; a builder takes only keyword parameters
         for sid, rec in verifier.STATEMENTS.items():
@@ -90,7 +96,9 @@ class TestGraphEnumeration:
     def test_counts_match_known_sequence(self):
         # OEIS A000088: graphs on n unlabelled vertices, n = 0..8
         expected = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
-        assert [len(level) for level in verifier.graph_classes(8)] == expected
+        sizes = [len(adj) for adj in graph_classes(8)]
+        assert sizes == sorted(sizes)
+        assert [sizes.count(n) for n in range(9)] == expected
         assert len(enumerate_graphs_up_to_iso(5)) == 34
 
 
@@ -371,7 +379,7 @@ class TestStdinStream:
         monkeypatch.setitem(verifier.STATEMENTS, "CONJ_FRACD_5_1", dataclasses.replace(
             verifier.STATEMENTS["CONJ_FRACD_5_1"],
             codec=dataclasses.replace(verifier._HYPER, from_json=counting)))
-        H = hypergraph_to_json(cons.enumerate_regular_simple(3, 2)[0])
+        H = hypergraph_to_json(next(cons.enumerate_regular_simple(3, 2)))
         code, out, _ = self.run("CONJ_FRACD_5_1", [json.dumps(H)] * 2, monkeypatch, capsys)
         assert code == 0 and json.loads(out)["hypothesis_hits"] == 2
         assert calls == [H, H]
