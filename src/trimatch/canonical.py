@@ -245,10 +245,14 @@ def canonical_labelling(adj, cells=None):
 
     if cells is None:
         search(equitable_partition(adj), [], 0)
-        return (n, best[0]), best[1], [perm for perm, _ in gens]
-    search(_refine(adj, list(cells), list(cells)), [], 0)
-    sizes = tuple(c.bit_count() for c in cells)
-    return (n, sizes, best[0]), best[1], [perm for perm, _ in gens]
+        key = (n, best[0])
+    else:
+        search(_refine(adj, list(cells), list(cells)), [], 0)
+        key = (n, tuple(c.bit_count() for c in cells), best[0])
+    # `search` calls itself through its closure cell: unbind it, so the
+    # call leaves no reference cycle for the cyclic collector
+    search = None
+    return key, best[1], [perm for perm, _ in gens]
 
 
 def graph_classes(max_n):

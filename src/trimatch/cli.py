@@ -2,9 +2,10 @@
 
 Every per-line verb (`nu`, `rainbow`, `diagonal`, `transversal`, `psi`,
 `psi-line`, `eta`, `betti`) is one row of `VERBS`, and every `gen`
-construction is one row of `GENERATORS`; `build_parser` and one driver read
-these tables.  One reader, `_read_input`, yields the JSON lines of `-i` or
-stdin to the solver verbs, `gen double-a` and `verify --stdin`, each line
+construction is one row of `GENERATORS`.  Each row lists the flags its
+command reads; `build_parser` adds exactly those, so argparse rejects any
+other flag, and one driver per table runs the rows.  One reader,
+`_read_input`, yields the JSON lines of `-i` or stdin to the solver verbs, `gen double-a` and `verify --stdin`, each line
 decoded once by its `parse` hook (`verifier.deserialize_instance` for
 `verify --stdin`), so `verify --stdin` judges each line as it is read and
 keeps no list of them.
@@ -15,10 +16,11 @@ a theorem-suite violation occurs or an asserted feasibility fails, 2 on
 usage errors (including an `-i` file that cannot be opened, reported with
 its path, malformed JSON, reported with its position, an input line that is
 not a JSON object, lacks a field, or holds a value of the wrong JSON type or
-one its constructor rejects, reported with its line, and conflicting or
-missing `verify` scope flags), 3 when a recorded violation is contradicted
-by its own re-check (a disagreement), and 4 when a search or complex
-exceeds its budget (`BudgetExceededError`), so no answer exists.
+one its constructor rejects, reported with its line, a flag the command
+does not read, and conflicting or missing `verify` scope flags), 3 when a
+recorded violation is contradicted by its own re-check (a disagreement),
+and 4 when a search or complex exceeds its budget (`BudgetExceededError`),
+so no answer exists.
 """
 
 import argparse
@@ -158,9 +160,11 @@ class _Verb:
     solve: Callable  # (args, parsed line) -> (result, ok); a miss exits 1
     summary: str  # --format summary line, formatted with the result's fields
     miss: str = ""  # appended to the summary line when ok is False
-    options: tuple = ()  # (flag, add_argument keywords) beyond -i and --format
+    options: tuple = ()  # (flag names..., add_argument keywords) beyond -i and --format
 
 
+_INPUT = ("-i", "--input", {"default": "-", "help": "input file (default stdin)"})
+_FORMAT = ("--format", {"choices": ["json", "summary"], "default": "json"})
 _BUDGET = ("--budget", {"type": int, "default": 10_000_000, "help": "search node budget"})
 
 
@@ -242,35 +246,54 @@ def _cmd_verb(args, manifest):
 # gen: each construction maps (args, manifest) to the JSON objects it emits.
 
 
-def _theorem19(args, manifest):
-    if args.seed is None:  # random.Random(None) would not be reproducible
-        raise _UsageError("gen theorem19 requires --seed")
-    return (hypergraph_to_json(cons.gen_theorem19_instance(args.n, args.seed + i))
-            for i in range(1 if args.count is None else args.count))
+@dataclass(frozen=True)
+class _Construction:
+    """One `gen` construction: the objects it emits and the flags it reads."""
 
+    build: Callable  # (args, manifest) -> the JSON objects to emit
+    options: tuple  # (flag names..., add_argument keywords)
+
+
+_N = ("--n", {"type": int, "default": 3})
+_COUNT = ("--count", {"type": int, "default": None})
+# --seed is read only by --mode random, and the library rejects it elsewhere
+_SQUARE = (_N, ("--mode", {"choices": ["cyclic", "random", "exhaustive"],
+                           "default": "cyclic"}),
+           ("--seed", {"type": int, "default": None}), _COUNT)
 
 GENERATORS = {
-    "drisko": lambda args, manifest: [family_to_json(cons.gen_drisko_extremal(args.n))],
-    "accommodating": lambda args, manifest: [family_to_json(
-        cons.gen_accommodating_counterexample([int(x) for x in args.sizes.split(",")],
-                                              args.n))],
-    "p3": lambda args, manifest: [family_to_json(cons.gen_p3_family(args.k))],
-    "fracd-sharp": lambda args, manifest: [hypergraph_to_json(cons.gen_fracd_sharp(args.n))],
-    "double-a": lambda args, manifest: (
-        hypergraph_to_json(cons.double_side_A(H))
-        for _, H in _read_input(args, manifest, hypergraph_from_json)),
-    "latin": lambda args, manifest: map(square_to_json, cons.gen_latin(
-        args.n, args.mode, seed=args.seed, count=args.count)),
-    "row-latin": lambda args, manifest: map(square_to_json, cons.gen_row_latin(
-        args.n, args.mode, seed=args.seed, count=args.count)),
-    "theorem19": _theorem19,
+    "drisko": _Construction(
+        lambda args, manifest: [family_to_json(cons.gen_drisko_extremal(args.n))], (_N,)),
+    "accommodating": _Construction(
+        lambda args, manifest: [family_to_json(cons.gen_accommodating_counterexample(
+            [int(x) for x in args.sizes.split(",")], args.n))],
+        (_N, ("--sizes", {"required": True, "help": "comma-separated size sequence"}))),
+    "p3": _Construction(
+        lambda args, manifest: [family_to_json(cons.gen_p3_family(args.k))],
+        (("--k", {"type": int, "default": 2}),)),
+    "fracd-sharp": _Construction(
+        lambda args, manifest: [hypergraph_to_json(cons.gen_fracd_sharp(args.n))], (_N,)),
+    "double-a": _Construction(
+        lambda args, manifest: (hypergraph_to_json(cons.double_side_A(H))
+                                for _, H in _read_input(args, manifest, hypergraph_from_json)),
+        (_INPUT,)),
+    "latin": _Construction(
+        lambda args, manifest: map(square_to_json, cons.gen_latin(
+            args.n, args.mode, seed=args.seed, count=args.count)), _SQUARE),
+    "row-latin": _Construction(
+        lambda args, manifest: map(square_to_json, cons.gen_row_latin(
+            args.n, args.mode, seed=args.seed, count=args.count)), _SQUARE),
+    "theorem19": _Construction(
+        lambda args, manifest: map(hypergraph_to_json, cons.gen_theorem19(
+            args.n, args.seed, args.count)),
+        (_N, ("--seed", {"type": int, "required": True}), _COUNT)),
 }
 
 
 def _cmd_gen(args, manifest):
-    manifest.seed = args.seed
+    manifest.seed = getattr(args, "seed", None)  # None for a construction that draws nothing
     emitted = 0
-    for obj in GENERATORS[args.construction](args, manifest):
+    for obj in GENERATORS[args.construction].build(args, manifest):
         manifest.emit_output(obj, "json")  # generated objects are the output
         emitted += 1
     print(f"{emitted} object(s) generated", file=sys.stderr)
@@ -311,20 +334,13 @@ def _report_out(report, args, manifest):
 
 
 def _cmd_verify(args, manifest):
-    params = _parse_params(args.param)
+    mode = "stdin" if args.stdin else "exhaustive" if args.exhaustive else "randomized"
+    scope = verifier.Scope(mode, args.random, args.seed, _parse_params(args.param))
+    manifest.seed = args.seed
     instances = None
     if args.stdin:
-        scope = verifier.Scope("stdin")
         parse = functools.partial(verifier.deserialize_instance, args.statement)
         instances = (inst for _, inst in _read_input(args, manifest, parse))
-    elif args.exhaustive:
-        scope = verifier.Scope("exhaustive", params=params)
-    else:
-        if args.seed is None:
-            raise _UsageError("randomized verification requires --seed")
-        manifest.seed = args.seed
-        scope = verifier.Scope("randomized", trials=args.random, seed=args.seed,
-                               params=params)
     report = verifier.verify(args.statement, scope, cert_dir=args.cert_dir,
                              instances=instances)
     _report_out(report, args, manifest)
@@ -336,8 +352,6 @@ def _cmd_verify(args, manifest):
 
 
 def _cmd_hunt(args, manifest):
-    if args.seed is None:
-        raise _UsageError("hunt requires --seed")
     manifest.seed = args.seed
     params = _parse_params(args.param)
     report = verifier.hunt(args.statement, args.budget, args.seed, params=params,
@@ -351,8 +365,6 @@ def _cmd_hunt(args, manifest):
 
 
 def _cmd_suite(args, manifest):
-    if not args.theorems:
-        raise _UsageError("suite currently supports --theorems")
     reports, clean = verifier.run_theorem_suite(
         cert_dir=args.cert_dir, progress=lambda report: _report_out(report, args, manifest))
     if not clean:
@@ -373,27 +385,19 @@ def build_parser():
     parser.add_argument("--manifest", help="also write the run manifest to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=["json", "summary"], default="json")
+    def add_options(p, options):
+        for *flags, keywords in options:
+            p.add_argument(*flags, **keywords)
 
     for name, verb in VERBS.items():
         p = sub.add_parser(name, help=verb.help)
-        p.add_argument("-i", "--input", default="-", help="input file (default stdin)")
-        add_format(p)
-        for flag, options in verb.options:
-            p.add_argument(flag, **options)
+        add_options(p, (_INPUT, _FORMAT) + verb.options)
         p.set_defaults(func=_cmd_verb)
 
     p = sub.add_parser("gen", help="emit constructions as JSON lines")
-    p.add_argument("construction", choices=list(GENERATORS))
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--sizes", default="", help="comma-separated size sequence")
-    p.add_argument("--mode", choices=["cyclic", "random", "exhaustive"],
-                   default="cyclic")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("-i", "--input", default="-")
+    constructions = p.add_subparsers(dest="construction", required=True)
+    for name, construction in GENERATORS.items():
+        add_options(constructions.add_parser(name), construction.options)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="sweep a statement over a scope")
@@ -406,22 +410,22 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--cert-dir", default=None)
-    add_format(p)
+    add_options(p, (_FORMAT,))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("hunt", help="randomized counterexample hunt for a conjecture")
     p.add_argument("statement", choices=list(verifier.CONJECTURE_IDS))
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--cert-dir", default=None)
-    add_format(p)
+    add_options(p, (_FORMAT,))
     p.set_defaults(func=_cmd_hunt)
 
     p = sub.add_parser("suite", help="run the zero-violation theorem catalog")
-    p.add_argument("--theorems", action="store_true")
+    p.add_argument("--theorems", action="store_true", required=True)
     p.add_argument("--cert-dir", default=None)
-    add_format(p)
+    add_options(p, (_FORMAT,))
     p.set_defaults(func=_cmd_suite)
 
     return parser

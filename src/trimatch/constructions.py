@@ -14,10 +14,11 @@ lexicographic order, one object at a time.  Every generator's output is
 validated against the hypothesis it targets by the tests, not assumed.
 """
 
+import functools
 import itertools
 import random
 
-from .errors import ConstructionError
+from .errors import BudgetExceededError, ConstructionError
 from .structures import (
     BipartiteGraph,
     Graph,
@@ -196,7 +197,7 @@ def regular_completions(candidates, need):
     candidate in turn, taking first.  A branch is cut once some (side,
     vertex) needs more triples than the remaining candidates hold; only the
     three keys of the candidate just passed can newly fail that test.
-    Raises ConstructionError past COMPLETION_NODE_BUDGET search nodes.
+    Raises BudgetExceededError past COMPLETION_NODE_BUDGET search nodes.
     """
     index = {key: i for i, key in enumerate(need)}
     deficit = list(need.values())
@@ -216,7 +217,7 @@ def regular_completions(candidates, need):
         nonlocal nodes, left
         nodes += 1
         if nodes > COMPLETION_NODE_BUDGET:
-            raise ConstructionError("completion search exhausted its budget")
+            raise BudgetExceededError("completion search exhausted its budget", nodes=nodes)
         if left == 0:
             yield tuple(chosen)
             return
@@ -253,12 +254,26 @@ def cyclic_latin(n):
     return LatinSquare(n, tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 
+def _first(stream, count):
+    """The first `count` objects of a stream, all of them if count is None;
+    a negative count raises ValueError."""
+    if count is None:
+        return stream
+    if count < 0:
+        raise ValueError(f"count must not be negative, got {count}")
+    return itertools.islice(stream, count)
+
+
 def _square_stream(n, mode, seed, count, draw, exhaustive, cap):
     """The first `count` squares (all if None) of one mode's stream.
 
     `draw(n, rng)` makes one random square, and `exhaustive(n)` yields every
     square up to order `cap`.  A random stream without a count yields one.
+    Only the random mode reads a seed: it requires one, and the cyclic and
+    exhaustive modes reject one with a ValueError.
     """
+    if mode in ("cyclic", "exhaustive") and seed is not None:
+        raise ValueError(f"{mode} mode takes no seed, got {seed}")
     if mode == "cyclic":
         squares = [cyclic_latin(n)]
     elif mode == "random":
@@ -273,7 +288,7 @@ def _square_stream(n, mode, seed, count, draw, exhaustive, cap):
         squares = exhaustive(n)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    yield from squares if count is None else itertools.islice(squares, max(count, 0))
+    yield from _first(squares, count)
 
 
 def gen_latin(n, mode, seed=None, count=None):
@@ -354,9 +369,12 @@ def random_row_latin(n, rng):
 
 def row_latin_squares(n):
     """Every row-Latin square of order n whose first row is the identity,
-    in lexicographic order of the later rows."""
+    in lexicographic order of the later rows, one at a time.  A negative
+    order raises ValueError."""
+    if n < 0:
+        raise ValueError("order must be non-negative")
     if n == 0:
-        return [LatinSquare(0, ())]
+        return iter([LatinSquare(0, ())])
     first = tuple(range(n))
     return (LatinSquare(n, (first,) + rest) for rest in
             itertools.product(itertools.permutations(range(n)), repeat=n - 1))
@@ -400,6 +418,13 @@ def gen_theorem19_instance(n, seed):
         _repair_degrees(assign, n, 2, rng, THEOREM19_REPAIR_PASSES)
         edges.extend((a, b, c) for a, b in enumerate(assign))
     return TriHypergraph((a_size, n, n), tuple(edges))
+
+
+def gen_theorem19(n, seed, count=None):
+    """Stream of `gen_theorem19_instance(n, seed + i)` for i below `count`
+    (one if None); a negative count raises ValueError."""
+    return _first(map(functools.partial(gen_theorem19_instance, n), itertools.count(seed)),
+                  1 if count is None else count)
 
 
 def random_matching(left_size, right_size, size, rng):

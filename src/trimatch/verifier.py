@@ -8,11 +8,11 @@ instance its parameters name, once `verify` has held them to the
 statement's cap.  `verify` sweeps a scope (exhaustive at tiny
 sizes, seeded randomized at small sizes, or instances read from stdin) and
 records every hypothesis-true, conclusion-false instance as a violation;
-`hunt` does the same for conjectures with a trial budget.  A randomized
-sweep checks its parameters and trial count once, seeds one rng and calls
-the draw once per trial.  Vacuous instances (hypothesis false) are counted
-but never judged, so a sweep can never "confirm" a statement it never
-actually tested.
+`hunt` does the same for conjectures with a trial budget.  A `Scope`
+checks its own fields when it is built; a randomized sweep then checks
+its parameters once, seeds one rng and calls the draw once per trial.
+Vacuous instances (hypothesis false) are counted but never judged, so a
+sweep can never "confirm" a statement it never actually tested.
 
 Each instance kind has one `_Codec`: its JSON form, the raw `gen` objects
 it accepts, the exact solver for the optimum its conclusions are stated in,
@@ -72,32 +72,50 @@ MAX_RANDOM_TRIALS = 1_000_000
 PSI_ORACLE_EDGE_LIMIT = 8
 
 
+# the fields each scope mode reads; a scope that sets any other is rejected
+_SCOPE_FIELDS = {"exhaustive": ("params",), "randomized": ("trials", "seed", "params"),
+                 "stdin": ()}
+
+
 @dataclass(frozen=True)
 class Scope:
     """What `verify` sweeps: exhaustive(params), randomized(trials, seed,
     params), or stdin, the instances handed to `verify` by its caller.
 
-    `params` are keyword arguments of the statement's stream builder or
-    draw; `_stream` rejects an unknown key, a value of the wrong kind and a
-    negative trial count before any instance is made.
+    A scope checks its own fields when it is built, with a ValueError that
+    names the field: a mode takes only the fields it reads, and a
+    randomized scope needs a seed and a trial count of at least 0.  More
+    than MAX_RANDOM_TRIALS trials raise InfeasibleScopeError.  `params` are
+    keyword arguments of the statement's stream builder or draw, checked
+    against the statement by `_stream`.
     """
 
     mode: str  # "exhaustive" | "randomized" | "stdin"
-    trials: int = 0
+    trials: int = None
     seed: int = None
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.mode not in _SCOPE_FIELDS:
+            raise ValueError(f"unknown scope mode {self.mode!r}")
+        for name in ("trials", "seed", "params"):
+            value = getattr(self, name)
+            if value not in (None, {}) and name not in _SCOPE_FIELDS[self.mode]:
+                raise ValueError(f"{self.mode} scope takes no {name}, got {value!r}")
+        if self.mode != "randomized":
+            return
+        if self.seed is None:
+            raise ValueError("randomized scope requires a seed")
+        if self.trials is None:
+            raise ValueError("randomized scope requires a trial count")
+        if self.trials < 0:
+            raise ValueError(f"trial count must not be negative, got {self.trials}")
+        if self.trials > MAX_RANDOM_TRIALS:
+            raise InfeasibleScopeError("trial budget beyond the cap table")
+
     def describe(self):
-        if self.mode == "exhaustive":
-            return {"mode": "exhaustive", "params": dict(self.params)}
-        if self.mode == "randomized":
-            return {
-                "mode": "randomized",
-                "trials": self.trials,
-                "seed": self.seed,
-                "params": dict(self.params),
-            }
-        return {"mode": self.mode}
+        keep = ("mode",) + _SCOPE_FIELDS[self.mode]
+        return {name: value for name, value in asdict(self).items() if name in keep}
 
 
 @dataclass
@@ -900,14 +918,15 @@ def _record_violation(statement, rec, inst, report, cert_dir):
 
 
 def _stream(statement, rec, scope):
-    """The instances of a scope, after one eager check of its parameters.
+    """The instances of a scope, after one eager check of its parameters
+    against the statement; the scope has checked its own fields.
 
     An exhaustive scope holds each parameter that the statement's `cap`
     names, given or default, to its cap and then calls the stream builder.
     A randomized scope seeds one rng and calls the statement's draw once
     per trial.  The first draw is made at once, so a draw's own check (the
     random eta/psi cap, say) rejects the scope even when it asks for no
-    trials.
+    trials.  A stdin scope has no stream: its caller passes the instances.
     """
     if scope.mode == "exhaustive":
         if rec.exhaustive is None:
@@ -923,19 +942,13 @@ def _stream(statement, rec, scope):
                     f"asked for {params[name]}")
         return rec.exhaustive(**scope.params)
     if scope.mode == "randomized":
-        if scope.seed is None:
-            raise ValueError("randomized scope requires a seed")
-        if scope.trials < 0:
-            raise ValueError(f"trial count must not be negative, got {scope.trials}")
-        if scope.trials > MAX_RANDOM_TRIALS:
-            raise InfeasibleScopeError("trial budget beyond the cap table")
         _check_params(rec.randomized, scope.params)
         draw = functools.partial(rec.randomized, **scope.params)
         rng = random.Random(scope.seed)
         first = draw(rng)
         return itertools.islice(
             itertools.chain([first], map(draw, itertools.repeat(rng))), scope.trials)
-    raise ValueError(f"unknown scope mode {scope.mode!r}")
+    raise ValueError("a stdin scope judges the instances its caller passes to verify")
 
 
 def verify(statement, scope, *, cert_dir=None, instances=None):

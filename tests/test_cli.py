@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import io
@@ -7,7 +8,7 @@ import random
 import pytest
 
 from trimatch import verifier
-from trimatch.cli import BUDGET_EXCEEDED, DISAGREEMENT, main
+from trimatch.cli import BUDGET_EXCEEDED, DISAGREEMENT, build_parser, main
 from trimatch.constructions import cyclic_latin, gen_drisko_extremal, random_graph
 from trimatch.solver import SolveResult
 from trimatch.structures import (
@@ -18,6 +19,21 @@ from trimatch.structures import (
     square_to_json,
     Graph,
 )
+
+
+# the flags each gen construction reads, and a value for every gen flag
+GEN_FLAGS = {
+    "drisko": ["--n"],
+    "accommodating": ["--n", "--sizes"],
+    "p3": ["--k"],
+    "fracd-sharp": ["--n"],
+    "double-a": ["-i"],
+    "latin": ["--count", "--mode", "--n", "--seed"],
+    "row-latin": ["--count", "--mode", "--n", "--seed"],
+    "theorem19": ["--count", "--n", "--seed"],
+}
+ALL_GEN_FLAGS = {"--n": "3", "--k": "2", "--sizes": "1,2", "--mode": "cyclic", "--seed": "1",
+                 "--count": "1", "-i": "-"}
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -180,14 +196,31 @@ class TestGen:
         assert code == 0
         assert len(json_lines(out)) == 12
 
-    @pytest.mark.parametrize("kind", ["latin", "row-latin", "theorem19"])
-    @pytest.mark.parametrize("mode", ["exhaustive", "random", "cyclic"])
+    @pytest.mark.parametrize("mode,kind", [
+        (mode, kind) for kind in ("latin", "row-latin") for mode in ("exhaustive", "random",
+                                                                     "cyclic")
+    ] + [("random", "theorem19")])
     def test_gen_count_zero_prints_nothing(self, kind, mode, monkeypatch, capsys):
-        code, out, err = run_cli(["gen", kind, "--mode", mode, "--n", "3", "--seed", "1",
-                                  "--count", "0"], "", monkeypatch, capsys)
+        # each command gets only the flags it reads: theorem19 draws at random
+        # and has no --mode, and only the random mode reads --seed
+        flags = [] if kind == "theorem19" else ["--mode", mode]
+        flags += ["--seed", "1"] if mode == "random" else []
+        code, out, err = run_cli(["gen", kind, "--n", "3", "--count", "0"] + flags, "",
+                                 monkeypatch, capsys)
         assert code == 0
         assert out == ""
         assert "0 object(s) generated" in err
+
+    @pytest.mark.parametrize("argv", [
+        "gen latin --n 3 --count -1",
+        "gen row-latin --n 3 --mode random --seed 1 --count -1",
+        "gen theorem19 --n 2 --seed 1 --count -2",
+    ])
+    def test_gen_negative_count_is_a_usage_error(self, argv, monkeypatch, capsys):
+        code, out, err = run_cli(argv.split(), "", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: count must not be negative, got {argv.split()[-1]}" in err
 
     @pytest.mark.parametrize("kind", ["latin", "row-latin"])
     def test_gen_cyclic_stops_at_count(self, kind, monkeypatch, capsys):
@@ -245,6 +278,56 @@ class TestGen:
         fam = json_lines(out)[0]
         assert len(fam["members"]) == 3
 
+    def test_each_construction_accepts_only_the_flags_it_reads(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (gen,) = [a for a in sub.choices["gen"]._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        accepted = {name: sorted(action.option_strings[0] for action in parser._actions
+                                 if action.option_strings and action.dest != "help")
+                    for name, parser in gen.choices.items()}
+        assert accepted == GEN_FLAGS
+        assert sum(map(len, accepted.values())) == 17
+
+    @pytest.mark.parametrize("name,flag", [
+        (name, flag) for name, flags in GEN_FLAGS.items() for flag in ALL_GEN_FLAGS
+        if flag not in flags])
+    def test_a_flag_the_construction_does_not_read_exits_2(self, name, flag, monkeypatch,
+                                                            capsys):
+        needed = {"accommodating": ["--sizes", "0,1,2"], "theorem19": ["--seed", "1"]}
+        argv = ["gen", name] + needed.get(name, []) + [flag, ALL_GEN_FLAGS[flag]]
+        code, out, err = run_cli(argv, "", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag} {ALL_GEN_FLAGS[flag]}" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        ("gen latin --n 3 --mode exhaustive --seed 1", "exhaustive mode takes no seed, got 1"),
+        ("gen row-latin --n 3 --seed 1", "cyclic mode takes no seed, got 1"),
+    ])
+    def test_a_seed_outside_the_random_mode_exits_2(self, argv, message, monkeypatch,
+                                                     capsys):
+        code, out, err = run_cli(argv.split(), "", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        ("gen theorem19 --n 2", "--seed"),
+        ("gen accommodating --n 2", "--sizes"),
+        ("hunt CONJ_SYM_1_3 --budget 5", "--seed"),
+        ("suite", "--theorems"),
+    ])
+    def test_a_missing_required_flag_exits_2(self, argv, flag, monkeypatch, capsys):
+        code, out, err = run_cli(argv.split(), "", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"the following arguments are required: {flag}" in err
+
+    def test_construction_flags_follow_its_name(self, monkeypatch, capsys):
+        code, out, _ = run_cli(["gen", "--n", "3", "drisko"], "", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+
 
 class TestVerifyHuntSuite:
     def test_verify_exhaustive(self, monkeypatch, capsys):
@@ -261,6 +344,21 @@ class TestVerifyHuntSuite:
         code, _, err = run_cli(["verify", "DRISKO_1_5", "--random", "5"], "",
                                monkeypatch, capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        ("verify CAMWAN_1_10 --stdin --param max_order=9",
+         "stdin scope takes no params, got {'max_order': 9}"),
+        ("verify CAMWAN_1_10 --stdin --seed 4", "stdin scope takes no seed, got 4"),
+        ("verify CAMWAN_1_10 --exhaustive --seed 4 --param max_order=3",
+         "exhaustive scope takes no seed, got 4"),
+    ])
+    def test_verify_flag_its_scope_does_not_read_exits_2(self, argv, message, monkeypatch,
+                                                         capsys):
+        line = json.dumps(square_to_json(cyclic_latin(3)))
+        code, out, err = run_cli(argv.split(), line + "\n", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
 
     @pytest.mark.parametrize("scopes", [
         ["--stdin", "--random", "5", "--seed", "1"],

@@ -7,7 +7,7 @@ import pytest
 
 from trimatch import constructions as cons
 from trimatch import oracle
-from trimatch.errors import ConstructionError
+from trimatch.errors import BudgetExceededError, ConstructionError
 from trimatch.solver import find_rainbow_matching, max_matching_size
 from trimatch.structures import (
     degree,
@@ -165,8 +165,9 @@ class TestRegularCompletions:
 
     def test_node_budget(self, monkeypatch):
         monkeypatch.setattr(cons, "COMPLETION_NODE_BUDGET", 10)
-        with pytest.raises(ConstructionError, match="budget"):
+        with pytest.raises(BudgetExceededError, match="budget") as exc:
             list(cons.enumerate_regular_simple(3, 1))
+        assert exc.value.nodes == 11
 
 
 class TestDoubleSideA:
@@ -234,6 +235,19 @@ class TestLatinStreams:
         with pytest.raises(ValueError):
             next(cons.gen_latin(3, "random"))
 
+    @pytest.mark.parametrize("gen", [cons.gen_latin, cons.gen_row_latin])
+    @pytest.mark.parametrize("mode", ["cyclic", "exhaustive"])
+    def test_only_the_random_mode_takes_a_seed(self, gen, mode):
+        with pytest.raises(ValueError, match=f"^{mode} mode takes no seed, got 0$"):
+            next(gen(3, mode, seed=0))
+
+    @pytest.mark.parametrize("gen", [cons.gen_latin, cons.gen_row_latin])
+    @pytest.mark.parametrize("mode,seed", [("cyclic", None), ("exhaustive", None),
+                                           ("random", 1)])
+    def test_a_negative_count_is_refused(self, gen, mode, seed):
+        with pytest.raises(ValueError, match="^count must not be negative, got -1$"):
+            next(gen(3, mode, seed=seed, count=-1))
+
     def test_negative_order_is_refused(self):
         with pytest.raises(ValueError, match="order must be non-negative"):
             cons.latin_squares(-1)
@@ -269,6 +283,20 @@ class TestLatinStreams:
 
 
 class TestRowLatinStreams:
+    @pytest.mark.parametrize("n,cells", [
+        (0, [()]),
+        (1, [((0,),)]),
+        (2, [((0, 1), (0, 1)), ((0, 1), (1, 0))]),
+    ])
+    def test_row_latin_squares_is_a_stream(self, n, cells):
+        stream = cons.row_latin_squares(n)
+        assert iter(stream) is stream
+        assert [L.cells for L in stream] == cells
+
+    def test_negative_order_is_refused_at_the_call(self):
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            cons.row_latin_squares(-1)
+
     def test_normalized_counts(self):
         assert sum(1 for _ in cons.gen_row_latin(2, "exhaustive")) == 2
         assert sum(1 for _ in cons.gen_row_latin(3, "exhaustive")) == 36
@@ -311,6 +339,14 @@ class TestTheorem19:
 
     def test_seed_determinism(self):
         assert cons.gen_theorem19_instance(3, 9) == cons.gen_theorem19_instance(3, 9)
+
+    def test_stream_draws_consecutive_seeds(self):
+        assert list(cons.gen_theorem19(2, 5, 3)) == [
+            cons.gen_theorem19_instance(2, seed) for seed in (5, 6, 7)]
+        assert list(cons.gen_theorem19(2, 5)) == [cons.gen_theorem19_instance(2, 5)]
+        assert list(cons.gen_theorem19(2, 5, 0)) == []
+        with pytest.raises(ValueError, match="^count must not be negative, got -2$"):
+            cons.gen_theorem19(2, 5, -2)
 
 
 class TestRandomGenerators:

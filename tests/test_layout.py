@@ -85,7 +85,8 @@ def test_star_import_gives_every_name_in_all_once():
 
 
 def readme_command_block():
-    """(verbs, gen constructions) listed in README's first Command line block."""
+    """(verbs, gen constructions) listed in README's first Command line block;
+    each construction is (name, the flags listed after it)."""
     section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     verbs, constructions, in_gen = [], [], False
@@ -96,13 +97,23 @@ def readme_command_block():
         elif not line.lstrip().startswith("#"):
             in_gen = False
         if in_gen and "#" in line:
-            constructions += [c.strip() for c in line.split("#", 1)[1].split("|") if c.strip()]
+            constructions += [(c.split()[0], c.split()[1:])
+                              for c in line.split("#", 1)[1].split("|") if c.strip()]
     return verbs, constructions
+
+
+def subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
 
 def test_readme_command_block_lists_every_verb_and_gen_construction():
     verbs, constructions = readme_command_block()
-    (subparsers,) = [action for action in build_parser()._actions
-                     if isinstance(action, argparse._SubParsersAction)]
-    assert verbs == list(subparsers.choices)
-    assert constructions == list(GENERATORS)
+    commands = subparsers(build_parser())
+    assert verbs == list(commands)
+    assert [name for name, _ in constructions] == list(GENERATORS)
+    # and each construction's flags: argparse rejects any other
+    accepted = {name: sorted(action.option_strings[0] for action in parser._actions
+                             if action.option_strings and action.dest != "help")
+                for name, parser in subparsers(commands["gen"]).items()}
+    assert {name: sorted(flags) for name, flags in constructions} == accepted

@@ -117,6 +117,32 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify("DRISKO_1_5", Scope("randomized", trials=5))
 
+    @pytest.mark.parametrize("fields,message", [
+        (("exhaustive", 5), "exhaustive scope takes no trials, got 5"),
+        (("exhaustive", None, 0), "exhaustive scope takes no seed, got 0"),
+        (("stdin", 0), "stdin scope takes no trials, got 0"),
+        (("stdin", None, 4), "stdin scope takes no seed, got 4"),
+        (("stdin", None, None, {"max_order": 3}),
+         "stdin scope takes no params, got {'max_order': 3}"),
+        (("randomized", 5), "randomized scope requires a seed"),
+        (("randomized", None, 1), "randomized scope requires a trial count"),
+        (("randomized", -1, 1), "trial count must not be negative, got -1"),
+        (("sampled", 5, 1), "unknown scope mode 'sampled'"),
+    ])
+    def test_a_scope_rejects_the_fields_its_mode_does_not_read(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Scope(*fields)
+
+    def test_a_scope_checks_its_trial_cap_when_built(self):
+        assert Scope("randomized", verifier.MAX_RANDOM_TRIALS, 1).trials == \
+            verifier.MAX_RANDOM_TRIALS
+        with pytest.raises(InfeasibleScopeError, match="trial budget"):
+            Scope("randomized", verifier.MAX_RANDOM_TRIALS + 1, 1)
+
+    def test_a_stdin_scope_has_no_stream_of_its_own(self):
+        with pytest.raises(ValueError, match="instances its caller passes"):
+            verify("CAMWAN_1_10", Scope("stdin"))
+
     def test_randomized_deterministic_reports(self):
         scope = Scope("randomized", trials=20, seed=77, params={"n_values": [2]})
         a = verify("DRISKO_1_5", scope)
@@ -385,6 +411,13 @@ class TestStdinStream:
         assert calls == [H, H]
 
 
+def _scope(mode, trials, seed, params):
+    """A scope of the given mode that keeps only the fields the mode reads."""
+    if mode == "exhaustive":
+        return Scope(mode, params=params)
+    return Scope(mode, trials=trials, seed=seed, params=params)
+
+
 class TestStreamParams:
     def test_unknown_key_names_it_and_the_accepted_ones(self):
         scope = Scope("randomized", trials=2, seed=0, params={"ell": 2, "max_edges": 5})
@@ -420,7 +453,7 @@ class TestStreamParams:
     ])
     def test_value_of_the_wrong_kind_names_the_parameter(self, sid, scope, name, kind,
                                                          value):
-        scope = Scope(scope, trials=2, seed=0, params={name: value})
+        scope = _scope(scope, 2, 0, {name: value})
         message = f"parameter '{name}' expects {kind}, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify(sid, scope)
@@ -441,7 +474,7 @@ class TestStreamParams:
             if scope == "hunt":
                 hunt(sid, 3, 1, params={name: value})
             else:
-                verify(sid, Scope(scope, trials=3, seed=1, params={name: value}))
+                verify(sid, _scope(scope, 3, 1, {name: value}))
 
     def test_values_of_each_kind_are_accepted(self):
         for sid, params in [("DRISKO_1_5", {"n_values": (2,)}),
