@@ -41,6 +41,7 @@ from .errors import BudgetExceededError, ConstructionError, InfeasibleScopeError
 from .game import psi, psi_line
 from .homology import betti, graph_eta, independence_complex
 from .solver import (
+    DEFAULT_NODE_BUDGET,
     find_bounded_diagonal,
     find_independent_transversal,
     find_rainbow_matching,
@@ -165,7 +166,7 @@ class _Verb:
 
 _INPUT = ("-i", "--input", {"default": "-", "help": "input file (default stdin)"})
 _FORMAT = ("--format", {"choices": ["json", "summary"], "default": "json"})
-_BUDGET = ("--budget", {"type": int, "default": 10_000_000, "help": "search node budget"})
+_BUDGET = ("--budget", {"type": int, "default": DEFAULT_NODE_BUDGET, "help": "search node budget"})
 
 
 def _searched(res, witness):
@@ -254,6 +255,15 @@ class _Construction:
     options: tuple  # (flag names..., add_argument keywords)
 
 
+def _int_list(text):
+    """An argparse type: a comma-separated list of integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 _N = ("--n", {"type": int, "default": 3})
 _COUNT = ("--count", {"type": int, "default": None})
 # --seed is read only by --mode random, and the library rejects it elsewhere
@@ -266,8 +276,9 @@ GENERATORS = {
         lambda args, manifest: [family_to_json(cons.gen_drisko_extremal(args.n))], (_N,)),
     "accommodating": _Construction(
         lambda args, manifest: [family_to_json(cons.gen_accommodating_counterexample(
-            [int(x) for x in args.sizes.split(",")], args.n))],
-        (_N, ("--sizes", {"required": True, "help": "comma-separated size sequence"}))),
+            args.sizes, args.n))],
+        (_N, ("--sizes", {"type": _int_list, "required": True,
+                          "help": "comma-separated size sequence"}))),
     "p3": _Construction(
         lambda args, manifest: [family_to_json(cons.gen_p3_family(args.k))],
         (("--k", {"type": int, "default": 2}),)),
@@ -441,10 +452,7 @@ def main(argv=None):
     manifest = _Manifest(["trimatch"] + argv)
     try:
         code = args.func(args, manifest)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, ConstructionError, InfeasibleScopeError) as exc:
+    except (_UsageError, ValueError, ConstructionError, InfeasibleScopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BudgetExceededError as exc:

@@ -434,6 +434,56 @@ class TestTransversal:
             P = random_partition_system(rng)
             assert find_independent_transversal(P).optimum == oracle.transversal_oracle(P)
 
+    def test_oracle_agreement_on_every_small_graph_and_pair_of_parts(self):
+        # all labelled graphs on <= 4 vertices; the parts range over every
+        # ordered pair of vertex sets, so they may be empty, equal or overlap
+        for n in range(5):
+            pairs = list(itertools.combinations(range(n), 2))
+            subsets = [frozenset(s) for k in range(n + 1)
+                       for s in itertools.combinations(range(n), k)]
+            for mask in range(1 << len(pairs)):
+                G = Graph(n, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1))
+                for parts in itertools.product(subsets, repeat=2):
+                    P = PartitionedGraph(G, parts)
+                    assert find_independent_transversal(P).optimum == oracle.transversal_oracle(P)
+
+    def test_oracle_agreement_up_to_12_vertices(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            n = rng.randrange(0, 13)
+            p = rng.random()
+            G = Graph(n, frozenset(e for e in itertools.combinations(range(n), 2)
+                                   if rng.random() < p))
+            parts = tuple(frozenset(v for v in range(n) if rng.random() < 0.3)
+                          for _ in range(rng.randrange(0, 7)))
+            P = PartitionedGraph(G, parts)
+            assert find_independent_transversal(P).optimum == oracle.transversal_oracle(P)
+
+    def test_vertices_in_no_part_add_no_nodes(self):
+        # each system gains four vertices in no part, joined to one another
+        # and to its own vertices; the search never branches on them
+        rng = random.Random(8)
+        for _ in range(40):
+            n = rng.randrange(1, 9)
+            edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3}
+            parts = tuple(frozenset(v for v in range(n) if rng.random() < 0.4)
+                          for _ in range(rng.randrange(1, 5)))
+            extra = {e for e in itertools.combinations(range(n + 4), 2)
+                     if e[1] >= n and rng.random() < 0.5}
+            small = find_independent_transversal(PartitionedGraph(Graph(n, frozenset(edges)),
+                                                                  parts))
+            large = find_independent_transversal(
+                PartitionedGraph(Graph(n + 4, frozenset(edges | extra)), parts))
+            assert large.optimum == small.optimum
+            assert large.nodes_explored == small.nodes_explored
+
+    def test_perfect_matching_on_60_vertices_within_100_nodes(self):
+        # 2**30 maximal independent sets; the parts touch only four vertices
+        G = Graph(60, frozenset((2 * i, 2 * i + 1) for i in range(30)))
+        P = PartitionedGraph(G, (frozenset({0}), frozenset({1}), frozenset({2, 4}),
+                                 frozenset({3})))
+        assert find_independent_transversal(P, node_budget=100).optimum == 3
+
     def test_deficiency_bounds_checked(self):
         P = PartitionedGraph(Graph(1), (frozenset({0}),))
         with pytest.raises(ValueError):
