@@ -2,11 +2,14 @@
 
 One individualisation-refinement search labels a graph given as adjacency
 bitmasks, optionally vertex-coloured; it serves the psi memo keys of
-`trimatch.game`, the root orbits of `trimatch.solver.max_matching_size`
-and `graph_classes`, the isomorph-free graph stream here that the
-exhaustive sweeps of `trimatch.verifier` read.  Everything in this module
-deals in masks only: a graph is a tuple of adjacency bitmasks, one per
-vertex, the form of `Graph.adj`.
+`trimatch.game` and `graph_classes`, the isomorph-free graph stream here
+that the exhaustive sweeps of `trimatch.verifier` read.  A second search
+of the same tree, `automorphism_generators`, finds the automorphism group
+and the stabiliser of one vertex with no canonical form; it serves the
+orbital branching of `trimatch.solver.max_matching_size` and the parents
+that `graph_classes` extends.  Everything in this module deals in masks
+only: a graph is a tuple of adjacency bitmasks, one per vertex, the form of
+`Graph.adj`.
 
 `graph_classes` relies on one fact about the labeller: a canonical order
 lists the cells of the equitable partition (`equitable_partition`) in
@@ -140,6 +143,23 @@ def set_orbit_representatives(n, generators):
                     stack.append(y)
 
 
+def _individualise(adj, cells, t, b):
+    """The child of an equitable partition that splits vertex b (a bit) off
+    the front of its cell cells[t], refined."""
+    return _refine(adj, cells[:t] + [b, cells[t] ^ b] + cells[t + 1:], [b])
+
+
+def _check_cells(n, cells):
+    """Raise ValueError unless `cells` is an ordered partition of range(n)
+    into nonempty bitmasks."""
+    union = 0
+    for cell in cells:
+        union |= cell
+    if not all(cells) or union != (1 << n) - 1 or sum(cell.bit_count() for cell in cells) != n:
+        raise ValueError("cells must be an ordered partition of the vertices "
+                         "into nonempty bitmasks")
+
+
 def canonical_labelling(adj, cells=None):
     """Canonical form of a graph given as adjacency bitmasks, one per vertex.
 
@@ -172,13 +192,7 @@ def canonical_labelling(adj, cells=None):
     """
     n = len(adj)
     if cells is not None:
-        union = 0
-        for cell in cells:
-            union |= cell
-        if not all(cells) or union != (1 << n) - 1 or \
-                sum(cell.bit_count() for cell in cells) != n:
-            raise ValueError("cells must be an ordered partition of the vertices "
-                             "into nonempty bitmasks")
+        _check_cells(n, cells)
     if n == 0:
         return ((0, 0) if cells is None else (0, (), 0)), [], []
     gens = []  # (perm, mask of the vertices perm fixes)
@@ -235,8 +249,7 @@ def canonical_labelling(adj, cells=None):
             rest ^= b
             if b & done:
                 continue
-            child = cells[:t] + [b, cell ^ b] + cells[t + 1:]
-            resume = search(_refine(adj, child, [b]), path + [b.bit_length() - 1],
+            resume = search(_individualise(adj, cells, t, b), path + [b.bit_length() - 1],
                             path_mask | b)
             if resume < depth:
                 return resume
@@ -253,6 +266,142 @@ def canonical_labelling(adj, cells=None):
     # call leaves no reference cycle for the cyclic collector
     search = None
     return key, best[1], [perm for perm, _ in gens]
+
+
+def automorphism_generators(adj, cells, first=None):
+    """Generators of the automorphism group of a vertex-coloured graph and
+    of the stabiliser of one vertex, with no canonical form.
+
+    `adj` and `cells` are as for `canonical_labelling`, but `cells` is
+    required: `[(1 << n) - 1]` for an uncoloured graph.  Returns (gens,
+    stab), permutations as lists with perm[v] the image of v: `gens`
+    generate the automorphisms that map each cell onto itself, and `stab`,
+    the part of `gens` that the search finds below its first level,
+    generates the stabiliser of `first` in that group.  With `first` None
+    the search starts as the labeller does, and `stab` is the stabiliser of
+    the first vertex it individualises.
+
+    The search walks one path of the labeller's tree down to a leaf: at the
+    root it individualises `first`, unless `first` already is a singleton
+    cell (then every automorphism fixes it and `stab` is `gens`), and below
+    that the lowest vertex of the first non-singleton cell.  Then it takes
+    the levels bottom-up.  At level i, with path vertices v_0 .. v_i, let G_i
+    be the automorphisms that fix v_0 .. v_(i-1); the generators found so
+    far that fix them generate G_(i+1).  Each vertex w of v_i's cell that
+    lies outside the orbit of v_i under those generators is individualised
+    in place of v_i, and its subtree is searched for a leaf whose adjacency
+    rows, in leaf order, equal the first leaf's; mapping the first leaf's
+    order onto that leaf's is an automorphism in G_i that sends v_i to w.
+    If g in G_i sends v_i to w, refinement commutes with g, so g maps the
+    first path below v_i onto a path below w with the same cell sizes at
+    every depth, ending in such a leaf: the search prunes every node whose
+    cell sizes differ from the first path's at its depth, and skips a child
+    in the orbit of a failed sibling under the generators that fix the
+    node's individualised vertices (their images would fail too).  So a
+    vertex is searched in vain only if it lies outside v_i's G_i-orbit, the
+    orbit is complete when the level ends, and G_i is generated by G_(i+1)
+    and the new generators (Schreier–Sims: h^-1 g lies in G_(i+1) for g in
+    G_i and some h found with h(v_i) = g(v_i)).  The induction starts at the
+    leaf: its path vertices determine the discrete leaf, so only the
+    identity fixes them all.
+    """
+    n = len(adj)
+    _check_cells(n, cells)
+    if first is not None and not 0 <= first < n:
+        raise ValueError(f"first must be a vertex of the graph, got {first!r}")
+    part = _refine(adj, list(cells), list(cells))
+    # the first path: (partition, target cell index, path vertex, mask of
+    # the path vertices above it)
+    levels = []
+    v = None
+    if first is not None:
+        for t, cell in enumerate(part):
+            if cell >> first & 1:
+                break
+        if cell & (cell - 1):
+            v = first
+    everything_fixes_first = first is not None and v is None
+    prefix = 0
+    while v is not None or len(part) < n:
+        if v is None:
+            for t, cell in enumerate(part):
+                if cell & (cell - 1):
+                    break
+            v = (cell & -cell).bit_length() - 1
+        levels.append((part, t, v, prefix))
+        prefix |= 1 << v
+        part = _individualise(adj, part, t, 1 << v)
+        v = None
+    shapes = [[cell.bit_count() for cell in p] for p, _, _, _ in levels] + [[1] * n]
+    leaf = [cell.bit_length() - 1 for cell in part]
+    gens = []  # (perm, mask of the vertices perm fixes)
+
+    def automorphism(part):
+        """The map of the first leaf's order onto this leaf's and the mask
+        of the vertices it fixes, if it keeps every adjacency row, else
+        None."""
+        perm = [0] * n
+        fixed = 0
+        for u, cell in zip(leaf, part):
+            w = perm[u] = cell.bit_length() - 1
+            if u == w:
+                fixed |= cell
+        for u, w in enumerate(perm):
+            img = 0
+            a = adj[u]
+            while a:
+                b = a & -a
+                a ^= b
+                img |= 1 << perm[b.bit_length() - 1]
+            if img != adj[w]:
+                return None
+        return perm, fixed
+
+    def search(part, depth, path_mask):
+        """An automorphism onto a leaf below `part`, with the mask of the
+        vertices it fixes, or None."""
+        if [cell.bit_count() for cell in part] != shapes[depth]:
+            return None
+        if depth == len(levels):
+            return automorphism(part)
+        for t, cell in enumerate(part):
+            if cell & (cell - 1):
+                break
+        done = 0
+        rest = cell
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if b & done:
+                continue
+            found = search(_individualise(adj, part, t, b), depth + 1, path_mask | b)
+            if found is not None:
+                return found
+            done = orbit_mask(done | b, [p for p, fixed in gens if not path_mask & ~fixed])
+        return None
+
+    below = 0  # the generators found below level 0
+    for i in reversed(range(len(levels))):
+        part, t, v, prefix = levels[i]
+        level_gens = [p for p, fixed in gens if not prefix & ~fixed]
+        below = len(gens)  # final at i = 0
+        done = orbit_mask(1 << v, level_gens)
+        rest = part[t]
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if b & done:
+                continue
+            found = search(_individualise(adj, part, t, b), i + 1, prefix | b)
+            if found is not None:
+                gens.append(found)
+                level_gens.append(found[0])
+            done = orbit_mask(done | b, level_gens)
+    # `search` calls itself through its closure cell: unbind it, as the
+    # labeller does
+    search = None
+    gens = [perm for perm, _ in gens]
+    return gens, (gens if everything_fixes_first else gens[:below])
 
 
 def graph_classes(max_n):
@@ -278,7 +427,8 @@ def graph_classes(max_n):
     of the kept children, which become the next parents, and at max_n it
     keeps no child: streaming every class on 9 vertices holds the 12 346
     classes on 8, not the 274 668 on 9.  Generators are None for a child
-    kept without a labelling; its parent labels it when it is extended.
+    kept without a labelling; `automorphism_generators` finds them when it
+    is extended, since a parent needs no canonical form.
     """
     if max_n < 0:
         return
@@ -290,7 +440,7 @@ def graph_classes(max_n):
         children = []
         for adj, gens in level:
             if gens is None:
-                gens = canonical_labelling(adj)[2]
+                gens = automorphism_generators(adj, [(1 << len(adj)) - 1])[0]
             for nbrs in set_orbit_representatives(n - 1, gens):
                 child = tuple(a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)) + (nbrs,)
                 degree = nbrs.bit_count()

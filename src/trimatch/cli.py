@@ -166,7 +166,21 @@ class _Verb:
 
 _INPUT = ("-i", "--input", {"default": "-", "help": "input file (default stdin)"})
 _FORMAT = ("--format", {"choices": ["json", "summary"], "default": "json"})
-_BUDGET = ("--budget", {"type": int, "default": DEFAULT_NODE_BUDGET, "help": "search node budget"})
+
+
+def _positive_int(text):
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+_BUDGET = ("--budget", {"type": _positive_int, "default": DEFAULT_NODE_BUDGET,
+                        "help": "search node budget"})
 
 
 def _searched(res, witness):

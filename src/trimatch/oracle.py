@@ -116,6 +116,22 @@ def canonical_key_oracle(n, edges, colours=None):
     )
 
 
+def automorphism_group_oracle(adj, cells):
+    """Every permutation of the vertices of `adj` (adjacency bitmasks) that
+    maps each cell of `cells` (vertex bitmasks) onto itself and keeps every
+    adjacency, as a set of tuples with perm[v] the image of v."""
+    n = len(adj)
+    if n > 7:
+        raise ValueError("oracle limited to 7 vertices")
+    cell_of = [next(i for i, cell in enumerate(cells) if cell >> v & 1) for v in range(n)]
+    return {
+        perm for perm in itertools.permutations(range(n))
+        if all(cell_of[perm[v]] == cell_of[v] for v in range(n))
+        and all(sum(1 << perm[u] for u in range(n) if adj[v] >> u & 1) == adj[perm[v]]
+                for v in range(n))
+    }
+
+
 def equitable_refinement_oracle(adj, cells):
     """The coarsest equitable refinement of the vertex partition `cells`
     (bitmasks over the vertices of `adj`), as a set of frozensets.

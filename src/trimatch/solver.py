@@ -15,15 +15,18 @@ remaining member of a class that still has a usable edge.  Twins can be
 permuted within their class without changing any matching's size, which
 is why this stays exact (see `max_matching_size`).
 
-At the root the search also uses the hypergraph's wider symmetry, by root
-orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, "Orbital
-branching", Math. Program. 2011; Margot, "Symmetry in integer linear
-programming", 2010): of the root's children that use an edge, it searches
-one per orbit of the automorphism group.  The group comes from
-`trimatch.canonical` applied to the twin quotient, once per call and only
-when a second root child would be searched without the first having
-reached the root's bound.  The cyclic Latin square of order 10, whose
-symmetries are transitive on its cells, falls from 40 896 nodes to 4 102.
+At the root and one level below it the search also uses the hypergraph's
+wider symmetry, by orbital branching (Ostrowski, Linderoth, Rossi &
+Smriglio, "Orbital branching", Math. Program. 2011; Margot, "Symmetry in
+integer linear programming", 2010).  Of the root's children that use an
+edge it searches one per orbit of the automorphism group G of the twin
+quotient, and of those of the root's first use-child, `use e0`, one per
+orbit of the stabiliser of e0 in G.  One automorphism search of
+`trimatch.canonical`, with its base at e0, yields both groups; it runs at
+most once per call, and only when a second use-child of either node would
+be searched before the bound is reached.  The cyclic Latin square of order
+10, whose symmetries are transitive on its cells, takes 40 896 nodes with
+no orbits, 4 102 with root orbits and 1 555 with both levels.
 
 The partial-transversal search branches over the parts, not the vertices:
 one chosen vertex per part, or the part left unmet.
@@ -31,7 +34,7 @@ one chosen vertex per part, or the part left unmet.
 
 from dataclasses import dataclass
 
-from .canonical import canonical_labelling, orbit_mask
+from .canonical import automorphism_generators, orbit_mask
 from .errors import BudgetExceededError
 from .structures import Diagonal, Matching, family_to_hypergraph, vertices_of
 
@@ -83,18 +86,24 @@ def _twin_classes(H):
     return edges, classes, slot
 
 
-def _quotient_automorphisms(edges, classes, slot):
-    """Automorphisms of the twin quotient of a hypergraph.
+def _quotient_automorphisms(edges, classes, slot, first):
+    """Automorphisms of the twin quotient of a hypergraph, and those that
+    fix one class triple.
 
     The quotient is a graph with one node per twin class and one node per
     distinct class triple (the classes of an edge's three vertices), each
     triple joined to its three classes.  Its initial cells are the triple
     nodes, then the class nodes grouped by class size, smallest first, with
     the classes of all three sides pooled.  Returns a dict from class triple
-    to its node and generators of the group of automorphisms that keep
-    every cell, from `canonical_labelling`.  The triple nodes come first
-    because listing the class nodes first made the labeller far slower on
-    cyclic Latin squares (77 s against 0.02 s at order 10).
+    to its node and, from `automorphism_generators` with its base at the
+    node of the class triple `first`, generators of the group G of
+    automorphisms that keep every cell and of the stabiliser of `first` in
+    G.  The triple nodes come first, as they did for the labeller, which
+    took 0.03 s on the order-10 cyclic Latin square this way and over 60 s
+    with the class nodes first.  The search, which individualises `first`
+    before any class node, is not sensitive to that order (0.013 s against
+    0.007 s); the labeller's quotient pins in tests/test_canonical.py read
+    these cells.
     """
     node = {}
     for a, b, c in edges:
@@ -113,7 +122,7 @@ def _quotient_automorphisms(edges, classes, slot):
             adj[t] |= 1 << k
             adj[k] |= 1 << t
     cells = [(1 << len(node)) - 1] + [by_size[size] for size in sorted(by_size)]
-    return node, canonical_labelling(adj, cells)[2]
+    return (node, *automorphism_generators(adj, cells, node[first]))
 
 
 def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
@@ -151,34 +160,46 @@ def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
     Without twins every class is one vertex, and the tree is the plain
     most-constrained-vertex tree.
 
-    Root orbits.  At the root, the children that use an edge e are searched
-    one per orbit: a use-child is skipped when an automorphism maps its
-    edge's class triple onto that of a use-child already searched.  The
-    group is that of the twin quotient (see `_quotient_automorphisms`): a
-    graph with a node per twin class and a node per distinct class triple,
-    where the automorphisms keep triples apart from classes and keep class
-    sizes.  It is labelled at most once per call, lazily: only when a
-    second root use-child is about to be searched and `best` is still below
-    the root's bound.  So the first root subtree never waits for it, and a
-    call that reaches its target or the bound there labels nothing and
-    searches the same tree as without root orbits.
+    Orbits.  The twin quotient (see `_quotient_automorphisms`) is a graph
+    with a node per twin class and a node per distinct class triple, and G
+    is the group of its automorphisms that keep triples apart from classes
+    and keep class sizes.  At the root, a child that uses an edge is skipped
+    when an element of G maps its edge's class triple onto that of a
+    use-child already searched there.  At the root's first use-child, `use
+    e0`, a use-child is skipped likewise under G_e0, the elements of G that
+    fix e0's triple.  Both groups come from one search,
+    `automorphism_generators` with its base at e0's triple, run at most
+    once per call and lazily: the first time a second use-child of either
+    node is about to be searched while `best` is still below that node's
+    bound.  So the first subtree of each never waits
+    for it, and a call that reaches its target or the bound there searches
+    the same tree as without orbits.  Every other node, including those
+    below the give-up branches of the child of e0 whose matching is still
+    [e0], is searched in full: G_e0 need not keep the classes given up
+    there.
 
-    Why root orbits are exact.  Every edge usable at the root is made of
-    fronts, and the child "use e" is worth 1 + nu(H - V(e)).  The edges of
-    H are exactly the vertex triples whose classes form a class triple, so
-    a quotient automorphism that keeps class sizes lifts to an automorphism
-    of H (sides may be permuted: a matching is a set of disjoint vertex
-    triples, whatever their sides).  Choose the lift that maps the front of
-    each class to the front of its image class; it maps e onto e' and
-    H - V(e) onto H - V(e'), so the two children have equal value.  When
-    the child of e' would be searched, the child of e has been, so `best`
-    is already at least that value: skipping e' loses no better matching,
-    and the optimum, the witness and the target test are unchanged; only
-    the node count falls.  The give-up child is always searched.  Doing the
-    same at every node, with the group that keeps the set of removed
-    vertices, needs one labelling per node: on the cyclic Latin square of
-    order 12 it took 36 653 nodes instead of 77 354, but 38.5 s instead of
-    0.64 s, so only the root is searched this way.
+    Why the orbits are exact.  The edges of H are exactly the vertex
+    triples whose classes form a class triple, so an element of G lifts to
+    an automorphism of H (sides may be permuted: a matching is a set of
+    disjoint vertex triples, whatever their sides); take the lift that maps
+    the i-th member of each class to the i-th member of its image class.
+    At the root every usable edge is made of fronts, and the child "use e"
+    is worth 1 + nu(H - V(e)).  If g in G maps e's triple onto that of e',
+    the lift maps e onto e' and H - V(e) onto H - V(e'), so the two children
+    have equal value.  At the child of e0, the used members are the first
+    member of each of e0's three classes.  An element of G_e0 permutes
+    those three classes among themselves, so its lift maps V(e0) onto
+    itself and the fronts of the remaining members onto fronts: it maps
+    "use e0, then use e" onto "use e0, then use e'", with equal value.  In
+    both cases, when the child of e' would be searched, the child of e has
+    been, so `best` is already at least that value: skipping e' loses no
+    better matching, and the optimum, the witness and the target test are
+    unchanged; only the node count falls.  Give-up children are always
+    searched.  Doing the same at every node, with the group that keeps the
+    state of the node, needs one labelling per node: on the cyclic Latin
+    square of order 12 that took 36 653 nodes instead of 77 354 with root
+    orbits alone, but 38.5 s instead of 0.64 s; the two levels here take
+    38 659 nodes and about 0.4 s.
     """
     edges, classes, slot = _twin_classes(H)
     # left[s][k]: remaining members of class k on side s; a class lists its
@@ -191,30 +212,36 @@ def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
     best_edges = []
     cur = []
     done = False
-    tried = []  # class triples of the root's use-children searched so far
-    node = gens = None  # quotient node of each class triple, and generators
-    seen = 0  # quotient nodes of the orbits of `tried`, once labelled
+    # per pruned node, the root (0) and the child of the first root
+    # use-child e0 (1): the class triples of its use-children searched so
+    # far, and once the group is known, the quotient nodes of their orbits
+    tried = ([], [])
+    seen = [None, None]
+    node = groups = None  # quotient node of each class triple, and (G, G_e0)
 
-    def new_at_root(e, bound):
-        """Whether no root child searched so far maps onto `use e`."""
-        nonlocal node, gens, seen
+    def new_child(level, e, bound):
+        """Whether no use-child searched so far at the pruned node `level`
+        maps onto `use e` under its group: G at the root, G_e0 below it."""
+        nonlocal node, groups
         triple = (slot[0][e[0]], slot[1][e[1]], slot[2][e[2]])
-        if gens is None:
-            if not tried or best >= bound:
-                tried.append(triple)
-                return True
-            node, gens = _quotient_automorphisms(edges, classes, slot)
-            seen = orbit_mask(sum(1 << node[t] for t in tried), gens)
+        if seen[level] is None:
+            if groups is None:
+                if not tried[level] or best >= len(cur) + bound:
+                    tried[level].append(triple)
+                    return True
+                node, *groups = _quotient_automorphisms(edges, classes, slot, tried[0][0])
+            seen[level] = orbit_mask(sum(1 << node[t] for t in tried[level]), groups[level])
         bit = 1 << node[triple]
-        if seen & bit:
+        if seen[level] & bit:
             return False
-        seen = orbit_mask(seen | bit, gens)
+        seen[level] = orbit_mask(seen[level] | bit, groups[level])
         return True
 
     def rec(f0, f1, f2):
         nonlocal nodes, best, best_edges, done
         nodes += 1
-        root = nodes == 1
+        # 0 at the root, 1 at its first child, which is always `use e0`
+        level = nodes - 1
         if nodes > node_budget:
             raise BudgetExceededError(f"matching search exceeded {node_budget} nodes", nodes=nodes)
         if len(cur) > best:
@@ -253,7 +280,7 @@ def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
             low = branch & -branch
             branch ^= low
             e = edges[low.bit_length() - 1]
-            if root and not new_at_root(e, bound):
+            if level < 2 and not new_child(level, e, bound):
                 continue
             g = list(f)
             for s in range(3):

@@ -11,8 +11,8 @@ import pytest
 
 from trimatch import oracle, solver
 from trimatch.canonical import (
-    _refine, canonical_labelling, equitable_partition, graph_classes, orbit_mask,
-    set_orbit_representatives)
+    _refine, automorphism_generators, canonical_labelling, equitable_partition, graph_classes,
+    orbit_mask, set_orbit_representatives)
 from trimatch.constructions import cyclic_latin, gen_drisko_extremal, random_graph
 from trimatch.game import line_graph, psi
 from trimatch.structures import (
@@ -36,7 +36,8 @@ def brute_force_aut_order(n, edges):
                if all(e in edge_set for e in relabelled(edges, perm)))
 
 
-def group_order(n, generators):
+def closure(n, generators):
+    """The group, as a set of tuples, that `generators` generate on range(n)."""
     identity = tuple(range(n))
     group, stack = {identity}, [identity]
     while stack:
@@ -46,7 +47,11 @@ def group_order(n, generators):
             if h not in group:
                 group.add(h)
                 stack.append(h)
-    return len(group)
+    return group
+
+
+def group_order(n, generators):
+    return len(closure(n, generators))
 
 
 def assert_same_partition(pairs):
@@ -113,15 +118,17 @@ HARD_PAIRS = {
 
 def twin_quotient(H):
     """(adj, cells) of the twin quotient of H, exactly as
-    `solver._quotient_automorphisms` hands them to the labeller."""
+    `solver._quotient_automorphisms` hands them to the group search."""
     seen = []
 
-    def record(adj, cells=None):
+    def record(adj, cells, first=None):
         seen.append((adj, cells))
-        return canonical_labelling(adj, cells)
+        return automorphism_generators(adj, cells, first)
 
-    with mock.patch.object(solver, "canonical_labelling", record):
-        solver._quotient_automorphisms(*solver._twin_classes(H))
+    edges, classes, slot = solver._twin_classes(H)
+    a, b, c = edges[0]
+    with mock.patch.object(solver, "automorphism_generators", record):
+        solver._quotient_automorphisms(edges, classes, slot, (slot[0][a], slot[1][b], slot[2][c]))
     return seen[0]
 
 
@@ -357,6 +364,90 @@ class TestPinnedLabellings:
             # the last entry of a key is the code, an int too long for repr
             digest.update(repr((key[:-1], hex(key[-1]), order, generators)).encode())
         assert digest.hexdigest() == self.PINNED[group]
+
+
+def orbits(n, generators):
+    return {orbit_mask(1 << v, generators) for v in range(n)}
+
+
+class TestAutomorphismGenerators:
+    """`automorphism_generators(adj, cells, first)`, the group search with
+    no canonical form, against brute force and the labeller."""
+
+    def test_group_and_stabiliser_match_the_oracle(self):
+        rng = random.Random(83)
+        singleton_firsts = 0
+        for _ in range(400):
+            n = rng.randrange(1, 8)
+            adj = random_graph(n, rng, rng.choice((0.2, 0.5, 0.8))).adj
+            cells = colouring([rng.randrange(rng.randrange(1, 4)) for _ in range(n)])[0]
+            rng.shuffle(cells)
+            first = rng.randrange(n)
+            gens, stab = automorphism_generators(adj, cells, first)
+            group = oracle.automorphism_group_oracle(adj, cells)
+            assert closure(n, gens) == group
+            assert closure(n, stab) == {perm for perm in group if perm[first] == first}
+            singleton_firsts += _refine(adj, list(cells), list(cells)).count(1 << first)
+        assert singleton_firsts >= 40
+
+    def test_first_in_a_singleton_cell_keeps_every_generator(self):
+        # a star whose centre is a cell of its own: the leaves still permute
+        adj = Graph(5, [(0, v) for v in range(1, 5)]).adj
+        gens, stab = automorphism_generators(adj, [0b00001, 0b11110], 0)
+        assert len(closure(5, gens)) == 24
+        assert stab == gens
+        # in one cell the refinement splits the centre off by its degree
+        gens, stab = automorphism_generators(adj, [0b11111], 0)
+        assert len(closure(5, gens)) == 24
+        assert stab == gens
+
+    def test_without_first_it_finds_the_whole_group(self):
+        for n in range(6):
+            for G in enumerate_graphs_up_to_iso(n):
+                edges = sorted(G.edges)
+                gens, _ = automorphism_generators(Graph(n, edges).adj, [(1 << n) - 1] if n else [])
+                for perm in gens:
+                    assert sorted(relabelled(edges, perm)) == edges
+                assert group_order(n, gens) == brute_force_aut_order(n, edges)
+
+    @pytest.mark.parametrize("group", ["cyclic latin quotients", "drisko quotients"])
+    def test_pinned_quotients_have_the_labellers_orbits(self, group):
+        # node 0 is the triple of the quotient's first edge, as in the solver
+        for adj, cells in pinned_inputs(group):
+            n = len(adj)
+            gens, stab = automorphism_generators(adj, cells, 0)
+            for perm in gens:
+                assert all(image(adj[v], perm) == adj[perm[v]] for v in range(n))
+                assert all(image(cell, perm) == cell for cell in cells)
+            assert orbits(n, gens) == orbits(n, canonical_labelling(adj, cells)[2])
+            assert all(perm[0] == 0 for perm in stab)
+            fixed = [1, cells[0] ^ 1] + cells[1:]
+            assert orbits(n, stab) == orbits(n, canonical_labelling(adj, fixed)[2])
+
+    def test_bad_cells_or_first_are_rejected(self):
+        adj = Graph(3, [(0, 1)]).adj
+        with pytest.raises(ValueError, match="ordered partition"):
+            automorphism_generators(adj, [0b011, 0b110])
+        for first in (-1, 3):
+            with pytest.raises(ValueError, match="first must be a vertex"):
+                automorphism_generators(adj, [0b111], first)
+
+    def test_search_leaves_no_garbage_for_the_collector(self):
+        classes = [adj for adj in graph_classes(7) if len(adj) == 7][:200]
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for adj in classes:
+                automorphism_generators(adj, [0b1111111])
+            before = tracemalloc.get_traced_memory()[0]
+            for adj in classes:
+                automorphism_generators(adj, [0b1111111])
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert left < 1024
 
 
 def as_sets(cells):

@@ -330,6 +330,15 @@ class TestGen:
         assert out == ""
         assert "argument --sizes: expected comma-separated integers, got '1,x'" in err
 
+    @pytest.mark.parametrize("verb", ["nu", "rainbow", "diagonal", "transversal"])
+    @pytest.mark.parametrize("budget", ["0", "-1", "x"])
+    def test_a_budget_below_one_node_names_the_flag(self, verb, budget, monkeypatch, capsys):
+        # parsed before any input is read, so the empty stdin never matters
+        code, out, err = run_cli([verb, f"--budget={budget}"], "", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"argument --budget: expected a positive integer, got '{budget}'" in err
+
     def test_construction_flags_follow_its_name(self, monkeypatch, capsys):
         code, out, _ = run_cli(["gen", "--n", "3", "drisko"], "", monkeypatch, capsys)
         assert code == 2

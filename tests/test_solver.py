@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,10 +195,11 @@ class TestMaxMatching:
         assert (a.optimum, a.witness, a.nodes_explored) == (b.optimum, b.witness, b.nodes_explored)
 
     def test_cyclic_latin_tree_is_unchanged(self):
-        # no twins, and even orders miss n: below the root the tree is the
-        # plain most-constrained-vertex tree, and the root searches one
-        # child per orbit of the square's symmetries
-        for n, nodes in ((4, 8), (6, 38), (8, 282), (10, 4102), (12, 77354)):
+        # no twins, and even orders miss n: the root searches one child per
+        # orbit of the square's symmetries, the child of its first use-child
+        # one per orbit of their stabiliser of that edge, and below them the
+        # tree is the plain most-constrained-vertex tree
+        for n, nodes in ((4, 7), (6, 22), (8, 145), (10, 1555), (12, 38659)):
             res = max_matching_size(latin_to_hypergraph(cyclic_latin(n)))
             assert (res.optimum, res.nodes_explored) == (n - 1, nodes)
 
@@ -319,45 +321,80 @@ class TestTwinClasses:
 
 class TestRootOrbits:
     """Inputs with planted symmetry, where the root searches one child per
-    orbit of the twin quotient's automorphisms, against the oracles."""
+    orbit of the twin quotient's automorphisms, and the child of its first
+    use-child one per orbit of their stabiliser of that edge, against the
+    oracles."""
 
     @pytest.fixture
-    def labellings(self, monkeypatch):
+    def searches(self, monkeypatch):
         calls = []
-        label = solver.canonical_labelling
+        search = solver.automorphism_generators
 
-        def counted(adj, cells=None):
+        def counted(adj, cells, first=None):
             calls.append(len(adj))
-            return label(adj, cells)
+            return search(adj, cells, first)
 
-        monkeypatch.setattr(solver, "canonical_labelling", counted)
+        monkeypatch.setattr(solver, "automorphism_generators", counted)
         return calls
 
     @pytest.mark.parametrize("make,seed", [
         (disjoint_copies, 71), (rotation_orbits, 72), (partial_latin, 73)])
-    def test_planted_symmetry_matches_oracle(self, make, seed, labellings):
+    def test_planted_symmetry_matches_oracle(self, make, seed, searches):
         rng = random.Random(seed)
         for _ in range(400):
             H = make(rng)
             optimum = oracle.matching_number_oracle(H)
             assert_every_target(lambda t: max_matching_size(H, target=t), optimum)
-        assert len(labellings) >= 40  # the orbit path really runs
+        assert len(searches) >= 40  # the orbit path really runs
 
-    def test_drisko_subfamilies_match_rainbow_oracle(self, labellings):
+    def test_drisko_subfamilies_match_rainbow_oracle(self, searches):
         rng = random.Random(74)
         for _ in range(300):
             F = drisko_subfamily(rng)
             optimum = oracle.rainbow_oracle(F)
             assert_every_target(lambda t: find_rainbow_matching(F, target=t), optimum,
                                 most=len(F.members))
-        assert len(labellings) >= 40
+        assert len(searches) >= 40
 
-    def test_drisko_root_children_are_skipped(self, labellings):
+    def test_drisko_root_children_are_skipped(self, searches):
         # one twin class of even members and one of odd members, swapped by
-        # a rotation of C_16: 28 nodes before root orbits, one labelling now
+        # a rotation of C_16: 28 nodes before root orbits, one search now
         res = find_rainbow_matching(gen_drisko_extremal(8), target=8)
         assert (res.optimum, res.nodes_explored) == (7, 15)
-        assert len(labellings) == 1
+        assert len(searches) == 1
+
+    def test_first_level_prunes_by_the_stabiliser_of_e0(self, searches):
+        # the triples of Z_3^3 off the plane a + b + c = 0: pruning the
+        # child of `use e0` by the whole group, not by the stabiliser of
+        # e0, skips the only children that reach a perfect matching
+        H = TriHypergraph((3, 3, 3), tuple(
+            e for e in itertools.product(range(3), repeat=3) if sum(e) % 3))
+        assert_every_target(lambda t: max_matching_size(H, target=t), 3)
+        searches.clear()
+        assert max_matching_size(H).nodes_explored == 8
+        assert len(searches) == 1
+
+    @pytest.mark.parametrize("make,seed,shrunk", [
+        (disjoint_copies, 71, 10), (partial_latin, 73, 11)])
+    def test_first_level_orbits_run_on_planted_inputs(self, make, seed, shrunk):
+        # the same search with a trivial stabiliser never skips below the
+        # root: each tree it makes larger skipped a child of `use e0`
+        quotient = solver._quotient_automorphisms
+
+        def without_stabiliser(*args):
+            node, gens, _ = quotient(*args)
+            return node, gens, []
+
+        rng = random.Random(seed)
+        larger = 0
+        for _ in range(400):
+            H = make(rng)
+            nodes = max_matching_size(H).nodes_explored
+            with mock.patch.object(solver, "_quotient_automorphisms", without_stabiliser):
+                plain = max_matching_size(H).nodes_explored
+            assert nodes <= plain
+            larger += nodes < plain
+        assert larger == shrunk
 
 
 class TestDiagonal:
