@@ -27,6 +27,7 @@ from .structures import (
     MatchingFamily,
     PartitionedGraph,
     TriHypergraph,
+    _built,
 )
 
 # the largest orders of the exhaustive square streams; the verifier's
@@ -318,7 +319,9 @@ def latin_squares(n, rng=None):
     Without an rng each cell tries its symbols in increasing order, so the
     squares come in lexicographic cell order.  With an rng each cell's
     candidates are shuffled first, and the first square is a random one.
-    A negative order raises ValueError.
+    Every cell is filled from range(n), so each square is an n x n grid of
+    ints in [0, n), the grid `LatinSquare` checks for, and is built without
+    that second check.  A negative order raises ValueError.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -328,7 +331,7 @@ def latin_squares(n, rng=None):
 
     def rec(pos):
         if pos == n * n:
-            yield LatinSquare(n, tuple(tuple(row) for row in cells))
+            yield _built(LatinSquare, order=n, cells=tuple(map(tuple, cells)))
             return
         r, c = divmod(pos, n)
         options = [s for s in range(n) if s not in row_used[r] and s not in col_used[c]]
@@ -370,13 +373,17 @@ def random_row_latin(n, rng):
 def row_latin_squares(n):
     """Every row-Latin square of order n whose first row is the identity,
     in lexicographic order of the later rows, one at a time.  A negative
-    order raises ValueError."""
+    order raises ValueError.
+
+    Every row is a tuple from `permutations(range(n))`, so each square is an
+    n x n grid of ints in [0, n), the grid `LatinSquare` checks for, and is
+    built without that second check."""
     if n < 0:
         raise ValueError("order must be non-negative")
     if n == 0:
         return iter([LatinSquare(0, ())])
     first = tuple(range(n))
-    return (LatinSquare(n, (first,) + rest) for rest in
+    return (_built(LatinSquare, order=n, cells=(first,) + rest) for rest in
             itertools.product(itertools.permutations(range(n)), repeat=n - 1))
 
 

@@ -46,7 +46,7 @@ from math import gcd
 
 from .errors import BudgetExceededError
 from .structures import (
-    INFINITY, component, graph_from_masks, induced_masks, vertices_of)
+    INFINITY, _built, component, graph_from_masks, induced_masks, vertices_of)
 
 DEFAULT_FACE_LIMIT = 200_000
 
@@ -139,7 +139,16 @@ class BettiVector:
 
 
 def independence_complex(G, face_limit=DEFAULT_FACE_LIMIT):
-    """All independent sets of a graph, as a simplicial complex."""
+    """All independent sets of a graph, as a simplicial complex.
+
+    The faces are grown depth first, each by a vertex above its last one,
+    so every face is an increasing tuple of ints, each face's prefixes come
+    before it, and the faces of one size come in lexicographic order.  Every
+    face minus a vertex is independent too, and is reached, so the set is
+    closed downward.  That is what `SimplicialComplex.__post_init__` would
+    check and sort for, so the complex is built without that second pass.
+    More than `face_limit` faces raise BudgetExceededError.
+    """
     adj = G.adj
     groups = {0: [()]}
     count = 1
@@ -157,8 +166,8 @@ def independence_complex(G, face_limit=DEFAULT_FACE_LIMIT):
             extend(nxt, face_mask | 1 << v, v + 1)
 
     extend((), 0, 0)
-    top = max(groups)
-    return SimplicialComplex(tuple(tuple(sorted(groups.get(k, []))) for k in range(top + 1)))
+    # a face of size k + 1 extends one of size k, so the sizes are 0..len - 1
+    return _built(SimplicialComplex, faces=tuple(tuple(groups[k]) for k in range(len(groups))))
 
 
 def _boundary_columns(C, j, cleared=()):

@@ -7,6 +7,9 @@ vertices, right host vertices, family members).  All indices are 0-based.
 
 Every type here is immutable after construction, so callers may share one
 value (a sweep and its re-check judge the same instance) without copying it.
+The public constructors check every input.  A builder whose output is valid
+by construction (a generator's own loop, not anything read from outside)
+may make its objects through `_built`, which skips the second check.
 """
 
 from collections import Counter
@@ -16,6 +19,23 @@ INFINITY = float("inf")
 
 SIDES = ("A", "B", "C")
 SIDE_PAIRS = (("A", "B"), ("A", "C"), ("B", "C"))
+
+
+def _built(cls, **fields):
+    """An instance of the frozen dataclass `cls` with its fields set as given,
+    without running `__post_init__`.
+
+    Contract: `fields` names every field of `cls`, `init=False` ones such as
+    `Graph.adj` included, and each value is exactly what `__post_init__`
+    would leave from the same input: the same types, order and
+    normalisation, so the object equals, field by field, the one the public
+    constructor makes.  Only a builder whose output is valid by construction
+    may call it; outside input always goes through the public constructor.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def side_index(side):
@@ -312,9 +332,37 @@ def induced_masks(adj, mask):
 
 
 def graph_from_masks(adj):
-    """The `Graph` on vertices 0..len(adj)-1 whose adjacency masks are adj."""
-    return Graph(len(adj), frozenset(
-        (u, v) for v, a in enumerate(adj) for u in vertices_of(a & ((1 << v) - 1))))
+    """The `Graph` on vertices 0..len(adj)-1 whose adjacency masks are adj.
+
+    One pass over the masks checks them and reads the edges off the bits
+    below the diagonal.  A mask may not be negative, hold a bit at or above
+    len(adj) or hold its own bit (a loop).  The masks are symmetric exactly
+    when every bit below the diagonal has its mirror above it and the masks
+    hold twice as many bits as there are edges: the mirrors are then all
+    the bits above the diagonal.  The checked masks are `Graph.adj` as
+    given, and the edges are the normalised pairs the constructor would
+    keep.  Raises ValueError naming the first vertex with a bad bit, else
+    the first bit without its mirror.
+    """
+    adj = tuple(adj)
+    n = len(adj)
+    edges = []
+    bits = mirrored = 0
+    for v, a in enumerate(adj):
+        if a >> n:  # a negative mask too
+            raise ValueError(f"mask of vertex {v} has a bit outside 0..{n - 1}")
+        if a >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+        bits += a.bit_count()
+        for u in vertices_of(a & ((1 << v) - 1)):
+            edges.append((u, v))
+            mirrored += adj[u] >> v & 1
+    if mirrored != len(edges) or bits != 2 * len(edges):
+        for v, a in enumerate(adj):
+            for u in vertices_of(a):
+                if not adj[u] >> v & 1:
+                    raise ValueError(f"vertex {v} neighbours {u}, but vertex {u} not {v}")
+    return _built(Graph, n=n, edges=frozenset(edges), adj=adj)
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,10 @@ def _hyp_fracd(inst):
     n, d = inst["n"], inst["d"]
     if H.side_sizes != (n, n, n) or not H.is_simple() or not is_regular(H, d):
         return False
+    if n and d < 1:
+        # no edges on nonempty sides: the bound (d - 1) / d * n means
+        # nothing at d = 0, and _hyp_asym asks d >= 1 likewise
+        return False
     return d <= n or d >= 2 * n - 1  # one of the two clauses must apply
 
 
@@ -826,7 +830,7 @@ STATEMENTS = {
         raw_params=_n_from_a_side),
     "CONJ_FRACD_5_1": _conjecture(
         _HYPER, _hyp_fracd, _con_fracd, _draw_fracd,
-        exhaustive=_ex_fracd, cap={"n": 3, "d": 2},
+        exhaustive=_ex_fracd, cap={"n": 3, "d": 9},
         raw_params=lambda H: {"n": H.side_sizes[0], "d": min_degree(H, "A")}),
     "CONJ_ASYM_5_2": _conjecture(_HYPER, _hyp_asym, _con_asym, _draw_asym),
     "CONJ_GEN_5_3": _conjecture(

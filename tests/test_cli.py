@@ -356,6 +356,21 @@ class TestVerifyHuntSuite:
         assert report["violations"] == []
         assert report["instances_checked"] == 19
 
+    @pytest.mark.parametrize("argv,stdin_text,checked", [
+        ("verify CONJ_FRACD_5_1 --exhaustive --param n=3 --param d=0", "", 1),
+        ("verify CONJ_FRACD_5_1 --stdin", '{"sides": [2, 2, 2], "edges": []}\n', 1),
+        ("hunt CONJ_FRACD_5_1 --budget 5 --seed 1 --param d=0", "", 5),
+    ])
+    def test_fracd_at_degree_0_is_vacuous(self, argv, stdin_text, checked, monkeypatch,
+                                          capsys):
+        # (d - 1) / d is undefined at d = 0, so no edgeless hypergraph on
+        # nonempty sides meets the hypothesis
+        code, out, _ = run_cli(argv.split(), stdin_text, monkeypatch, capsys)
+        assert code == 0
+        report = json_lines(out)[0]
+        assert (report["instances_checked"], report["hypothesis_hits"]) == (checked, 0)
+        assert report["violations"] == []
+
     def test_verify_random_needs_seed(self, monkeypatch, capsys):
         code, _, err = run_cli(["verify", "DRISKO_1_5", "--random", "5"], "",
                                monkeypatch, capsys)

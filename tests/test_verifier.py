@@ -65,7 +65,7 @@ class TestCatalog:
             "CAMWAN_1_10": {"max_order": 5},
             "STRONG_CAMWAN_1_12": {"max_order": 4},
             "ACCOMMODATING_1_8": {"n": 6},
-            "CONJ_FRACD_5_1": {"n": 3, "d": 2},
+            "CONJ_FRACD_5_1": {"n": 3, "d": 9},
             "MAX_RANDOM_TRIALS": 1_000_000,
         }
 
@@ -171,7 +171,7 @@ class TestVerify:
         ("STRONG_CAMWAN_1_12", {"max_order": 5}, "max_order", 4, 5),
         ("ACCOMMODATING_1_8", {"n": 7}, "n", 6, 7),
         ("CONJ_FRACD_5_1", {"n": 4}, "n", 3, 4),
-        ("CONJ_FRACD_5_1", {"d": 3}, "d", 2, 3),
+        ("CONJ_FRACD_5_1", {"d": 10}, "d", 9, 10),
     ])
     def test_over_cap_scope_is_rejected_before_the_stream_is_returned(self, sid, params, name,
                                                                       cap, asked):
