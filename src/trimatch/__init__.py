@@ -26,7 +26,6 @@ from .solver import (
 from .structures import (
     INFINITY,
     BipartiteGraph,
-    Diagonal,
     Graph,
     LatinSquare,
     Matching,
@@ -61,7 +60,6 @@ __all__ = [
     "max_matching_size",
     "INFINITY",
     "BipartiteGraph",
-    "Diagonal",
     "Graph",
     "LatinSquare",
     "Matching",

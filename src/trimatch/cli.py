@@ -189,7 +189,7 @@ def _searched(res, witness):
 
 def _nu(args, H):
     res = max_matching_size(H, node_budget=args.budget)
-    return _searched(res, [list(e) for e in sorted(res.witness.edges)]), True
+    return _searched(res, [list(e) for e in res.witness]), True
 
 
 def _rainbow(args, F):
@@ -200,9 +200,9 @@ def _rainbow(args, F):
 
 def _diagonal(args, L):
     res = find_bounded_diagonal(L, args.bound, node_budget=args.budget)
-    witness = (list(res.witness.entries) if hasattr(res.witness, "entries")
-               else [list(c) for c in res.witness])
-    return _searched(res, witness), res.optimum == L.order
+    full = res.optimum == L.order  # a full diagonal prints as its columns
+    witness = [col for _, col in res.witness] if full else [list(c) for c in res.witness]
+    return _searched(res, witness), full
 
 
 def _transversal(args, P):

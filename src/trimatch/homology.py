@@ -128,12 +128,6 @@ class BettiVector:
         if any(v < 0 for v in self.values):
             raise ValueError("Betti numbers are non-negative")
 
-    def get(self, j):
-        k = j + 1
-        if 0 <= k < len(self.values):
-            return self.values[k]
-        return 0
-
     def all_zero(self):
         return all(v == 0 for v in self.values)
 

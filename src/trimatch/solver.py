@@ -2,9 +2,9 @@
 diagonals and partial independent transversals.
 
 All solvers are branch-and-bound searches that return the true optimum
-together with a witness; every witness is re-checked by an independent
-validator before it is returned.  Hitting the node budget raises
-BudgetExceededError instead of returning a possibly wrong answer.
+together with a witness: a plain sorted tuple, checked once by an
+independent validator and returned as checked.  Hitting the node budget
+raises BudgetExceededError instead of returning a possibly wrong answer.
 
 The hypergraph matching search, which also serves rainbow matchings, groups
 the vertices of each side into twin classes: vertices with equal links.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .canonical import automorphism_generators, orbit_mask
 from .errors import BudgetExceededError
-from .structures import Diagonal, Matching, family_to_hypergraph, vertices_of
+from .structures import family_to_hypergraph, vertices_of
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -304,9 +304,9 @@ def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
         left[pick_side][pick_class] = r
 
     rec(*fronts)
-    _validate_hyper_matching(H, best_edges, best)
-    return SolveResult(optimum=best, witness=Matching(frozenset(best_edges)),
-                       nodes_explored=nodes)
+    witness = tuple(sorted(best_edges))
+    _validate_hyper_matching(H, witness, best)
+    return SolveResult(optimum=best, witness=witness, nodes_explored=nodes)
 
 
 def _disjoint(edges):
@@ -335,13 +335,14 @@ def find_rainbow_matching(F, target=None, *, node_budget=DEFAULT_NODE_BUDGET):
 
     Reduces to maximum matching of the member-indexed hypergraph: a rainbow
     matching of size t exists iff that hypergraph has a matching of size t.
-    The witness is a sorted list of (member index, edge) choices.
+    The witness is the tuple of (member index, edge) choices, sorted by
+    member, read off the matching's edge triples.
     """
     if target is not None and target > len(F.members):
         raise ValueError("target exceeds the number of family members")
     H = family_to_hypergraph(F)
     result = max_matching_size(H, target=target, node_budget=node_budget)
-    witness = sorted((c, (a, b)) for a, b, c in result.witness.edges)
+    witness = tuple(sorted((c, (a, b)) for a, b, c in result.witness))
     _validate_rainbow(F, witness, result.optimum)
     return SolveResult(optimum=result.optimum, witness=witness, nodes_explored=result.nodes_explored)
 
@@ -366,9 +367,9 @@ def _validate_rainbow(F, witness, claimed):
 def find_bounded_diagonal(L, bound, *, node_budget=DEFAULT_NODE_BUDGET):
     """Largest partial diagonal whose symbols each appear at most `bound` times.
 
-    The witness is a full Diagonal when the optimum is the order of the
-    square, otherwise the best partial cell set; feasibility of a full
-    diagonal is exactly `optimum == L.order`.
+    The witness is the tuple of the chosen (row, col) cells in row order,
+    full or partial.  A full diagonal exists exactly when `optimum ==
+    L.order`, and its columns in row order are then a permutation.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -377,7 +378,7 @@ def find_bounded_diagonal(L, bound, *, node_budget=DEFAULT_NODE_BUDGET):
     sym_count = [0] * n
     nodes = 0
     best = 0
-    best_cells = []
+    best_cells = ()  # (row, col) cells, rows filled in increasing order
     cur = []
 
     def rec(row):
@@ -387,7 +388,7 @@ def find_bounded_diagonal(L, bound, *, node_budget=DEFAULT_NODE_BUDGET):
             raise BudgetExceededError(f"diagonal search exceeded {node_budget} nodes", nodes=nodes)
         if len(cur) > best:
             best = len(cur)
-            best_cells = list(cur)
+            best_cells = tuple(cur)
         if row == n or best == n:
             return
         if len(cur) + (n - row) <= best:
@@ -411,14 +412,7 @@ def find_bounded_diagonal(L, bound, *, node_budget=DEFAULT_NODE_BUDGET):
 
     rec(0)
     _validate_diagonal(L, best_cells, bound, best)
-    if best == n:
-        entries = [0] * n
-        for row, col in best_cells:
-            entries[row] = col
-        witness = Diagonal(tuple(entries))
-    else:
-        witness = tuple(sorted(best_cells))
-    return SolveResult(optimum=best, witness=witness, nodes_explored=nodes)
+    return SolveResult(optimum=best, witness=best_cells, nodes_explored=nodes)
 
 
 def _validate_diagonal(L, cells, bound, claimed):

@@ -175,21 +175,19 @@ class TriHypergraph:
 
 @dataclass(frozen=True)
 class Matching:
-    """Set of pairwise-disjoint edges (pairs or triples, uniform arity)."""
+    """Set of pairwise-disjoint edges (u, w) of a bipartite graph: one
+    member of a `MatchingFamily`.  Solvers return their matchings as plain
+    tuples, never as a `Matching`."""
 
     edges: frozenset = frozenset()
 
     def __post_init__(self):
         edges = frozenset(tuple(int(x) for x in e) for e in self.edges)
-        arities = {len(e) for e in edges}
-        if len(arities) > 1:
-            raise ValueError("mixed edge arities in matching")
-        if edges:
-            arity = arities.pop()
-            for pos in range(arity):
-                seen = [e[pos] for e in edges]
-                if len(seen) != len(set(seen)):
-                    raise ValueError("edges share a vertex in one side")
+        for e in edges:
+            if len(e) != 2:
+                raise ValueError(f"matching edge {e} is not a pair")
+        if any(len(set(side)) != len(edges) for side in zip(*edges)):
+            raise ValueError("edges share a vertex in one side")
         object.__setattr__(self, "edges", edges)
 
     def __len__(self):
@@ -216,14 +214,9 @@ class MatchingFamily:
         )
         for i, member in enumerate(members):
             for e in member.edges:
-                if len(e) != 2:
-                    raise ValueError("family members must consist of pairs")
                 if e not in self.host.edges:
                     raise ValueError(f"member {i} uses edge {e} outside the host")
         object.__setattr__(self, "members", members)
-
-    def __len__(self):
-        return len(self.members)
 
     def sizes(self):
         return [len(m) for m in self.members]
@@ -260,32 +253,6 @@ class LatinSquare:
 
     def is_latin(self):
         return self.is_row_latin() and self.is_column_latin()
-
-
-@dataclass(frozen=True)
-class Diagonal:
-    """Permutation sigma of [0, n), read as the cell set {(i, sigma(i))}."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(int(x) for x in self.entries)
-        n = len(entries)
-        if sorted(entries) != list(range(n)):
-            raise ValueError("entries must be a permutation of 0..n-1")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def order(self):
-        return len(self.entries)
-
-    def cells(self):
-        return frozenset((i, c) for i, c in enumerate(self.entries))
-
-    def symbol_counts(self, square):
-        if square.order != self.order:
-            raise ValueError("diagonal and square orders differ")
-        return Counter(square.cells[i][c] for i, c in enumerate(self.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -733,7 +733,9 @@ def _draw_asym(rng, *, a_size=3, deg_a=3, bc_size=None):
 
 def _draw_double_delta(rng, *, a_size=3, deg_a=5, bc_size=None):
     cap = (deg_a + 1) // 2
-    bc = max(2 * deg_a, (a_size * deg_a + cap - 1) // cap) if bc_size is None else bc_size
+    # deg_a = 0 leaves no cap to divide by: the draw is edgeless, so vacuous
+    need = (a_size * deg_a + cap - 1) // cap if cap else 0
+    bc = max(2 * deg_a, need) if bc_size is None else bc_size
     return {"hyper": cons.random_bounded_tri(rng, a_size, bc, deg_a, cap)}
 
 

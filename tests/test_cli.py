@@ -360,6 +360,9 @@ class TestVerifyHuntSuite:
         ("verify CONJ_FRACD_5_1 --exhaustive --param n=3 --param d=0", "", 1),
         ("verify CONJ_FRACD_5_1 --stdin", '{"sides": [2, 2, 2], "edges": []}\n', 1),
         ("hunt CONJ_FRACD_5_1 --budget 5 --seed 1 --param d=0", "", 5),
+        # the double-delta draw divides by its B/C degree cap (deg_a + 1) // 2,
+        # which is 0 here: it draws the edgeless hypergraph instead
+        ("hunt REMARK_5_DOUBLE_DELTA --budget 1 --seed 1 --param deg_a=0", "", 1),
     ])
     def test_fracd_at_degree_0_is_vacuous(self, argv, stdin_text, checked, monkeypatch,
                                           capsys):
@@ -370,6 +373,19 @@ class TestVerifyHuntSuite:
         report = json_lines(out)[0]
         assert (report["instances_checked"], report["hypothesis_hits"]) == (checked, 0)
         assert report["violations"] == []
+
+    def test_verify_summary_is_one_stdout_line(self, monkeypatch, capsys):
+        argv = ["verify", "ETA_GE_PSI_2_5", "--exhaustive", "--param", "max_vertices=4",
+                "--format", "summary"]
+        code, out, _ = run_cli(argv, "", monkeypatch, capsys)
+        assert code == 0
+        assert out == "ETA_GE_PSI_2_5: 19 checked, 19 hypothesis hits, 0 violations\n"
+
+    def test_param_without_equals_sign_exits_2(self, monkeypatch, capsys):
+        argv = ["verify", "ETA_GE_PSI_2_5", "--exhaustive", "--param", "max_vertices"]
+        code, out, err = run_cli(argv, "", monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert "error: --param expects key=value, got 'max_vertices'" in err
 
     def test_verify_random_needs_seed(self, monkeypatch, capsys):
         code, _, err = run_cli(["verify", "DRISKO_1_5", "--random", "5"], "",

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 import random
 from unittest import mock
 
@@ -25,7 +26,6 @@ from trimatch.solver import (
 from trimatch.structures import (
     Graph,
     LatinSquare,
-    Matching,
     MatchingFamily,
     PartitionedGraph,
     TriHypergraph,
@@ -174,10 +174,15 @@ class TestMaxMatching:
         assert res.optimum == 2
 
     def test_witness_is_validated_matching(self):
-        H = latin_to_hypergraph(cyclic_latin(4))
+        # order 5: the search finds its matching's edges out of sorted order
+        H = latin_to_hypergraph(cyclic_latin(5))
         res = max_matching_size(H)
-        assert isinstance(res.witness, Matching)
-        assert len(res.witness) == res.optimum
+        # a sorted tuple of distinct, pairwise disjoint edge triples of H
+        assert isinstance(res.witness, tuple)
+        assert res.witness == tuple(sorted(set(res.witness)))
+        assert len(res.witness) == res.optimum == 5
+        assert set(res.witness) <= set(H.edges)
+        assert all(len(set(side)) == 5 for side in zip(*res.witness))
 
     def test_budget_exceeded_is_distinct(self):
         H = latin_to_hypergraph(cyclic_latin(4))
@@ -399,13 +404,22 @@ class TestRootOrbits:
 
 class TestDiagonal:
     def test_cyclic_4_bound_1_infeasible(self):
-        res = find_bounded_diagonal(cyclic_latin(4), 1)
+        L = cyclic_latin(4)
+        res = find_bounded_diagonal(L, 1)
         assert res.optimum == 3  # best partial transversal of Z_4
+        # a partial witness is its row-sorted cells too
+        assert isinstance(res.witness, tuple) and len(res.witness) == 3
+        assert list(res.witness) == sorted(res.witness)
+        assert len({c for _, c in res.witness}) == len({L.cells[r][c] for r, c in res.witness}) == 3
 
     def test_cyclic_4_bound_2_feasible(self):
-        res = find_bounded_diagonal(cyclic_latin(4), 2)
+        L = cyclic_latin(4)
+        res = find_bounded_diagonal(L, 2)
         assert res.optimum == 4
-        assert res.witness.symbol_counts(cyclic_latin(4)).most_common(1)[0][1] <= 2
+        # a full diagonal is its row-sorted cells; its columns are a permutation
+        assert [row for row, _ in res.witness] == [0, 1, 2, 3]
+        assert sorted(col for _, col in res.witness) == [0, 1, 2, 3]
+        assert max(Counter(L.cells[r][c] for r, c in res.witness).values()) <= 2
 
     def test_bound_n_always_feasible(self):
         for n in (1, 2, 3, 4):
@@ -536,8 +550,9 @@ def test_nu_matches_subset_enumeration(seed):
 
 
 class TestWitnessValidators:
-    """Each validator checks the witness list itself and rejects a broken
-    one with an AssertionError, before any Matching or Diagonal is built."""
+    """Each validator checks the plain witness tuple its solver returns and
+    rejects a broken one with an AssertionError; each solver runs its own
+    validator once, on the very tuple it returns."""
 
     @pytest.mark.parametrize("edges", [
         [(0, 0, 0), (0, 2, 1)],  # two edges on symbol 0
@@ -563,3 +578,30 @@ class TestWitnessValidators:
         P = PartitionedGraph(Graph(2, frozenset({(0, 1)})), (frozenset({0}), frozenset({1})))
         with pytest.raises(AssertionError, match="not independent"):
             solver._validate_transversal(P, (0, 1), 2)
+
+    @pytest.mark.parametrize("validator, solve, returned", [
+        ("_validate_hyper_matching",
+         lambda: max_matching_size(latin_to_hypergraph(cyclic_latin(4))), True),
+        ("_validate_rainbow", lambda: find_rainbow_matching(gen_drisko_extremal(3)), True),
+        # the rainbow witness is read off the matching number's own witness
+        ("_validate_hyper_matching",
+         lambda: find_rainbow_matching(gen_drisko_extremal(3)), False),
+        ("_validate_diagonal", lambda: find_bounded_diagonal(cyclic_latin(4), 2), True),
+        ("_validate_diagonal", lambda: find_bounded_diagonal(cyclic_latin(4), 1), True),
+        ("_validate_transversal", lambda: find_independent_transversal(
+            PartitionedGraph(Graph(3, frozenset({(0, 1)})),
+                             (frozenset({0}), frozenset({1, 2})))), True),
+    ], ids=["nu", "rainbow", "rainbow-nu", "diagonal-full", "diagonal-partial", "transversal"])
+    def test_each_witness_is_validated_once(self, validator, solve, returned, monkeypatch):
+        seen = []
+        real = getattr(solver, validator)
+
+        def counting(instance, witness, *rest):
+            seen.append(witness)
+            return real(instance, witness, *rest)
+
+        monkeypatch.setattr(solver, validator, counting)
+        res = solve()
+        (witness,) = seen
+        assert isinstance(witness, tuple)
+        assert (witness is res.witness) == returned

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from trimatch.structures import (
     BipartiteGraph,
-    Diagonal,
     Graph,
     LatinSquare,
     Matching,
@@ -65,10 +64,13 @@ class TestInvariants:
             TriHypergraph((1, 1, 1), ((0, 1, 0),))
 
     def test_matching_rejects_shared_vertex(self):
-        with pytest.raises(ValueError):
-            Matching(frozenset({(0, 0), (0, 1)}))
-        with pytest.raises(ValueError):
-            Matching(frozenset({(0, 0, 0), (1, 0, 1)}))
+        for edges in ({(0, 0), (0, 1)}, {(0, 1), (1, 1)}):
+            with pytest.raises(ValueError, match="share a vertex"):
+                Matching(frozenset(edges))
+        # a matching holds pairs only: the matching number's triples are
+        # a plain tuple, never a Matching
+        with pytest.raises(ValueError, match=r"matching edge \(0, 0, 0\) is not a pair"):
+            Matching(frozenset({(0, 0, 0)}))
 
     def test_family_members_must_live_in_host(self):
         host = BipartiteGraph(2, 2, frozenset({(0, 0)}))
@@ -104,12 +106,6 @@ class TestInvariants:
         L = LatinSquare(2, [["0", 1.0], [1, 0]])
         assert L.cells == ((0, 1), (1, 0))
         assert LatinSquare(0).cells == ()
-
-    def test_diagonal_is_permutation(self):
-        with pytest.raises(ValueError):
-            Diagonal((0, 0))
-        d = Diagonal((1, 0, 2))
-        assert d.cells() == frozenset({(0, 1), (1, 0), (2, 2)})
 
     def test_empty_sides_are_legal(self):
         H = TriHypergraph((0, 0, 0), ())

@@ -22,6 +22,7 @@ from trimatch.solver import SolveResult, find_bounded_diagonal
 from trimatch.structures import (
     Graph,
     LatinSquare,
+    PartitionedGraph,
     TriHypergraph,
     family_to_json,
     hypergraph_to_json,
@@ -391,6 +392,15 @@ class TestStdinStream:
         assert f"error: input line 1: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sid", ["CONJ_DRISKO_1_6", "CONJ_GEN_5_3"])
+    def test_raw_theorem19_hypergraph_reads_n_off_its_a_side(self, sid, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert cli.main(["gen", "theorem19", "--n", "3", "--seed", "1"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        inst = deserialize_instance(sid, json.loads(line))
+        assert inst["hyper"].side_sizes == (5, 3, 3)  # |A| = 2n - 1
+        assert inst["n"] == 3
+
     def test_each_raw_line_is_decoded_once(self, monkeypatch, capsys):
         calls = []
         real = verifier.hypergraph_from_json
@@ -524,6 +534,19 @@ class TestCheckAccommodating:
         assert len(table) == math.comb(3 * n - 1, 2 * n - 1)
         assert [verifier._ascending_sequence(n, i) for i in range(len(table))] == table
 
+    @pytest.mark.parametrize("n, count", [(2, 8), (3, 51)])
+    def test_exhaustive_stream_confirms_each_counterexample(self, n, count):
+        # one constructed family per non-accommodating sequence, each
+        # expected to lack a rainbow n-matching
+        scope = Scope("exhaustive", params={"n": n})
+        instances = list(verifier._stream(
+            "ACCOMMODATING_1_8", verifier.STATEMENTS["ACCOMMODATING_1_8"], scope))
+        assert len(instances) == count
+        assert all(inst["n"] == n and inst["expect"] is False for inst in instances)
+        report = verify("ACCOMMODATING_1_8", scope)
+        assert report.instances_checked == report.hypothesis_hits == count
+        assert report.violations == []
+
     def test_draws_build_no_table(self):
         # the table at n = 12 would hold comb(35, 23) = 834 451 800 sequences
         scope = Scope("randomized", trials=100, seed=1, params={"n": 12})
@@ -629,11 +652,18 @@ class TestGraphOracleViews:
         assert report.disagreements == 0
 
     def test_passing_instances_agree_with_oracle(self):
+        # TOPHALL_2_3: the edge 01 and a loose vertex 2; the unions of parts
+        # {0, 2}, {1} and {0, 1, 2} have simplices and a cone over 2 as their
+        # independence complexes, and {1, 2} meets both parts
         for sid, inst in [
             ("ETA_GE_PSI_2_5", {"graph": enumerate_graphs_up_to_iso(4)[-1]}),
             ("LEMMA_3_1", next(verifier._stream(
                 "LEMMA_3_1", verifier.STATEMENTS["LEMMA_3_1"],
                 Scope("randomized", 1, 3, {"ells": [2], "max_edges": 5})))),
+            ("DRISKO_1_5", {"family": cons.random_family([2, 3, 2], random.Random(4)), "n": 2}),
+            ("TOPHALL_2_3", {"pgraph": PartitionedGraph(
+                Graph(3, frozenset({(0, 1)})), (frozenset({0, 2}), frozenset({1}))),
+                "deficiency": 0}),
         ]:
             recheck = verifier._revalidate(verifier.STATEMENTS[sid],
                                            serialize_instance(sid, inst))
