@@ -44,7 +44,6 @@ RANDOM_LATIN_CAP = 22
 COMPLETION_NODE_BUDGET = 2_000_000
 
 # repair passes and draws a random generator may take before it gives up
-THEOREM19_REPAIR_PASSES = 1000
 REPAIR_PASSES = 10_000
 REGULAR_SIMPLE_ATTEMPTS = 200
 
@@ -391,18 +390,27 @@ def row_latin_squares(n):
 # Random hypothesis-satisfying instances
 
 
-def _repair_degrees(assign, n, cap, rng, max_passes):
+def _repair_degrees(assign, n, cap, rng):
     """Move random entries of assign (B-vertices in range(n)) off the first
-    B-vertex over cap to random ones under it, one per pass, until none is over."""
-    for passes in itertools.count():
+    B-vertex over cap to random ones under it, one per pass, until none is over.
+
+    Requires n * cap >= len(assign); then the repair always ends.  While some
+    vertex is over cap, some other is under it: were every count at least
+    cap, with one above, the counts would sum past n * cap >= len(assign).
+    A pass takes one entry off a vertex over cap and gives it to one under,
+    which ends at most at cap, so the overflow, the sum of count - cap over
+    the vertices above cap, falls by exactly 1 each pass.  Both callers meet
+    the requirement: `gen_theorem19_instance` repairs 2n - 1 entries to cap
+    2 (2n >= 2n - 1), and `random_conj_drisko_instance` (2n - 1) * n entries
+    to cap 2n - 1 (n * (2n - 1), equal).
+    """
+    while True:
         counts = [0] * n
         for b in assign:
             counts[b] += 1
         over = [b for b in range(n) if counts[b] > cap]
         if not over:
             return
-        if passes == max_passes:
-            raise ConstructionError("degree repair did not converge")
         movable = [i for i, b in enumerate(assign) if b == over[0]]
         under = [b for b in range(n) if counts[b] < cap]
         assign[rng.choice(movable)] = rng.choice(under)
@@ -422,7 +430,7 @@ def gen_theorem19_instance(n, seed):
     edges = []
     for c in range(n):
         assign = [rng.randrange(n) for _ in range(a_size)]
-        _repair_degrees(assign, n, 2, rng, THEOREM19_REPAIR_PASSES)
+        _repair_degrees(assign, n, 2, rng)
         edges.extend((a, b, c) for a, b in enumerate(assign))
     return TriHypergraph((a_size, n, n), tuple(edges))
 
@@ -510,7 +518,7 @@ def random_conj_drisko_instance(n, rng):
     a_size = 2 * n - 1
     # the B-vertex of edge (a, _, c) is entry a * n + c
     assign = [rng.randrange(n) for _ in range(a_size * n)]
-    _repair_degrees(assign, n, 2 * n - 1, rng, REPAIR_PASSES)
+    _repair_degrees(assign, n, 2 * n - 1, rng)
     edges = [(i // n, b, i % n) for i, b in enumerate(assign)]
     return TriHypergraph((a_size, n, n), tuple(edges))
 

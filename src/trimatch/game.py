@@ -48,19 +48,20 @@ one with a higher cap searches again, from the bound as its running max.
 A memo table holds entries of canonical states only, so one table may be
 shared by any number of calls, whatever their caps (a sweep over many
 graphs passes the same dict to each), without changing a value.  The
-budget is per call: `memo_limit` bounds the entries one call adds, not the
-size of the table it was given, so a shared table never makes a call fail
-that would succeed alone.  Bounding the table itself is up to whoever
-shares it.  Within one call the search also caches the key of each
-component's mask tuple; that cache is emptied whenever it reaches
-`memo_limit` entries, so it is bounded as well without ever failing a call.
+budget is per call: `MEMO_LIMIT`, read when the call starts, bounds the
+entries one call adds, not the size of the table it was given, so a shared
+table never makes a call fail that would succeed alone.  Bounding the table
+itself is up to whoever shares it.  Within one call the search also caches
+the key of each component's mask tuple; that cache is emptied whenever it
+reaches `MEMO_LIMIT` entries, so it is bounded as well without ever failing
+a call.
 """
 
 from .canonical import canonical_labelling
 from .errors import BudgetExceededError
 from .structures import Graph, INFINITY, component, induced_masks, vertices_of
 
-DEFAULT_MEMO_LIMIT = 2_000_000
+MEMO_LIMIT = 2_000_000
 
 
 def _restrict(adj, keep):
@@ -96,9 +97,9 @@ def canonical_graph_key(adj):
 class _PsiEngine:
     """min(psi, cap) by the capped recursion of the module docstring."""
 
-    def __init__(self, memo, memo_limit):
+    def __init__(self, memo):
         self.memo = memo
-        self.memo_limit = memo_limit
+        self.limit = MEMO_LIMIT
         self.added = 0
         # key per labelled component: different deletion orders reach the
         # same masks, and this skips canonical_graph_key then
@@ -129,7 +130,7 @@ class _PsiEngine:
             return cap
         key = self.keys.get(adj)
         if key is None:
-            if len(self.keys) >= self.memo_limit:
+            if len(self.keys) >= self.limit:
                 self.keys.clear()
             key = self.keys[adj] = canonical_graph_key(induced_masks(adj, vmask))
         best = 0
@@ -166,33 +167,29 @@ class _PsiEngine:
                     break
 
         if entry is None:
-            if self.added >= self.memo_limit:
+            if self.added >= self.limit:
                 raise BudgetExceededError(
-                    f"memo table exceeded {self.memo_limit} entries", nodes=self.added)
+                    f"memo table exceeded {self.limit} entries", nodes=self.added)
             self.added += 1
         self.memo[key] = (best, best < cap)
         return best
 
 
-def _capped_psi(graph, cap, memo, memo_limit):
-    engine = _PsiEngine({} if memo is None else memo, memo_limit)
-    return engine.value((1 << graph.n) - 1, graph.adj, cap)
-
-
-def psi(graph, *, cap=INFINITY, memo=None, memo_limit=DEFAULT_MEMO_LIMIT):
+def psi(graph, *, cap=INFINITY, memo=None):
     """min(psi, cap) for a Graph; psi is 0 for the empty graph.
 
     With the default cap this is the exact game value.  An explicit memo
     dict may be passed to share work across many calls, whatever their
     caps; sharing never changes a value.  BudgetExceededError is raised once
-    this call would add more than `memo_limit` entries to the table.
+    this call would add more than `MEMO_LIMIT` entries to the table.
     """
-    return _capped_psi(graph, cap, memo, memo_limit)
+    engine = _PsiEngine({} if memo is None else memo)
+    return engine.value((1 << graph.n) - 1, graph.adj, cap)
 
 
-def psi_at_least(graph, k, *, memo=None, memo_limit=DEFAULT_MEMO_LIMIT):
+def psi_at_least(graph, k, *, memo=None):
     """Exact test of psi(graph) >= k: the search of psi with cap k."""
-    return _capped_psi(graph, k, memo, memo_limit) >= k
+    return psi(graph, cap=k, memo=memo) >= k
 
 
 def line_graph(G):

@@ -35,9 +35,11 @@ is built.  Each rule preserves reduced rational homology, so each is exact:
   multiple of 3 (Kozlov, "Complexes of directed trees", J. Combin. Theory
   Ser. A 1999), so eta(C_k) = floor((k + 1) / 3).
 
-Only a component with no rule left is ranked through its complex.  A path
-folds down to disjoint edges and at most one isolated vertex, which gives
-Kozlov's closed form for paths without a face too.
+Only a component with no rule left is ranked through its complex, of at
+most `FACE_LIMIT` faces (a module constant read at each call; beyond it
+BudgetExceededError is raised).  A path folds down to disjoint edges and at
+most one isolated vertex, which gives Kozlov's closed form for paths
+without a face too.
 """
 
 from dataclasses import dataclass
@@ -48,7 +50,7 @@ from .errors import BudgetExceededError
 from .structures import (
     INFINITY, _built, component, graph_from_masks, induced_masks, vertices_of)
 
-DEFAULT_FACE_LIMIT = 200_000
+FACE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -69,20 +71,14 @@ class SimplicialComplex:
         if not groups or groups[0] != ((),):
             raise ValueError("complex must contain exactly the empty face at dimension -1")
         for k, group in enumerate(groups):
-            # the loop below runs only to name the first bad face
-            if set(map(len, group)) | set(map(len, map(set, group))) <= {k}:
-                continue
             for f in group:
                 if len(f) != k:
                     raise ValueError(f"face {f} stored at wrong dimension")
                 if len(set(f)) != len(f):
                     raise ValueError(f"face {f} repeats a vertex")
         face_set = set(chain.from_iterable(groups))
-        for k in range(1, len(groups)):
-            group = groups[k]
-            if face_set.issuperset(chain.from_iterable(combinations(f, k - 1) for f in group)):
-                continue
-            for f in group:  # name the first face with a missing facet
+        for group in groups[1:]:
+            for f in group:
                 for i in range(len(f)):
                     if f[:i] + f[i + 1 :] not in face_set:
                         raise ValueError(f"complex not closed downward at {f}")
@@ -132,7 +128,7 @@ class BettiVector:
         return all(v == 0 for v in self.values)
 
 
-def independence_complex(G, face_limit=DEFAULT_FACE_LIMIT):
+def independence_complex(G):
     """All independent sets of a graph, as a simplicial complex.
 
     The faces are grown depth first, each by a vertex above its last one,
@@ -141,9 +137,10 @@ def independence_complex(G, face_limit=DEFAULT_FACE_LIMIT):
     face minus a vertex is independent too, and is reached, so the set is
     closed downward.  That is what `SimplicialComplex.__post_init__` would
     check and sort for, so the complex is built without that second pass.
-    More than `face_limit` faces raise BudgetExceededError.
+    More than `FACE_LIMIT` faces raise BudgetExceededError.
     """
     adj = G.adj
+    limit = FACE_LIMIT
     groups = {0: [()]}
     count = 1
 
@@ -153,8 +150,8 @@ def independence_complex(G, face_limit=DEFAULT_FACE_LIMIT):
             if adj[v] & face_mask:
                 continue
             count += 1
-            if count > face_limit:
-                raise BudgetExceededError(f"face count exceeded {face_limit}")
+            if count > limit:
+                raise BudgetExceededError(f"face count exceeded {limit}")
             nxt = face + (v,)
             groups.setdefault(len(nxt), []).append(nxt)
             extend(nxt, face_mask | 1 << v, v + 1)
@@ -332,7 +329,7 @@ def eta_homological(C):
     return INFINITY
 
 
-def graph_eta(adj, mask, face_limit=DEFAULT_FACE_LIMIT):
+def graph_eta(adj, mask):
     """eta of the independence complex of the graph induced on `mask`.
 
     `adj` holds the adjacency bitmasks of the graph (`Graph.adj`).  The
@@ -347,7 +344,7 @@ def graph_eta(adj, mask, face_limit=DEFAULT_FACE_LIMIT):
     a field (INFINITY absorbs).  Only a component that no rule reduces is
     ranked, by `eta_homological` on its induced graph
     (`structures.induced_masks`), after every other component, with
-    `face_limit` faces at most (it raises BudgetExceededError beyond).
+    `FACE_LIMIT` faces at most (it raises BudgetExceededError beyond).
     """
     total = 0
     hard = []  # components no rule reduces
@@ -371,7 +368,7 @@ def graph_eta(adj, mask, face_limit=DEFAULT_FACE_LIMIT):
                 hard.append(comp)
     for comp in hard:
         graph = graph_from_masks(induced_masks(adj, comp))
-        total += eta_homological(independence_complex(graph, face_limit))
+        total += eta_homological(independence_complex(graph))
         if total == INFINITY:
             break
     return total
@@ -408,7 +405,7 @@ def topological_hall_subsets(P, deficiency=0):
     graph induced on the union of the parts in I has eta at least
     |I| - deficiency; `ok` says whether this subset meets it.  Being lazy,
     a caller that only needs the hypothesis can stop at the first failure.
-    Each eta is computed within DEFAULT_FACE_LIMIT faces.
+    Each eta is computed within FACE_LIMIT faces.
     """
     m = len(P.parts)
     for mask in range(1 << m):

@@ -406,6 +406,24 @@ def family_to_hypergraph(F):
 
 # ---------------------------------------------------------------------------
 # JSON wire formats (the contract for every CLI command)
+#
+# The decoders are the boundary for outside input: every count and index in
+# a payload must be a JSON integer.  The constructors' int() would truncate
+# 1.9 to 1 and read true as 1, so a float or a bool is rejected here first.
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int(x, name):
+    if not _is_int(x):
+        raise ValueError(f"field {name!r}: {x!r} is not an integer")
+    return x
+
+
+def _ints(values, name):
+    return tuple(_int(x, name) for x in values)
 
 
 def bipartite_graph_to_json(G):
@@ -413,7 +431,8 @@ def bipartite_graph_to_json(G):
 
 
 def bipartite_graph_from_json(data):
-    return BipartiteGraph(data["left"], data["right"], frozenset(tuple(e) for e in data["edges"]))
+    return BipartiteGraph(_int(data["left"], "left"), _int(data["right"], "right"),
+                          frozenset(_ints(e, "edges") for e in data["edges"]))
 
 
 def graph_to_json(G):
@@ -421,7 +440,8 @@ def graph_to_json(G):
 
 
 def graph_from_json(data):
-    return Graph(data["vertices"], frozenset(tuple(e) for e in data["edges"]))
+    return Graph(_int(data["vertices"], "vertices"),
+                 frozenset(_ints(e, "edges") for e in data["edges"]))
 
 
 def partitioned_graph_to_json(P):
@@ -430,7 +450,7 @@ def partitioned_graph_to_json(P):
 
 def partitioned_graph_from_json(data):
     graph = graph_from_json(data["graph"])
-    return PartitionedGraph(graph, tuple(frozenset(p) for p in data["parts"]))
+    return PartitionedGraph(graph, tuple(frozenset(_ints(p, "parts")) for p in data["parts"]))
 
 
 def hypergraph_to_json(H):
@@ -438,7 +458,8 @@ def hypergraph_to_json(H):
 
 
 def hypergraph_from_json(data):
-    return TriHypergraph(tuple(data["sides"]), tuple(tuple(e) for e in data["edges"]))
+    return TriHypergraph(_ints(data["sides"], "sides"),
+                         tuple(_ints(e, "edges") for e in data["edges"]))
 
 
 def family_to_json(F):
@@ -450,7 +471,7 @@ def family_to_json(F):
 
 def family_from_json(data):
     host = bipartite_graph_from_json(data["graph"])
-    members = tuple(Matching(frozenset(tuple(e) for e in m)) for m in data["members"])
+    members = tuple(Matching(frozenset(_ints(e, "members") for e in m)) for m in data["members"])
     return MatchingFamily(host, members)
 
 
@@ -459,4 +480,4 @@ def square_to_json(L):
 
 
 def square_from_json(data):
-    return LatinSquare(data["n"], tuple(tuple(row) for row in data["cells"]))
+    return LatinSquare(_int(data["n"], "n"), tuple(_ints(row, "cells") for row in data["cells"]))

@@ -45,6 +45,7 @@ from .solver import (
 )
 from .structures import (
     INFINITY,
+    _is_int,
     bipartite_graph_from_json,
     bipartite_graph_to_json,
     family_from_json,
@@ -184,11 +185,18 @@ class _Codec:
         return self._with_params(self.to_json(inst[self.key]), inst)
 
     def decode(self, data, statement=None):
+        """The instance of a serialized payload; each parameter is checked
+        by `_check_kind`, a required one as a count."""
         try:
-            return self._with_params(self.from_json(data[self.key]), data)
+            inst = self._with_params(self.from_json(data[self.key]), data)
         except KeyError as exc:
             raise ValueError(
                 f"{statement or self.key} payload is missing field {exc.args[0]!r}") from None
+        for p in self.required:
+            _check_kind(p, inst[p], 0)
+        for p, default in self.optional.items():
+            _check_kind(p, inst[p], default)
+        return inst
 
 
 # `verify` clears its sweep's psi table, and its verdict table, before an
@@ -567,16 +575,14 @@ def _family_meeting_profile(a, n, rng):
     return cons.random_family(sizes, rng)
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_kind(name, value, default):
-    """Raise a ValueError unless `value` is of the kind of `default`: an int,
-    a list or tuple of ints, or null or an int when the default is None.
-    Every parameter is a count, so a negative int or an empty list is
-    rejected too."""
-    if isinstance(default, tuple):
+    """Raise a ValueError unless `value` is of the kind of `default`: a bool,
+    an int, a list or tuple of ints, or null or an int when the default is
+    None.  Every parameter but a bool is a count, so a negative int or an
+    empty list is rejected too."""
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "a bool"
+    elif isinstance(default, tuple):
         ok = isinstance(value, (list, tuple)) and all(map(_is_int, value))
         kind = "a list of ints"
     elif default is None:

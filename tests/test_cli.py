@@ -21,6 +21,12 @@ from trimatch.structures import (
 )
 
 
+# one valid input line of each kind
+HYPER = '{"sides": [1, 1, 1], "edges": []}'
+GRAPH = '{"vertices": 2, "edges": []}'
+SQUARE = '{"n": 2, "cells": [[0, 1], [1, 0]]}'
+
+
 # the flags each gen construction reads, and a value for every gen flag
 GEN_FLAGS = {
     "drisko": ["--n"],
@@ -634,9 +640,36 @@ class TestErrorsAndManifest:
         (["verify", "CONJ_RBS_1_1", "--stdin"], '{"sides": [1, 1, 1], "edges": [[0, 0, 0]]}',
          '{"sides": 5, "edges": []}', "'int' object is not iterable"),
         (["psi"], '{"vertices": 2, "edges": []}', '{"vertices": "3", "edges": []}',
-         "'<' not supported"),
+         "field 'vertices': '3' is not an integer"),
         (["verify", "ETA_GE_PSI_2_5", "--stdin"], '{"vertices": 2, "edges": []}',
-         '{"vertices": "3", "edges": []}', "'<' not supported"),
+         '{"vertices": "3", "edges": []}', "field 'vertices': '3' is not an integer"),
+        # a JSON number that is not an integer was truncated by int() and
+        # answered: 1.9 read as 1, true as 1
+        (["nu"], HYPER, '{"sides": [2, 2, 2], "edges": [[0, 0, 1.9]]}',
+         "field 'edges': 1.9 is not an integer"),
+        (["nu"], HYPER, '{"sides": [2.9, 2, 2], "edges": []}',
+         "field 'sides': 2.9 is not an integer"),
+        (["nu"], HYPER, '{"sides": [2, 2, 2], "edges": [[0, true, 1]]}',
+         "field 'edges': True is not an integer"),
+        (["psi"], GRAPH, '{"vertices": 3, "edges": [[0, 1.5]]}',
+         "field 'edges': 1.5 is not an integer"),
+        (["psi"], GRAPH, '{"vertices": 2.5, "edges": []}',
+         "field 'vertices': 2.5 is not an integer"),
+        (["eta"], GRAPH, '{"vertices": true, "edges": []}',
+         "field 'vertices': True is not an integer"),
+        (["diagonal", "--bound", "2"], SQUARE, '{"n": 2, "cells": [[0.2, 1], [1, 0]]}',
+         "field 'cells': 0.2 is not an integer"),
+        (["diagonal", "--bound", "2"], SQUARE, '{"n": 2.0, "cells": [[0, 1], [1, 0]]}',
+         "field 'n': 2.0 is not an integer"),
+        (["psi-line"], '{"left": 1, "right": 1, "edges": []}',
+         '{"left": 1, "right": 1.0, "edges": []}', "field 'right': 1.0 is not an integer"),
+        (["rainbow"], '{"graph": {"left": 1, "right": 1, "edges": []}, "members": []}',
+         '{"graph": {"left": 1, "right": 1, "edges": [[0, 0]]}, "members": [[[0, 0.0]]]}',
+         "field 'members': 0.0 is not an integer"),
+        (["transversal"], '{"graph": ' + GRAPH + ', "parts": [[0]]}',
+         '{"graph": ' + GRAPH + ', "parts": [[0, 1.0]]}', "field 'parts': 1.0 is not an integer"),
+        (["verify", "CAMWAN_1_10", "--stdin"], '{"square": ' + SQUARE + '}',
+         '{"square": {"n": 1, "cells": [[false]]}}', "field 'cells': False is not an integer"),
     ])
     def test_value_of_the_wrong_type_names_its_line(self, argv, good, line, message,
                                                     monkeypatch, capsys):

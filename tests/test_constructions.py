@@ -394,6 +394,25 @@ class TestRandomGenerators:
             out.append([hypergraph_to_json(H), rng.getrandbits(32)])
         assert digest(out) == expected
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_degree_repair_removes_one_unit_of_overflow_a_pass(self, n):
+        # every entry starts on one vertex; a pass makes two rng.choice
+        # calls, so the passes are counted, and equal the overflow
+        class Counting(random.Random):
+            choices = 0
+
+            def choice(self, seq):
+                self.choices += 1
+                return super().choice(seq)
+
+        # the caps and entry counts of gen_theorem19_instance and of
+        # random_conj_drisko_instance
+        for cap, size in ((2, 2 * n - 1), (2 * n - 1, (2 * n - 1) * n)):
+            assign, rng = [0] * size, Counting(n)
+            cons._repair_degrees(assign, n, cap, rng)
+            assert max(assign.count(b) for b in range(n)) <= cap
+            assert rng.choices == 2 * max(size - cap, 0)
+
     def test_bounded_tri_generator(self):
         from trimatch.structures import max_degree, min_degree
 

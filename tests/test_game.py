@@ -103,13 +103,12 @@ class TestPsi:
         vals = [psi(cycle(6), memo=memo), psi(cycle(4), memo=memo), psi(path(3), memo=memo)]
         assert vals == [psi(cycle(6)), psi(cycle(4)), psi(path(3))]
 
-    def test_memo_cap_reported(self):
+    def test_memo_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(game, "MEMO_LIMIT", 2)
         with pytest.raises(BudgetExceededError):
-            psi(cycle(8), memo_limit=2)
+            psi(cycle(8))
 
     def test_labelled_key_cache_is_emptied_at_the_budget(self, monkeypatch):
-        from trimatch import game
-
         alone = {}
         assert psi(cycle(8), memo=alone) == 3
         real = game.canonical_graph_key
@@ -119,10 +118,11 @@ class TestPsi:
         roomy = len(calls)
         calls.clear()
         # the cache outgrows a budget the memo entries fit in: it starts over
-        assert psi(cycle(8), memo_limit=len(alone)) == 3
+        monkeypatch.setattr(game, "MEMO_LIMIT", len(alone))
+        assert psi(cycle(8)) == 3
         assert len(calls) > roomy
 
-    def test_budget_counts_only_the_entries_a_call_adds(self):
+    def test_budget_counts_only_the_entries_a_call_adds(self, monkeypatch):
         alone = {}
         assert psi(cycle(6), memo=alone) == 2
         shared = {}
@@ -130,9 +130,11 @@ class TestPsi:
         psi(path(8), memo=shared)
         assert len(shared) > len(alone)
         # a table already larger than the limit does not fail the call
-        assert psi(cycle(6), memo=shared, memo_limit=len(alone)) == 2
+        monkeypatch.setattr(game, "MEMO_LIMIT", len(alone))
+        assert psi(cycle(6), memo=shared) == 2
+        monkeypatch.setattr(game, "MEMO_LIMIT", len(alone) - 1)
         with pytest.raises(BudgetExceededError):
-            psi(cycle(6), memo_limit=len(alone) - 1)
+            psi(cycle(6))
 
 
 class TestStateFormat:
@@ -186,16 +188,18 @@ class TestPsiAtLeast:
         assert psi_at_least(Graph(1), 10)
         assert psi_at_least(path(4), 7)
 
-    def test_budget_counts_only_the_entries_a_call_adds(self):
+    def test_budget_counts_only_the_entries_a_call_adds(self, monkeypatch):
         alone = {}
         assert psi_at_least(cycle(9), 3, memo=alone)
         shared = {}
         for n in range(4, 9):
             psi_at_least(cycle(n), 3, memo=shared)
         assert len(shared) > len(alone)
-        assert psi_at_least(cycle(9), 3, memo=shared, memo_limit=len(alone))
+        monkeypatch.setattr(game, "MEMO_LIMIT", len(alone))
+        assert psi_at_least(cycle(9), 3, memo=shared)
+        monkeypatch.setattr(game, "MEMO_LIMIT", len(alone) - 1)
         with pytest.raises(BudgetExceededError):
-            psi_at_least(cycle(9), 3, memo_limit=len(alone) - 1)
+            psi_at_least(cycle(9), 3)
 
 
 class TestCappedPsi:

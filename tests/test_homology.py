@@ -8,7 +8,6 @@ from trimatch.constructions import random_graph, random_partition_system
 from trimatch.errors import BudgetExceededError
 from trimatch.game import psi
 from trimatch.homology import (
-    DEFAULT_FACE_LIMIT,
     BettiVector,
     SimplicialComplex,
     betti,
@@ -48,8 +47,8 @@ def complete(m):
     return Graph(m, frozenset((u, v) for u in range(m) for v in range(u + 1, m)))
 
 
-def full_eta(G, face_limit=DEFAULT_FACE_LIMIT):
-    return graph_eta(G.adj, (1 << G.n) - 1, face_limit)
+def full_eta(G):
+    return graph_eta(G.adj, (1 << G.n) - 1)
 
 
 def complex_eta(G, keep):
@@ -133,9 +132,10 @@ class TestComplex:
         with pytest.raises(ValueError):
             SimplicialComplex(())
 
-    def test_face_budget(self):
+    def test_face_budget(self, monkeypatch):
+        monkeypatch.setattr(homology, "FACE_LIMIT", 100)
         with pytest.raises(BudgetExceededError):
-            independence_complex(Graph(10), face_limit=100)
+            independence_complex(Graph(10))
 
 
 class TestBetti:
@@ -329,12 +329,13 @@ class TestGraphEta:
             G = random_graph(rng.randint(0, 12), rng, p)
             assert full_eta(G) == eta_homological(independence_complex(G)), G
 
-    def test_paths_past_the_face_limit(self):
+    def test_paths_past_the_face_limit(self, monkeypatch):
         # Kozlov: I(P_n) is contractible for n = 1 (mod 3), else a sphere
         # of dimension ceil(n / 3) - 1
+        monkeypatch.setattr(homology, "FACE_LIMIT", 50)
         for n in list(range(0, 40)) + [299, 300, 301, 998, 999, 1000]:
             expected = INFINITY if n % 3 == 1 else -(-n // 3)
-            assert full_eta(path(n), face_limit=50) == expected, n
+            assert full_eta(path(n)) == expected, n
 
     def test_cycles(self):
         # Kozlov: eta(C_n) = k for n = 3k or 3k + 1, and k + 1 for n = 3k + 2
@@ -342,18 +343,22 @@ class TestGraphEta:
             k = n // 3
             assert full_eta(cycle(n)) == (k + 1 if n % 3 == 2 else k), n
 
-    def test_cycle_rule_matches_the_complex_route(self):
+    def test_cycle_rule_matches_the_complex_route(self, monkeypatch):
         for k in range(4, 19):
             expected = eta_homological(independence_complex(cycle(k)))
-            assert full_eta(cycle(k), face_limit=1) == expected == (k + 1) // 3, k
+            with monkeypatch.context() as patch:
+                patch.setattr(homology, "FACE_LIMIT", 1)
+                assert full_eta(cycle(k)) == expected == (k + 1) // 3, k
         assert full_eta(cycle(40)) == 13
 
-    def test_unreduced_component_keeps_the_budget(self):
+    def test_unreduced_component_keeps_the_budget(self, monkeypatch):
         # neither the circulant C_40(1, 3) nor the Petersen graph has a fold
         with pytest.raises(BudgetExceededError):
             full_eta(circulant(40, (1, 3)))
-        with pytest.raises(BudgetExceededError):
-            full_eta(petersen(), face_limit=20)
+        with monkeypatch.context() as patch:
+            patch.setattr(homology, "FACE_LIMIT", 20)
+            with pytest.raises(BudgetExceededError):
+                full_eta(petersen())
         assert full_eta(petersen()) == 3
 
     def test_edge_cases(self):

@@ -14,6 +14,7 @@ import pytest
 
 from trimatch import cli
 from trimatch import constructions as cons
+from trimatch import game
 from trimatch import verifier
 from trimatch.canonical import graph_classes
 from trimatch.errors import BudgetExceededError, InfeasibleScopeError
@@ -332,6 +333,9 @@ class TestSerialization:
                 assert rec.conclusion(inst, solve) == rec.conclusion(inst2, solve)
 
 
+DRISKO_3 = family_to_json(cons.gen_drisko_extremal(3))
+
+
 class TestStdinStream:
     """`verify --stdin` decodes each line once, through the CLI's one reader."""
 
@@ -385,6 +389,29 @@ class TestStdinStream:
          "member 0 uses edge (0, 0) outside the host"),
         ("CAMWAN_1_10", '{"square": {"n": 2, "cells": [[0, 1]]}}',
          "cells must form an n x n grid"),
+        # a payload parameter must be of its kind, and a count not negative;
+        # n = 2.5 was read as is, and the family was reported a violation
+        ("DRISKO_1_5", json.dumps({"family": DRISKO_3, "n": 2.5}),
+         "parameter 'n' expects an int, got 2.5"),
+        ("DRISKO_1_5", json.dumps({"family": DRISKO_3, "n": "3"}),
+         "parameter 'n' expects an int, got '3'"),
+        ("DRISKO_1_5", json.dumps({"family": DRISKO_3, "n": True}),
+         "parameter 'n' expects an int, got True"),
+        ("DRISKO_1_5", json.dumps({"family": DRISKO_3, "n": -1}),
+         "parameter 'n' must not be negative, got -1"),
+        ("ACCOMMODATING_1_8", json.dumps({"family": DRISKO_3, "n": 3, "expect": "no"}),
+         "parameter 'expect' expects a bool, got 'no'"),
+        ("ACCOMMODATING_1_8", json.dumps({"family": DRISKO_3, "n": 3, "expect": 0}),
+         "parameter 'expect' expects a bool, got 0"),
+        ("LEMMA_3_1", '{"bipartite": {"left": 1, "right": 1, "edges": [[0, 0]]}, "ell": 2.5}',
+         "parameter 'ell' expects an int, got 2.5"),
+        ("TOPHALL_2_3", '{"pgraph": {"graph": {"vertices": 1, "edges": []}, "parts": [[0]]}, '
+                        '"deficiency": -1}',
+         "parameter 'deficiency' must not be negative, got -1"),
+        ("CONJ_FRACD_5_1", '{"hyper": {"sides": [1, 1, 1], "edges": []}, "n": 1, "d": 1.5}',
+         "parameter 'd' expects null or an int, got 1.5"),
+        ("ALMOST_DRISKO_1_9", '{"hyper": {"sides": [1, 1, 1], "edges": []}, "d": false}',
+         "parameter 'd' expects null or an int, got False"),
     ])
     def test_out_of_range_value_names_its_line(self, sid, line, message, monkeypatch, capsys):
         code, out, err = self.run(sid, [line], monkeypatch, capsys)
@@ -706,10 +733,11 @@ class TestSweepTables:
         sizes = []
 
         def recording(*args, memo=None, **kw):
-            # a per-call budget each instance just fits in when alone
             sizes.append(len(memo))
-            return real(*args, memo=memo, memo_limit=limit, **kw)
+            return real(*args, memo=memo, **kw)
 
+        # a per-call budget each instance just fits in when alone
+        monkeypatch.setattr(game, "MEMO_LIMIT", limit)
         monkeypatch.setattr(verifier, "SWEEP_TABLE_LIMIT", limit)
         monkeypatch.setattr(verifier, name, recording)
         assert verify(sid, scope).to_json() == expected
@@ -718,10 +746,9 @@ class TestSweepTables:
         assert any(after < before for before, after in zip(sizes, sizes[1:]))
 
     def test_single_call_beyond_its_budget_still_raises(self, monkeypatch):
-        real = verifier.psi
         # against the shared table no call of this sweep adds more than one
         # entry, so a budget of none is the one a call goes beyond
-        monkeypatch.setattr(verifier, "psi", lambda G, **kw: real(G, memo_limit=0, **kw))
+        monkeypatch.setattr(game, "MEMO_LIMIT", 0)
         with pytest.raises(BudgetExceededError):
             verify("ETA_GE_PSI_2_5", Scope("exhaustive", params={"max_vertices": 5}))
 
