@@ -35,9 +35,28 @@ iff it lies outside the OR of the masks.  Components come lowest vertex
 first, from `structures.component`.  Edges u < v are tried in lexicographic
 order, stably sorted by the vertices their explosion leaves, most first.
 
-Every connected state is memoized on its canonical key
-(`canonical_graph_key`, from the labeller in `trimatch.canonical`), so
-isomorphic states share one entry whatever their size or labels; a key is
+A connected state at cap 2 needs no search.  Call an edge uv of a graph on
+V deletable when its explosion leaves a vertex, i.e. N[u] | N[v] != V.
+Then psi >= 2 iff deleting deletable edges, one at a time in any order
+until none is left, isolates a vertex.  Deleting edges only shrinks
+neighbourhoods, so an edge that is deletable stays deletable: the edges
+deleted are the same in every order, and the graph H left at the end is
+contained in every graph a run of deletions passes through.  If a vertex
+gets isolated, offer the deleted edges in turn: exploding one leaves a
+nonempty graph, which scores psi >= 1 more, so the explosion scores >= 2,
+and deleting them all isolates a vertex.  If none does, H has no isolated
+vertex and each of its edges explodes every vertex, in H and so in every
+graph containing H.  Answer an offered edge by deleting it while it is
+deletable: it is then not an edge of H, so the graph stays a superset of
+H, hence free of isolated vertices.  The first edge offered that is not
+deletable is exploded, which empties the graph and ends the game at 1.
+`_closure_isolates` runs these deletions, and the search answers each
+cap-2 component from it, with no canonical key and no memo entry.
+
+Every connected state searched at a cap of 3 or more is memoized on its
+canonical key (`canonical_graph_key`, from the labeller in
+`trimatch.canonical`), so isomorphic states share one entry whatever their
+size or labels; a key is
 the vertex count and one int, the adjacency matrix in canonical order.  A
 memo entry is (value, exact).  A result below the cap is the exact value:
 (value, True).  A result that reaches the cap only shows psi >= cap,
@@ -52,9 +71,9 @@ budget is per call: `MEMO_LIMIT`, read when the call starts, bounds the
 entries one call adds, not the size of the table it was given, so a shared
 table never makes a call fail that would succeed alone.  Bounding the table
 itself is up to whoever shares it.  Within one call the search also caches
-the key of each component's mask tuple; that cache is emptied whenever it
-reaches `MEMO_LIMIT` entries, so it is bounded as well without ever failing
-a call.
+the key of each component's mask tuple, and the cap-2 answer of each; each
+cache is emptied whenever it reaches `MEMO_LIMIT` entries, so it is bounded
+as well without ever failing a call.
 """
 
 from .canonical import canonical_labelling
@@ -74,6 +93,28 @@ def _delete(adj, u, v):
     out[u] ^= 1 << v
     out[v] ^= 1 << u
     return tuple(out)
+
+
+def _closure_isolates(vmask, adj):
+    """psi >= 2 for a graph on vmask without isolated vertices: delete edges
+    whose explosion leaves a vertex until none is left, and report whether
+    a vertex was isolated (the module docstring has the proof)."""
+    adj = list(adj)
+    edges = [(u, v) for u in vertices_of(vmask) for v in vertices_of(adj[u] >> u + 1 << u + 1)]
+    while True:
+        kept = []
+        for u, v in edges:
+            # adj[u] | adj[v] is N[u] | N[v], as u and v are neighbours
+            if adj[u] | adj[v] == vmask:
+                kept.append((u, v))
+                continue
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            if not adj[u] or not adj[v]:
+                return True
+        if len(kept) == len(edges):
+            return False
+        edges = kept
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +145,8 @@ class _PsiEngine:
         # key per labelled component: different deletion orders reach the
         # same masks, and this skips canonical_graph_key then
         self.keys = {}
+        # psi >= 2 per labelled component, by `_closure_isolates`
+        self.at_least_2 = {}
 
     def value(self, vmask, adj, cap):
         if vmask == 0:
@@ -128,6 +171,13 @@ class _PsiEngine:
     def component_value(self, vmask, adj, cap):
         if cap <= 1:
             return cap
+        if cap == 2:
+            at_least_2 = self.at_least_2.get(adj)
+            if at_least_2 is None:
+                if len(self.at_least_2) >= self.limit:
+                    self.at_least_2.clear()
+                at_least_2 = self.at_least_2[adj] = _closure_isolates(vmask, adj)
+            return 2 if at_least_2 else 1
         key = self.keys.get(adj)
         if key is None:
             if len(self.keys) >= self.limit:

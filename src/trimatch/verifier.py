@@ -186,7 +186,14 @@ class _Codec:
 
     def decode(self, data, statement=None):
         """The instance of a serialized payload; each parameter is checked
-        by `_check_kind`, a required one as a count."""
+        by `_check_kind`, a required one as a count, and a key that is
+        neither the object's nor a parameter's is rejected."""
+        accepted = [self.key, *self.required, *self.optional]
+        unknown = sorted(set(data) - set(accepted))
+        if unknown:
+            raise ValueError(
+                f"{statement or self.key} payload has unknown field "
+                f"{', '.join(map(repr, unknown))}; accepted: {', '.join(accepted)}")
         try:
             inst = self._with_params(self.from_json(data[self.key]), data)
         except KeyError as exc:
@@ -201,13 +208,14 @@ class _Codec:
 
 # `verify` clears its sweep's psi table, and its verdict table, before an
 # instance once the table holds this many entries.  The psi table has one
-# entry per canonical state, exact or a lower bound, whatever caps the sweep
-# asks at.  ETA_GE_PSI_2_5 within its cap needs at most 12 112 (the
-# connected graphs on 2 to 8 vertices).  Every state has an exact key of
-# about 210 bytes with its entry, and random LEMMA_3_1 instances share most
-# of their states: a 10**6-trial run at the default parameters fills 1 196
-# entries (20 MiB peak for the whole process).  The limit holds a psi table
-# to roughly 40 MiB.  A verdict entry is a packed int and a bool, about 63
+# entry per canonical state searched at a cap of 3 or more, exact or a lower
+# bound, whatever caps the sweep asks at.  ETA_GE_PSI_2_5 within its cap
+# needs at most 12 112 (the connected graphs on 2 to 8 vertices).  Every
+# state has an exact key of about 210 bytes with its entry, and random
+# LEMMA_3_1 instances share most of their states: a 10**6-trial run at the
+# default parameters and seed 190047 fills 882 entries (17 MiB peak for the
+# whole process; 1 206 entries while cap-2 states were keyed too).  The
+# limit holds a psi table to roughly 40 MiB.  A verdict entry is a packed int and a bool, about 63
 # bytes at order 5, so a full verdict table stays near 13 MiB.
 SWEEP_TABLE_LIMIT = 200_000
 
@@ -357,10 +365,14 @@ def _hyp_improved(inst):
 
 
 def _hyp_accommodating(inst):
-    # sufficiency is judged on accommodating-shaped families, necessity on
-    # the others; `expect` says which direction an instance stands for
-    shaped = is_accommodating_shaped(sorted(inst["family"].sizes()), inst["n"])
-    return shaped == inst["expect"]
+    # the theorem speaks of 2n - 1 members; sufficiency is judged on
+    # accommodating-shaped families, necessity on the others, and `expect`
+    # says which direction an instance stands for
+    n = inst["n"]
+    sizes = inst["family"].sizes()
+    if len(sizes) != 2 * n - 1:
+        return False
+    return is_accommodating_shaped(sorted(sizes), n) == inst["expect"]
 
 
 def _hyp_ab(inst):

@@ -141,10 +141,11 @@ class TestStateFormat:
     """Small states at every cap, and the search pinned entry by entry."""
 
     # One shared table filled by the run below, and the canonical_graph_key
-    # calls it makes, as recorded from the edge-tuple engine that the mask
-    # engine replaced.  A change to the edge order, the component order, the
-    # caps or the labelled-key cache moves one of the three.
-    PINNED = (475, 1572, "e0d5bcb79e2ff88055ce9df0c29da04d97ec9e2eefb82c5a7f99d390f2ab743b")
+    # calls it makes, as recorded when cap-2 states were first answered by
+    # the deletion closure instead of a keyed search.  A change to the edge
+    # order, the component order, the caps, the cap-2 rule or the
+    # labelled-key cache moves one of the three.
+    PINNED = (405, 1336, "0f712e0e4dedd572b51d6a3cdb12b108a60615d7f968df26ffcc40b99d8f194b")
 
     def test_shared_table_and_key_calls_are_pinned(self, monkeypatch):
         real = game.canonical_graph_key
@@ -252,6 +253,54 @@ class TestCappedPsi:
                 assert psi(G, cap=k, memo=memo) == k
                 assert psi_at_least(G, k, memo=memo)
         assert memo == {}
+
+
+class TestCapTwoClosure:
+    """psi >= 2 by the deletion closure, which needs no key and no entry."""
+
+    def test_matches_oracle_on_small_classes(self):
+        checked = 0
+        for adj in graph_classes(7):
+            G = graph_from_masks(adj)
+            if len(G.edges) <= PSI_ORACLE_EDGE_LIMIT:
+                assert psi(G, cap=2) == min(oracle.psi_oracle(G), 2), adj
+                checked += 1
+        assert checked == 396
+
+    def test_matches_the_search_at_cap_3(self):
+        for adj in graph_classes(7):
+            G = graph_from_masks(adj)
+            assert psi(G, cap=2) == min(psi(G, cap=3), 2), adj
+
+    def test_cap_two_makes_no_key_call_and_no_entry(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(game, "canonical_graph_key", lambda *a: calls.append(a))
+        rng = random.Random(5)
+        graphs = [cycle(n) for n in range(3, 12)] + [path(n) for n in range(2, 9)]
+        graphs += [random_graph(rng.randrange(2, 12), rng) for _ in range(40)]
+        graphs += [line_graph(random_lemma31_graph(3, rng)) for _ in range(5)]
+        memo = {}
+        for G in graphs:
+            psi(G, cap=2, memo=memo)
+            psi_at_least(G, 2, memo=memo)
+        assert calls == [] and memo == {}
+
+    def test_answer_cache_is_emptied_at_the_budget(self, monkeypatch):
+        # the line graph of a 3 x 3 host with 7 edges, psi = 2
+        L = Graph(7, frozenset({(0, 1), (0, 5), (1, 3), (1, 6), (2, 3), (2, 4), (3, 6),
+                                (4, 5), (4, 6), (5, 6)}))
+        real = game._closure_isolates
+        runs = []
+        monkeypatch.setattr(game, "_closure_isolates", lambda *a: runs.append(a) or real(*a))
+        alone = {}
+        assert psi(L, cap=3, memo=alone) == 2
+        roomy = len(runs)
+        assert roomy == len({adj for _, adj in runs}) > len(alone)
+        runs.clear()
+        # the cache outgrows a budget the memo entries fit in: it starts over
+        monkeypatch.setattr(game, "MEMO_LIMIT", len(alone))
+        assert psi(L, cap=3) == 2
+        assert len(runs) > roomy
 
 
 class TestLineGraph:

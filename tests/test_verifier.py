@@ -332,6 +332,22 @@ class TestSerialization:
                 solve = rec.codec.solve
                 assert rec.conclusion(inst, solve) == rec.conclusion(inst2, solve)
 
+    @pytest.mark.parametrize("sid,scope", ROUND_TRIP_SCOPES)
+    def test_violation_certificates_decode(self, sid, scope, tmp_path, monkeypatch):
+        # every instance planted as a violation: the recheck decodes each
+        # payload once, and the certificate on disk decodes again
+        rec = dataclasses.replace(verifier.STATEMENTS[sid], hypothesis=lambda inst: True,
+                                  conclusion=lambda inst, optimum: False)
+        monkeypatch.setitem(verifier.STATEMENTS, sid, rec)
+        instances = list(itertools.islice(verifier._stream(sid, rec, scope), 2))
+        report = verify(sid, Scope("stdin"), instances=instances, cert_dir=tmp_path)
+        files = sorted(tmp_path.glob("*.json"))
+        assert len(report.violations) == len(files) == len(instances)
+        for inst, path in zip(instances, files):
+            payload = json.loads(path.read_text())["instance"]
+            assert payload == json.loads(json.dumps(serialize_instance(sid, inst)))
+            assert serialize_instance(sid, deserialize_instance(sid, payload)) == payload
+
 
 DRISKO_3 = family_to_json(cons.gen_drisko_extremal(3))
 
@@ -418,6 +434,23 @@ class TestStdinStream:
         assert code == 2 and out == ""
         assert f"error: input line 1: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sid,line,unknown,accepted", [
+        # a misspelt optional parameter was ignored and took its default:
+        # judged with expect True, this family was reported a violation
+        ("ACCOMMODATING_1_8", json.dumps({"family": DRISKO_3, "n": 3, "expekt": False}),
+         "'expekt'", "family, n, expect"),
+        ("ETA_GE_PSI_2_5", '{"graph": {"vertices": 2, "edges": [[0, 1]]}, "n": 2}',
+         "'n'", "graph"),
+        ("CONJ_FRACD_5_1", '{"hyper": {"sides": [1, 1, 1], "edges": []}, "m": 1, "D": 1}',
+         "'D', 'm'", "hyper, n, d"),
+    ])
+    def test_unknown_payload_field_names_its_line(self, sid, line, unknown, accepted,
+                                                  monkeypatch, capsys):
+        code, out, err = self.run(sid, [line], monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert (f"error: input line 1: {sid} payload has unknown field {unknown}; "
+                f"accepted: {accepted}") in err
 
     @pytest.mark.parametrize("sid", ["CONJ_DRISKO_1_6", "CONJ_GEN_5_3"])
     def test_raw_theorem19_hypergraph_reads_n_off_its_a_side(self, sid, monkeypatch, capsys):
@@ -543,6 +576,18 @@ class TestCheckAccommodating:
                         instances=[{"family": fam, "n": 2, "expect": False}])
         assert report.instances_checked == report.hypothesis_hits == 1
         assert report.violations == []  # construction confirmed: no rainbow
+
+    @pytest.mark.parametrize("expect", [True, False])
+    def test_family_without_2n_minus_1_members_is_no_hit(self, expect):
+        # 4 members at n = 3: neither direction of the theorem speaks of it;
+        # it was judged accommodating-shaped and reported a violation
+        fam = cons.gen_drisko_extremal(3)
+        assert len(fam.members) == 4
+        for n in (2, 3):
+            report = verify("ACCOMMODATING_1_8", Scope("stdin"),
+                            instances=[{"family": fam, "n": n, "expect": expect}])
+            assert report.instances_checked == 1
+            assert report.hypothesis_hits == 0 and report.violations == []
 
     def test_equality_threshold_case(self):
         report = verify("ACCOMMODATING_1_8", Scope("stdin"),
