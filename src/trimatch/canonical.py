@@ -422,6 +422,13 @@ def graph_classes(max_n):
     vertex has lower degree or lies outside the cell, and labelled
     otherwise.  Every class then arises exactly once.
 
+    The degree test is made on the neighbourhood, before the child is
+    built.  With D the parent's maximum degree and M the mask of its
+    vertices of degree D, the new vertex has the child's maximum degree
+    iff popcount(nbrs) > D, or popcount(nbrs) = D and nbrs misses M, since
+    a parent vertex gains at most 1.  So it drops exactly the children the
+    test on the child's degrees would drop.
+
     The stream is lazy: each class is yielded as soon as it is kept.  It
     holds the (masks, generators) of the parent level being extended and
     of the kept children, which become the next parents, and at max_n it
@@ -441,12 +448,14 @@ def graph_classes(max_n):
         for adj, gens in level:
             if gens is None:
                 gens = automorphism_generators(adj, [(1 << len(adj)) - 1])[0]
+            parent_max = max((a.bit_count() for a in adj), default=0)
+            at_max = sum(1 << v for v, a in enumerate(adj) if a.bit_count() == parent_max)
             for nbrs in set_orbit_representatives(n - 1, gens):
-                child = tuple(a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)) + (nbrs,)
                 degree = nbrs.bit_count()
+                if degree < parent_max or degree == parent_max and nbrs & at_max:
+                    continue  # some parent vertex would outgrow the new one
+                child = tuple(a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)) + (nbrs,)
                 degrees = [a.bit_count() for a in child]
-                if max(degrees) > degree:
-                    continue
                 child_gens = None
                 if degrees.count(degree) > 1:
                     top_cell = next(c for c in equitable_partition(child)

@@ -49,20 +49,18 @@ REGULAR_SIMPLE_ATTEMPTS = 200
 
 
 def _cycle_host(n):
-    """C_{2n} as a bipartite graph: left i joins right i and right i-1."""
-    edges = set()
-    for i in range(n):
-        edges.add((i, i))
-        edges.add(((i + 1) % n, i))
-    return BipartiteGraph(n, n, frozenset(edges))
+    """C_{2n} as a bipartite graph: left i joins right i and right i-1.
+    Callers pass n >= 1, so it is built without the second check."""
+    edges = frozenset((i, i) for i in range(n)) | frozenset(((i + 1) % n, i) for i in range(n))
+    return _built(BipartiteGraph, left_size=n, right_size=n, edges=edges)
 
 
 def cycle_even_matching(n):
-    return Matching(frozenset((i, i) for i in range(n)))
+    return _built(Matching, edges=frozenset((i, i) for i in range(n)))
 
 
 def cycle_odd_matching(n):
-    return Matching(frozenset(((i + 1) % n, i) for i in range(n)))
+    return _built(Matching, edges=frozenset(((i + 1) % n, i) for i in range(n)))
 
 
 def gen_drisko_extremal(n):
@@ -86,7 +84,8 @@ def gen_accommodating_counterexample(a, n):
     Requires an ascending sequence of length 2n-1 with entries in [0, n]
     failing the accommodating threshold, i.e. a_k <= k-1 for some k <= n.
     The first n members are nested prefixes of the odd edges of C_{2n}, the
-    rest are copies of the even-edge matching.
+    rest are copies of the even-edge matching: every member is a matching
+    of the host, so the family is built without the second check.
     """
     a = tuple(int(x) for x in a)
     if len(a) != 2 * n - 1:
@@ -104,10 +103,10 @@ def gen_accommodating_counterexample(a, n):
     odd_edges = sorted(cycle_odd_matching(n).edges)
     members = []
     for i in range(1, n + 1):
-        members.append(Matching(frozenset(odd_edges[: min(n, a[i - 1])])))
+        members.append(_built(Matching, edges=frozenset(odd_edges[: min(n, a[i - 1])])))
     for _ in range(n + 1, 2 * n):
         members.append(even)
-    return MatchingFamily(host, tuple(members))
+    return _built(MatchingFamily, host=host, members=tuple(members))
 
 
 def gen_p3_family(k):
@@ -198,6 +197,9 @@ def regular_completions(candidates, need):
     vertex) needs more triples than the remaining candidates hold; only the
     three keys of the candidate just passed can newly fail that test.
     Raises BudgetExceededError past COMPLETION_NODE_BUDGET search nodes.
+    Unlike the solvers' searches, the generator `rec` is not unbound when
+    the stream ends, so each stream leaves one small reference cycle for
+    the collector; there is one stream per sweep, not one per instance.
     """
     index = {key: i for i, key in enumerate(need)}
     deficit = list(need.values())
@@ -320,7 +322,11 @@ def latin_squares(n, rng=None):
     candidates are shuffled first, and the first square is a random one.
     Every cell is filled from range(n), so each square is an n x n grid of
     ints in [0, n), the grid `LatinSquare` checks for, and is built without
-    that second check.  A negative order raises ValueError.
+    that second check.  A negative order raises ValueError.  Unlike the
+    solvers' searches, the generator `rec` is not unbound when the stream
+    ends, so each stream leaves one small reference cycle for the
+    collector; the theorem suite opens a handful of streams, not one per
+    instance.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -432,7 +438,8 @@ def gen_theorem19_instance(n, seed):
         assign = [rng.randrange(n) for _ in range(a_size)]
         _repair_degrees(assign, n, 2, rng)
         edges.extend((a, b, c) for a, b in enumerate(assign))
-    return TriHypergraph((a_size, n, n), tuple(edges))
+    edges.sort()
+    return _built(TriHypergraph, side_sizes=(a_size, n, n), edges=tuple(edges))
 
 
 def gen_theorem19(n, seed, count=None):
@@ -443,22 +450,28 @@ def gen_theorem19(n, seed, count=None):
 
 
 def random_matching(left_size, right_size, size, rng):
-    """Uniform random partial pairing of `size` left and right vertices."""
+    """Uniform random partial pairing of `size` left and right vertices.
+
+    `rng.sample` draws distinct ints on each side (and rejects a negative
+    size), so the pairs form a matching, built without the second check."""
     if size > min(left_size, right_size):
         raise ValueError("matching size exceeds a side")
     lefts = rng.sample(range(left_size), size)
     rights = rng.sample(range(right_size), size)
-    return Matching(frozenset(zip(lefts, rights)))
+    return _built(Matching, edges=frozenset(zip(lefts, rights)))
 
 
 def random_family(sizes, rng):
-    """Random matchings of the given sizes; the host is their union."""
+    """Random matchings of the given sizes; the host is their union, so
+    every member lies in it and the family is built without the second
+    check.  A negative size is rejected by `rng.randrange` or by
+    `random_matching`."""
     m = max(sizes, default=0)
     side = m + rng.randrange(0, m + 1)
-    members = [random_matching(side, side, s, rng) for s in sizes]
-    edges = frozenset(e for mm in members for e in mm.edges)
-    host = BipartiteGraph(side, side, edges)
-    return MatchingFamily(host, tuple(members))
+    members = tuple(random_matching(side, side, s, rng) for s in sizes)
+    host = _built(BipartiteGraph, left_size=side, right_size=side,
+                  edges=frozenset(e for mm in members for e in mm.edges))
+    return _built(MatchingFamily, host=host, members=members)
 
 
 def drisko_profile(n):
@@ -565,7 +578,12 @@ def random_bounded_tri(rng, a_size, bc_size, deg_a, cap):
 
 
 def random_lemma31_graph(ell, rng, max_edges=12):
-    """Bipartite graph with left degrees at least (min(i, ell))_{i=1..2l-1}."""
+    """Bipartite graph with left degrees at least (min(i, ell))_{i=1..2l-1}.
+
+    Each left vertex takes distinct right vertices of range(w_size), so the
+    graph is built without the second check; ell must be at least 1."""
+    if ell < 1:
+        raise ValueError("ell must be at least 1")
     u_size = 2 * ell - 1
     w_size = ell + rng.randrange(0, ell + 1)
     degrees = [min(i, ell) for i in range(1, u_size + 1)]
@@ -579,32 +597,40 @@ def random_lemma31_graph(ell, rng, max_edges=12):
             budget -= 1
         else:
             break
-    edges = set()
-    for u, d in enumerate(degrees):
-        for w in rng.sample(range(w_size), d):
-            edges.add((u, w))
-    return BipartiteGraph(u_size, w_size, frozenset(edges))
+    edges = frozenset((u, w) for u, d in enumerate(degrees) for w in rng.sample(range(w_size), d))
+    return _built(BipartiteGraph, left_size=u_size, right_size=w_size, edges=edges)
 
 
 def random_graph(n, rng, p=0.5):
-    """Labelled random graph, each pair joined independently."""
-    edges = set()
+    """Labelled random graph, each pair joined independently.
+
+    Its pairs (u, v) with u < v and its masks are made in one loop, so the
+    graph is built without the second check; n must not be negative."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    edges = []
+    adj = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
-                edges.add((u, v))
-    return Graph(n, frozenset(edges))
+                edges.append((u, v))
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return _built(Graph, n=n, edges=frozenset(edges), adj=tuple(adj))
 
 
 def random_partition_system(rng, max_vertices=8, max_parts=4):
     """Random graph, each pair joined with probability 0.35, plus disjoint
-    nonempty vertex parts, for transversal checks."""
+    nonempty vertex parts, for transversal checks.  The parts are slices of
+    a shuffled range(n), so the system is built without the second check
+    (a max_vertices below 2 or a max_parts below 1 empties a range)."""
     n = rng.randrange(2, max_vertices + 1)
     graph = random_graph(n, rng, 0.35)
     vertices = list(range(n))
     rng.shuffle(vertices)
     m = rng.randrange(1, min(max_parts, n) + 1)
     parts = []
+    masks = []
     idx = 0
     for i in range(m):
         take = rng.randrange(1, max(2, (n - idx) // max(1, m - i) + 1))
@@ -612,5 +638,6 @@ def random_partition_system(rng, max_vertices=8, max_parts=4):
         if not part:
             break
         parts.append(frozenset(part))
+        masks.append(sum(1 << v for v in part))
         idx += take
-    return PartitionedGraph(graph, tuple(parts))
+    return _built(PartitionedGraph, graph=graph, parts=tuple(parts), part_masks=tuple(masks))

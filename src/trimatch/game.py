@@ -78,7 +78,7 @@ as well without ever failing a call.
 
 from .canonical import canonical_labelling
 from .errors import BudgetExceededError
-from .structures import Graph, INFINITY, component, induced_masks, vertices_of
+from .structures import Graph, INFINITY, _built, component, induced_masks, vertices_of
 
 MEMO_LIMIT = 2_000_000
 
@@ -243,15 +243,21 @@ def psi_at_least(graph, k, *, memo=None):
 
 
 def line_graph(G):
-    """One vertex per edge of a bipartite graph; adjacency iff the edges meet."""
+    """One vertex per edge of a bipartite graph; adjacency iff the edges meet.
+
+    Its pairs (i, j) with i < j and its masks are made in one loop, so the
+    graph is built without the constructor's check."""
     edges = G.sorted_edges()
     n = len(edges)
-    adj = set()
+    pairs = []
+    adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             if edges[i][0] == edges[j][0] or edges[i][1] == edges[j][1]:
-                adj.add((i, j))
-    return Graph(n, frozenset(adj))
+                pairs.append((i, j))
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return _built(Graph, n=n, edges=frozenset(pairs), adj=tuple(adj))
 
 
 def psi_line(G):

@@ -156,7 +156,12 @@ def independence_complex(G):
             groups.setdefault(len(nxt), []).append(nxt)
             extend(nxt, face_mask | 1 << v, v + 1)
 
-    extend((), 0, 0)
+    try:
+        extend((), 0, 0)
+    finally:
+        # `extend` calls itself through its closure cell: unbind it, so that
+        # neither a return nor a raise leaves a reference cycle
+        extend = None
     # a face of size k + 1 extends one of size k, so the sizes are 0..len - 1
     return _built(SimplicialComplex, faces=tuple(tuple(groups[k]) for k in range(len(groups))))
 

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: plain exhaustive enumeration straight
 from the definitions, with none of the ordering heuristics, bounds,
 canonicalization or memoization the production solvers use.  Tests and the
-verification harness compare solver answers against these.
+verification harness compare solver answers against these.  Like the
+solvers, each recursive search unbinds itself when it ends, so an oracle
+call leaves no reference cycle behind.
 """
 
 import itertools
@@ -36,7 +38,10 @@ def matching_number_oracle(H):
                 continue
             rec(j + 1, used | masks[j], size + 1)
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+    finally:
+        rec = None
     return best
 
 
@@ -59,7 +64,10 @@ def rainbow_oracle(F):
                 continue
             rec(i + 1, used_left | {u}, used_right | {w}, size + 1)
 
-    rec(0, frozenset(), frozenset(), 0)
+    try:
+        rec(0, frozenset(), frozenset(), 0)
+    finally:
+        rec = None
     return best
 
 
@@ -95,7 +103,10 @@ def psi_oracle(graph):
                 best = cand
         return best
 
-    return val((1 << graph.n) - 1, tuple(edge_items))
+    try:
+        return val((1 << graph.n) - 1, tuple(edge_items))
+    finally:
+        val = None
 
 
 def canonical_key_oracle(n, edges, colours=None):
@@ -184,7 +195,10 @@ def diagonal_oracle(L, bound):
             nxt[sym] = nxt.get(sym, 0) + 1
             rec(row + 1, used_cols | {col}, nxt, size + 1)
 
-    rec(0, frozenset(), {}, 0)
+    try:
+        rec(0, frozenset(), {}, 0)
+    finally:
+        rec = None
     return best
 
 

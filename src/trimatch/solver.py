@@ -5,6 +5,9 @@ All solvers are branch-and-bound searches that return the true optimum
 together with a witness: a plain sorted tuple, checked once by an
 independent validator and returned as checked.  Hitting the node budget
 raises BudgetExceededError instead of returning a possibly wrong answer.
+Each search is a recursive closure that unbinds itself when the call ends,
+by a return or a raise, so a solve leaves no reference cycle behind: a
+sweep of many small instances gives the cyclic collector nothing to find.
 
 The hypergraph matching search, which also serves rainbow matchings, groups
 the vertices of each side into twin classes: vertices with equal links.
@@ -303,7 +306,13 @@ def max_matching_size(H, *, target=None, node_budget=DEFAULT_NODE_BUDGET):
         rec(*f)
         left[pick_side][pick_class] = r
 
-    rec(*fronts)
+    try:
+        rec(*fronts)
+    finally:
+        # `rec` calls itself through its closure cell: unbind it, so that
+        # neither a return nor a raise leaves a reference cycle (and
+        # `new_child`, which only `rec` holds, goes with it)
+        rec = None
     witness = tuple(sorted(best_edges))
     _validate_hyper_matching(H, witness, best)
     return SolveResult(optimum=best, witness=witness, nodes_explored=nodes)
@@ -410,7 +419,10 @@ def find_bounded_diagonal(L, bound, *, node_budget=DEFAULT_NODE_BUDGET):
                 return
         rec(row + 1)  # leave this row unused
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        rec = None  # no reference cycle, as in `max_matching_size`
     _validate_diagonal(L, best_cells, bound, best)
     return SolveResult(optimum=best, witness=best_cells, nodes_explored=nodes)
 
@@ -486,7 +498,10 @@ def find_independent_transversal(P, deficiency=0, *, node_budget=DEFAULT_NODE_BU
                 return
         rec(i + 1, chosen, blocked, met)
 
-    rec(0, 0, 0, 0)
+    try:
+        rec(0, 0, 0, 0)
+    finally:
+        rec = None  # no reference cycle, as in `max_matching_size`
     witness = tuple(vertices_of(best_set))
     _validate_transversal(P, witness, best)
     return SolveResult(optimum=best, witness=witness, nodes_explored=nodes)

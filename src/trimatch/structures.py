@@ -9,7 +9,14 @@ Every type here is immutable after construction, so callers may share one
 value (a sweep and its re-check judge the same instance) without copying it.
 The public constructors check every input.  A builder whose output is valid
 by construction (a generator's own loop, not anything read from outside)
-may make its objects through `_built`, which skips the second check.
+may make its objects through `_built`, which skips the second check; it
+then checks its own scalar arguments wherever the constructor would have
+caught a bad one.  These do: `family_to_hypergraph` and `graph_from_masks`
+here, `homology.independence_complex`, `game.line_graph`, the exhaustive
+square streams and `gen_accommodating_counterexample` in `constructions`,
+and every draw of a shipped randomized scope there (`random_matching`,
+`random_family`, `gen_theorem19_instance`, `random_graph`,
+`random_partition_system` and `random_lemma31_graph`).
 """
 
 from collections import Counter
@@ -53,12 +60,15 @@ class BipartiteGraph:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.left_size < 0 or self.right_size < 0:
+        left, right = int(self.left_size), int(self.right_size)
+        if left < 0 or right < 0:
             raise ValueError("side sizes must be non-negative")
         edges = frozenset((int(u), int(w)) for u, w in self.edges)
         for u, w in edges:
-            if not (0 <= u < self.left_size and 0 <= w < self.right_size):
+            if not (0 <= u < left and 0 <= w < right):
                 raise ValueError(f"edge ({u}, {w}) out of bounds")
+        object.__setattr__(self, "left_size", left)
+        object.__setattr__(self, "right_size", right)
         object.__setattr__(self, "edges", edges)
 
     def sorted_edges(self):
@@ -394,14 +404,18 @@ def latin_to_hypergraph(L):
 
 
 def family_to_hypergraph(F):
-    """Third side indexes the family members; edge (u, w, i) for (u, w) in F_i."""
+    """Third side indexes the family members; edge (u, w, i) for (u, w) in F_i.
+
+    A family's member edges are int pairs of its host, so every triple is
+    in bounds, and the hypergraph is built without the constructor's check.
+    """
     edges = []
     for i, member in enumerate(F.members):
         for u, w in member.edges:
             edges.append((u, w, i))
-    return TriHypergraph(
-        (F.host.left_size, F.host.right_size, len(F.members)), tuple(edges)
-    )
+    edges.sort()
+    return _built(TriHypergraph, side_sizes=(F.host.left_size, F.host.right_size, len(F.members)),
+                  edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------

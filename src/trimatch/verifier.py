@@ -166,7 +166,7 @@ class _Codec:
     key: str
     to_json: object
     from_json: object
-    raw_keys: set  # keys of a raw object straight out of `gen`
+    raw_keys: tuple  # the keys `to_json` writes: a raw object straight out of `gen`
     raw_params: object  # decoded raw object -> the parameters derived from it
     solve: object
     oracle: object
@@ -286,7 +286,7 @@ def _solve_lemma(inst, target=None, memo=None):
 # reference), so that wrapping a module attribute reaches every call.
 _FAMILY = _Codec(
     "family", family_to_json, family_from_json,
-    raw_keys={"graph", "members"},
+    raw_keys=("graph", "members"),
     raw_params=lambda F: {"n": (len(F.members) + 1) // 2},
     solve=lambda inst, target=None: find_rainbow_matching(
         inst["family"], target=target).optimum,
@@ -295,7 +295,7 @@ _FAMILY = _Codec(
 )
 _HYPER = _Codec(
     "hyper", hypergraph_to_json, hypergraph_from_json,
-    raw_keys={"sides", "edges"},
+    raw_keys=("sides", "edges"),
     raw_params=lambda H: {"n": H.side_sizes[0]},
     solve=lambda inst, target=None: max_matching_size(inst["hyper"], target=target).optimum,
     oracle=_hyper_oracle,
@@ -303,7 +303,7 @@ _HYPER = _Codec(
 )
 _SQUARE = _Codec(
     "square", square_to_json, square_from_json,
-    raw_keys={"n", "cells"},
+    raw_keys=("n", "cells"),
     raw_params=_no_params,
     solve=lambda inst, target=None: find_bounded_diagonal(inst["square"], 2).optimum,
     oracle=_square_oracle,
@@ -311,7 +311,7 @@ _SQUARE = _Codec(
 )
 _GRAPH = _Codec(
     "graph", graph_to_json, graph_from_json,
-    raw_keys={"vertices"},
+    raw_keys=("vertices", "edges"),
     raw_params=_no_params,
     solve=_solve_psi,
     oracle=lambda inst: _psi_oracle(inst["graph"]),
@@ -319,7 +319,7 @@ _GRAPH = _Codec(
 )
 _PARTITION = _Codec(
     "pgraph", partitioned_graph_to_json, partitioned_graph_from_json,
-    raw_keys={"graph", "parts"},
+    raw_keys=("graph", "parts"),
     raw_params=lambda P: {"deficiency": 0},
     solve=lambda inst, target=None: find_independent_transversal(
         inst["pgraph"], deficiency=inst["deficiency"]).optimum,
@@ -328,7 +328,7 @@ _PARTITION = _Codec(
 )
 _LEMMA = _Codec(
     "bipartite", bipartite_graph_to_json, bipartite_graph_from_json,
-    raw_keys={"left", "right", "edges"},
+    raw_keys=("left", "right", "edges"),
     raw_params=lambda G: {"ell": 2},
     solve=_solve_lemma,
     oracle=lambda inst: _psi_oracle(line_graph(inst["bipartite"])),
@@ -897,15 +897,23 @@ def deserialize_instance(statement, data):
     A raw object straight out of `gen` is decoded by the codec and its
     statement parameters are derived from the decoded object (e.g. n from
     the number of family members or the side sizes), so generator output
-    pipes directly into the verifier.  A payload that is neither, or whose
-    object its constructor rejects, raises a ValueError.
+    pipes directly into the verifier.  A raw object may hold only the keys
+    its codec's `to_json` writes: a parameter such as "n" belongs in the
+    wrapped form and would otherwise be silently replaced by the derived
+    one.  A payload that is neither, one with another key, or one whose
+    object its constructor rejects raises a ValueError.
     """
     rec = _record(statement)
     codec = rec.codec
     if codec.key in data:
         return codec.decode(data, statement)
-    if not codec.raw_keys <= set(data):
+    if not set(codec.raw_keys) <= set(data):
         raise ValueError(f"cannot interpret payload for {statement}: keys {sorted(data)}")
+    unknown = sorted(set(data) - set(codec.raw_keys))
+    if unknown:
+        raise ValueError(
+            f"{statement} raw object has unknown field {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(codec.raw_keys)}")
     obj = codec.from_json(data)
     return codec._with_params(obj, (rec.raw_params or codec.raw_params)(obj))
 

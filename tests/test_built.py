@@ -1,12 +1,18 @@
 """Builders that make their objects without the constructor's check.
 
-`latin_squares`, `row_latin_squares`, `independence_complex` and
-`graph_from_masks` make objects through `structures._built`, which skips
-`__post_init__`.  Each must give, field by field and type by type, what the
-public constructor makes from the same fields; the public constructors keep
-every check.
+These make objects through `structures._built`, which skips `__post_init__`:
+the exhaustive streams `latin_squares` and `row_latin_squares`,
+`independence_complex` and `graph_from_masks`; the random draws
+`random_matching`, `random_family`, `gen_theorem19_instance`,
+`random_graph`, `random_partition_system` and `random_lemma31_graph`; and
+`gen_accommodating_counterexample` (with the cycle host and matchings it
+is made of), `family_to_hypergraph` and `game.line_graph`.  Each must give,
+field by field and type by type, what the public constructor makes from the
+same fields, and must check its own scalar arguments wherever the skipped
+constructor caught a bad one; the public constructors keep every check.
 """
 
+import contextlib
 import dataclasses
 import random
 import re
@@ -15,8 +21,13 @@ import pytest
 
 from trimatch import constructions as cons
 from trimatch.canonical import graph_classes
+from trimatch.game import line_graph
 from trimatch.homology import SimplicialComplex, independence_complex
-from trimatch.structures import Graph, LatinSquare, graph_from_masks
+from trimatch.structures import (
+    BipartiteGraph, Graph, LatinSquare, Matching, MatchingFamily, PartitionedGraph,
+    TriHypergraph, family_to_hypergraph, graph_from_masks)
+from trimatch.verifier import (
+    SHIPPED_SCOPES, STATEMENTS, ascending_sequences, is_accommodating_shaped)
 
 
 def fields_of(obj):
@@ -34,6 +45,55 @@ def assert_as_constructed(built, checked):
 
 def square_as_constructed(L):
     assert_as_constructed(L, LatinSquare(L.order, L.cells))
+
+
+def matching_as_constructed(M):
+    assert_as_constructed(M, Matching(M.edges))
+
+
+def bipartite_as_constructed(G):
+    assert_as_constructed(G, BipartiteGraph(G.left_size, G.right_size, G.edges))
+
+
+def family_as_constructed(F):
+    bipartite_as_constructed(F.host)
+    for member in F.members:
+        matching_as_constructed(member)
+    assert_as_constructed(F, MatchingFamily(F.host, F.members))
+
+
+def hypergraph_as_constructed(H):
+    assert_as_constructed(H, TriHypergraph(H.side_sizes, H.edges))
+
+
+def graph_as_constructed(G):
+    assert_as_constructed(G, Graph(G.n, G.edges))
+
+
+def pgraph_as_constructed(P):
+    graph_as_constructed(P.graph)
+    assert_as_constructed(P, PartitionedGraph(P.graph, P.parts))
+
+
+AS_CONSTRUCTED = {
+    MatchingFamily: family_as_constructed, BipartiteGraph: bipartite_as_constructed,
+    TriHypergraph: hypergraph_as_constructed, Graph: graph_as_constructed,
+    PartitionedGraph: pgraph_as_constructed,
+}
+
+
+@contextlib.contextmanager
+def unchecked():
+    """Make every checked constructor of a draw's types fail while the block
+    runs, so a builder that still sends its output through one is caught."""
+    def check(self):
+        raise AssertionError(f"{type(self).__name__}.__post_init__ ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (Matching, MatchingFamily, BipartiteGraph, TriHypergraph, Graph,
+                    PartitionedGraph):
+            mp.setattr(cls, "__post_init__", check)
+        yield
 
 
 class TestSquareBuilders:
@@ -114,6 +174,108 @@ class TestGraphFromMasks:
     def test_malformed_masks_name_their_vertex(self, adj, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             graph_from_masks(adj)
+
+
+RANDOMIZED_SHIPPED = [sid for sid, scope in SHIPPED_SCOPES.items() if scope.mode == "randomized"]
+
+
+class TestDraws:
+    @pytest.mark.parametrize("sid", RANDOMIZED_SHIPPED)
+    def test_shipped_draws(self, sid):
+        # every draw of the theorem suite's randomized scopes, from its seed
+        rec, scope = STATEMENTS[sid], SHIPPED_SCOPES[sid]
+        rng = random.Random(scope.seed)
+        with unchecked():
+            objs = [rec.randomized(rng, **scope.params)[rec.codec.key]
+                    for _ in range(scope.trials)]
+            derived = [family_to_hypergraph(F) for F in objs if isinstance(F, MatchingFamily)]
+            derived += [line_graph(B) for B in objs if isinstance(B, BipartiteGraph)]
+        for obj in objs + derived:
+            AS_CONSTRUCTED[type(obj)](obj)
+
+    def test_random_families_over_sizes(self):
+        rng = random.Random(2911)
+        profiles = [[], [0], [0, 0], [1], [3, 1, 2], [4] * 7, [5, 5, 5, 6, 6]]
+        with unchecked():
+            families = [cons.random_family(sizes, rng) for sizes in profiles * 20]
+            hypers = [family_to_hypergraph(F) for F in families]
+        for F, H in zip(families, hypers):
+            family_as_constructed(F)
+            hypergraph_as_constructed(H)
+
+    def test_random_graphs_and_partition_systems(self):
+        rng = random.Random(2912)
+        with unchecked():
+            graphs = [cons.random_graph(n, rng, p) for n in range(0, 13) for p in (0, 0.35, 0.5, 1)]
+            systems = [cons.random_partition_system(rng, max_vertices=v, max_parts=m)
+                       for v in (2, 7, 16) for m in (1, 4, 8) for _ in range(10)]
+        for G in graphs:
+            graph_as_constructed(G)
+        for P in systems:
+            pgraph_as_constructed(P)
+
+    def test_theorem19_and_lemma31_draws(self):
+        rng = random.Random(2913)
+        with unchecked():
+            hypers = [cons.gen_theorem19_instance(n, seed)
+                      for n in (2, 3, 4, 6) for seed in range(10)]
+            bipartites = [cons.random_lemma31_graph(ell, rng, max_edges)
+                          for ell in (1, 2, 3) for max_edges in (12, 16, 20) for _ in range(10)]
+            lines = [line_graph(B) for B in bipartites]
+        for H in hypers:
+            hypergraph_as_constructed(H)
+        for B, L in zip(bipartites, lines):
+            bipartite_as_constructed(B)
+            graph_as_constructed(L)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_accommodating_counterexample(self, n):
+        with unchecked():
+            families = [cons.gen_accommodating_counterexample(a, n)
+                        for a in ascending_sequences(n) if not is_accommodating_shaped(a, n)]
+        assert families
+        for F in families:
+            family_as_constructed(F)
+
+    @pytest.mark.parametrize("make, error, message", [
+        pytest.param(lambda rng: cons.random_graph(-1, rng),
+                     ValueError, "vertex count must be non-negative", id="random_graph(-1)"),
+        pytest.param(lambda rng: cons.random_graph(2.5, rng),
+                     TypeError, "", id="random_graph(2.5)"),
+        pytest.param(lambda rng: cons.random_matching(3, 3, 4, rng),
+                     ValueError, "matching size exceeds a side", id="random_matching(3, 3, 4)"),
+        pytest.param(lambda rng: cons.random_matching(3, 3, -1, rng),
+                     ValueError, "", id="random_matching(3, 3, -1)"),
+        pytest.param(lambda rng: cons.random_family([2, -1], rng),
+                     ValueError, "", id="random_family([2, -1])"),
+        pytest.param(lambda rng: cons.random_family([-1], rng),
+                     ValueError, "", id="random_family([-1])"),
+        pytest.param(lambda rng: cons.gen_theorem19_instance(1, 0),
+                     ValueError, "n must be at least 2", id="gen_theorem19_instance(1, 0)"),
+        pytest.param(lambda rng: cons.random_lemma31_graph(0, rng),
+                     ValueError, "ell must be at least 1", id="random_lemma31_graph(0)"),
+        pytest.param(lambda rng: cons.random_lemma31_graph(-2, rng),
+                     ValueError, "ell must be at least 1", id="random_lemma31_graph(-2)"),
+        pytest.param(lambda rng: cons.random_lemma31_graph(3, rng, 8),
+                     ValueError, "exceeds the edge budget", id="random_lemma31_graph(3, 8)"),
+        pytest.param(lambda rng: cons.random_partition_system(rng, max_vertices=1),
+                     ValueError, "", id="random_partition_system(max_vertices=1)"),
+        pytest.param(lambda rng: cons.random_partition_system(rng, max_parts=0),
+                     ValueError, "", id="random_partition_system(max_parts=0)"),
+        pytest.param(lambda rng: cons.gen_accommodating_counterexample((0, 0), 2),
+                     ValueError, "length 2n-1", id="gen_accommodating_counterexample((0, 0), 2)"),
+        pytest.param(lambda rng: cons.gen_accommodating_counterexample((0, 3, 0), 2),
+                     ValueError, "ascending", id="gen_accommodating_counterexample((0, 3, 0), 2)"),
+        pytest.param(lambda rng: cons.gen_accommodating_counterexample((0, 0, 3), 2),
+                     ValueError, "in [0, n]", id="gen_accommodating_counterexample((0, 0, 3), 2)"),
+        pytest.param(lambda rng: cons.gen_accommodating_counterexample((), 0),
+                     ValueError, "length 2n-1", id="gen_accommodating_counterexample((), 0)"),
+    ])
+    def test_bad_arguments_are_rejected_by_the_builder(self, make, error, message):
+        # the constructors that caught these are skipped now
+        with unchecked(), pytest.raises(error, match=re.escape(message) if message else None):
+            for seed in range(20):
+                make(random.Random(seed))
 
 
 class TestPublicConstructorsKeepEveryCheck:

@@ -137,6 +137,14 @@ class TestComplex:
         with pytest.raises(BudgetExceededError):
             independence_complex(Graph(10))
 
+    def test_leaves_no_garbage_for_the_collector(self, left_to_collector, monkeypatch):
+        # `extend` unbinds itself on a return and on BudgetExceededError, so
+        # no call leaves a reference cycle; Graph(8) has 256 faces, past the limit
+        monkeypatch.setattr(homology, "FACE_LIMIT", 200)
+        rng = random.Random(2904)
+        graphs = [random_graph(7, rng) for _ in range(50)] + [Graph(8)]
+        assert left_to_collector([lambda G=G: independence_complex(G) for G in graphs]) == 0
+
 
 class TestBetti:
     def test_full_simplex_contractible(self):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 from collections import Counter
@@ -15,6 +16,7 @@ from trimatch.constructions import (
     gen_p3_family,
     latin_squares,
     random_family,
+    random_partition_system,
 )
 from trimatch.errors import BudgetExceededError
 from trimatch.solver import (
@@ -547,6 +549,54 @@ def test_nu_matches_subset_enumeration(seed):
     rng = random.Random(seed)
     H = random_hypergraph(rng, max_edges=10)
     assert max_matching_size(H).optimum == oracle.matching_number_oracle(H)
+
+
+class TestSearchesLeaveNoGarbage:
+    """Each recursive search unbinds itself when its call ends, by a return
+    or by BudgetExceededError, so no call leaves a reference cycle; when
+    the searches held themselves, each call left at least its function, its
+    closure cells and their tuple to the collector."""
+
+    def test_matching_search(self, left_to_collector):
+        rng = random.Random(2901)
+        # order 6 reaches the orbit tests of both pruned levels (`new_child`)
+        latin = latin_to_hypergraph(cyclic_latin(6))
+        calls = [functools.partial(max_matching_size, random_hypergraph(rng)) for _ in range(100)]
+        calls += [functools.partial(max_matching_size, latin),
+                  functools.partial(max_matching_size, latin, node_budget=5)]
+        assert left_to_collector(calls) == 0
+
+    def test_rainbow_search(self, left_to_collector):
+        families = [gen_drisko_extremal(n) for n in (2, 3, 4, 5)]
+        calls = [functools.partial(find_rainbow_matching, F) for F in families]
+        calls.append(functools.partial(find_rainbow_matching, families[-1], node_budget=3))
+        assert left_to_collector(calls) == 0
+
+    def test_diagonal_search(self, left_to_collector):
+        calls = [functools.partial(find_bounded_diagonal, cyclic_latin(n), bound)
+                 for n in range(1, 7) for bound in (1, 2)]
+        calls.append(functools.partial(find_bounded_diagonal, cyclic_latin(8), 1, node_budget=50))
+        assert left_to_collector(calls) == 0
+
+    def test_transversal_search(self, left_to_collector):
+        rng = random.Random(2902)
+        systems = [random_partition_system(rng) for _ in range(100)]
+        calls = [functools.partial(find_independent_transversal, P) for P in systems]
+        calls.append(functools.partial(find_independent_transversal, systems[0], node_budget=1))
+        assert left_to_collector(calls) == 0
+
+    @pytest.mark.parametrize("name", ["matching", "rainbow", "psi", "diagonal"])
+    def test_oracle(self, left_to_collector, name):
+        rng = random.Random(2903)
+        inputs = {
+            "matching": [(random_hypergraph(rng, max_edges=8),) for _ in range(40)],
+            "rainbow": [(random_family([2, 2, 3], rng),) for _ in range(40)],
+            "psi": [(Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})),), (Graph(3),)],
+            "diagonal": [(cyclic_latin(n), 1) for n in range(1, 5)],
+        }[name]
+        search = {"matching": oracle.matching_number_oracle, "rainbow": oracle.rainbow_oracle,
+                  "psi": oracle.psi_oracle, "diagonal": oracle.diagonal_oracle}[name]
+        assert left_to_collector([functools.partial(search, *args) for args in inputs]) == 0
 
 
 class TestWitnessValidators:
