@@ -74,9 +74,10 @@ def _read_input(args, manifest, parse=None):
     """Yield (line number, object) for each nonempty line of `-i` or stdin.
 
     Each line must be a JSON object; it is recorded in the manifest and
-    passed through `parse` when one is given.  A field that `parse` misses,
-    or a value it rejects with a ValueError or a TypeError (a value of the
-    wrong JSON type), is a usage error naming the line.
+    passed through `parse` when one is given.  A line that `parse` rejects
+    with a ValueError (a missing or unknown field, or a value its
+    constructor refuses) or a TypeError (a value of the wrong JSON type) is
+    a usage error naming the line.
     """
     path = getattr(args, "input", None) or "-"
     try:
@@ -99,9 +100,6 @@ def _read_input(args, manifest, parse=None):
             manifest.note_input(data)
             try:
                 obj = data if parse is None else parse(data)
-            except KeyError as exc:
-                raise _UsageError(
-                    f"input line {lineno}: missing field {exc.args[0]!r}") from None
             except (TypeError, ValueError) as exc:
                 raise _UsageError(f"input line {lineno}: {exc}") from exc
             yield lineno, obj

@@ -322,14 +322,14 @@ def latin_squares(n, rng=None):
     candidates are shuffled first, and the first square is a random one.
     Every cell is filled from range(n), so each square is an n x n grid of
     ints in [0, n), the grid `LatinSquare` checks for, and is built without
-    that second check.  A negative order raises ValueError.  Unlike the
-    solvers' searches, the generator `rec` is not unbound when the stream
-    ends, so each stream leaves one small reference cycle for the
-    collector; the theorem suite opens a handful of streams, not one per
-    instance.
+    that second check.  A negative order raises ValueError at the call.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
+    return _latin_fill(n, rng)
+
+
+def _latin_fill(n, rng):
     cells = [[-1] * n for _ in range(n)]
     row_used = [set() for _ in range(n)]
     col_used = [set() for _ in range(n)]
@@ -351,7 +351,13 @@ def latin_squares(n, rng=None):
             col_used[c].remove(s)
             cells[r][c] = -1
 
-    return rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        # `rec` calls itself through its closure cell: unbind it when the
+        # stream ends or is dropped, as `random_latin` drops it after one
+        # square, so that no stream leaves a reference cycle
+        rec = None
 
 
 def gen_row_latin(n, mode, seed=None, count=None):

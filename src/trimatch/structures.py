@@ -421,9 +421,11 @@ def family_to_hypergraph(F):
 # ---------------------------------------------------------------------------
 # JSON wire formats (the contract for every CLI command)
 #
-# The decoders are the boundary for outside input: every count and index in
-# a payload must be a JSON integer.  The constructors' int() would truncate
-# 1.9 to 1 and read true as 1, so a float or a bool is rejected here first.
+# The decoders are the boundary for outside input.  Each accepts exactly the
+# keys its writer writes, nested objects included, through `_fields`, and
+# every count and index in a payload must be a JSON integer: the
+# constructors' int() would truncate 1.9 to 1 and read true as 1, so a float
+# or a bool is rejected here first.
 
 
 def _is_int(x):
@@ -440,13 +442,31 @@ def _ints(values, name):
     return tuple(_int(x, name) for x in values)
 
 
+def _fields(data, keys, what, noun="field"):
+    """The values of `keys` in `data`, a JSON object that must hold exactly
+    those keys: the one check of an object's keys.  The ValueError raised
+    otherwise names the object by `what`, and names an unknown key with the
+    accepted ones, or the first key missing."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} is not an object: {data!r}")
+    unknown = sorted(set(data).difference(keys))
+    if unknown:
+        raise ValueError(f"{what} has unknown {noun} {', '.join(map(repr, unknown))}; "
+                         f"accepted: {', '.join(keys)}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"missing {noun} {key!r} in {what}")
+    return [data[key] for key in keys]
+
+
 def bipartite_graph_to_json(G):
     return {"left": G.left_size, "right": G.right_size, "edges": [list(e) for e in G.sorted_edges()]}
 
 
 def bipartite_graph_from_json(data):
-    return BipartiteGraph(_int(data["left"], "left"), _int(data["right"], "right"),
-                          frozenset(_ints(e, "edges") for e in data["edges"]))
+    left, right, edges = _fields(data, ("left", "right", "edges"), "bipartite graph")
+    return BipartiteGraph(_int(left, "left"), _int(right, "right"),
+                          frozenset(_ints(e, "edges") for e in edges))
 
 
 def graph_to_json(G):
@@ -454,8 +474,8 @@ def graph_to_json(G):
 
 
 def graph_from_json(data):
-    return Graph(_int(data["vertices"], "vertices"),
-                 frozenset(_ints(e, "edges") for e in data["edges"]))
+    vertices, edges = _fields(data, ("vertices", "edges"), "graph")
+    return Graph(_int(vertices, "vertices"), frozenset(_ints(e, "edges") for e in edges))
 
 
 def partitioned_graph_to_json(P):
@@ -463,8 +483,9 @@ def partitioned_graph_to_json(P):
 
 
 def partitioned_graph_from_json(data):
-    graph = graph_from_json(data["graph"])
-    return PartitionedGraph(graph, tuple(frozenset(_ints(p, "parts")) for p in data["parts"]))
+    graph, parts = _fields(data, ("graph", "parts"), "partitioned graph")
+    return PartitionedGraph(graph_from_json(graph),
+                            tuple(frozenset(_ints(p, "parts")) for p in parts))
 
 
 def hypergraph_to_json(H):
@@ -472,8 +493,8 @@ def hypergraph_to_json(H):
 
 
 def hypergraph_from_json(data):
-    return TriHypergraph(_ints(data["sides"], "sides"),
-                         tuple(_ints(e, "edges") for e in data["edges"]))
+    sides, edges = _fields(data, ("sides", "edges"), "hypergraph")
+    return TriHypergraph(_ints(sides, "sides"), tuple(_ints(e, "edges") for e in edges))
 
 
 def family_to_json(F):
@@ -484,9 +505,9 @@ def family_to_json(F):
 
 
 def family_from_json(data):
-    host = bipartite_graph_from_json(data["graph"])
-    members = tuple(Matching(frozenset(_ints(e, "members") for e in m)) for m in data["members"])
-    return MatchingFamily(host, members)
+    graph, members = _fields(data, ("graph", "members"), "family")
+    return MatchingFamily(bipartite_graph_from_json(graph), tuple(
+        Matching(frozenset(_ints(e, "members") for e in m)) for m in members))
 
 
 def square_to_json(L):
@@ -494,4 +515,5 @@ def square_to_json(L):
 
 
 def square_from_json(data):
-    return LatinSquare(_int(data["n"], "n"), tuple(_ints(row, "cells") for row in data["cells"]))
+    n, cells = _fields(data, ("n", "cells"), "square")
+    return LatinSquare(_int(n, "n"), tuple(_ints(row, "cells") for row in cells))

@@ -14,12 +14,13 @@ its parameters once, seeds one rng and calls the draw once per trial.
 Vacuous instances (hypothesis false) are counted but never judged, so a
 sweep can never "confirm" a statement it never actually tested.
 
-Each instance kind has one `_Codec`: its JSON form, the raw `gen` objects
-it accepts, the exact solver for the optimum its conclusions are stated in,
-and the brute-force oracle for the same optimum.  A conclusion is written
-once as a function of that optimum, so a candidate violation is re-judged
-from its serialized form by the solver and, when the instance is small
-enough, by the oracle, through the same predicate.
+Each instance kind has one `_Codec`: its JSON writer and reader (which owns
+the object's keys), the exact solver for the optimum its conclusions are
+stated in, and the brute-force oracle for the same optimum.  Each statement
+declares its own parameters, so a payload is the object plus exactly those.
+A conclusion is written once as a function of that optimum, so a candidate
+violation is re-judged from its serialized form by the solver and, when
+the instance is small enough, by the oracle, through the same predicate.
 """
 
 import functools
@@ -45,6 +46,7 @@ from .solver import (
 )
 from .structures import (
     INFINITY,
+    _fields,
     _is_int,
     bipartite_graph_from_json,
     bipartite_graph_to_json,
@@ -147,7 +149,9 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class _Codec:
-    """One instance kind: an object under `key` plus scalar parameters.
+    """One instance kind: its object, under `key` in a payload, written by
+    `to_json` and read by `from_json`, which accepts exactly the keys
+    `to_json` writes.  The parameters that go with it are the statement's.
 
     `solve(inst, target=None)` returns the optimum the kind's conclusions
     are stated in; given a target it may stop at any value that is at least
@@ -166,44 +170,10 @@ class _Codec:
     key: str
     to_json: object
     from_json: object
-    raw_keys: tuple  # the keys `to_json` writes: a raw object straight out of `gen`
-    raw_params: object  # decoded raw object -> the parameters derived from it
     solve: object
     oracle: object
-    required: tuple = ()
-    optional: dict = field(default_factory=dict)  # parameter -> default
     psi_memo: bool = False
     canonical: object = None
-
-    def _with_params(self, obj, source):
-        out = {self.key: obj}
-        out.update((p, source[p]) for p in self.required)
-        out.update((p, source.get(p, d)) for p, d in self.optional.items())
-        return out
-
-    def encode(self, inst):
-        return self._with_params(self.to_json(inst[self.key]), inst)
-
-    def decode(self, data, statement=None):
-        """The instance of a serialized payload; each parameter is checked
-        by `_check_kind`, a required one as a count, and a key that is
-        neither the object's nor a parameter's is rejected."""
-        accepted = [self.key, *self.required, *self.optional]
-        unknown = sorted(set(data) - set(accepted))
-        if unknown:
-            raise ValueError(
-                f"{statement or self.key} payload has unknown field "
-                f"{', '.join(map(repr, unknown))}; accepted: {', '.join(accepted)}")
-        try:
-            inst = self._with_params(self.from_json(data[self.key]), data)
-        except KeyError as exc:
-            raise ValueError(
-                f"{statement or self.key} payload is missing field {exc.args[0]!r}") from None
-        for p in self.required:
-            _check_kind(p, inst[p], 0)
-        for p, default in self.optional.items():
-            _check_kind(p, inst[p], default)
-        return inst
 
 
 # `verify` clears its sweep's psi table, and its verdict table, before an
@@ -218,10 +188,6 @@ class _Codec:
 # limit holds a psi table to roughly 40 MiB.  A verdict entry is a packed int and a bool, about 63
 # bytes at order 5, so a full verdict table stays near 13 MiB.
 SWEEP_TABLE_LIMIT = 200_000
-
-
-def _no_params(obj):
-    return {}
 
 
 def _family_oracle(inst):
@@ -286,53 +252,37 @@ def _solve_lemma(inst, target=None, memo=None):
 # reference), so that wrapping a module attribute reaches every call.
 _FAMILY = _Codec(
     "family", family_to_json, family_from_json,
-    raw_keys=("graph", "members"),
-    raw_params=lambda F: {"n": (len(F.members) + 1) // 2},
     solve=lambda inst, target=None: find_rainbow_matching(
         inst["family"], target=target).optimum,
     oracle=_family_oracle,
-    required=("n",), optional={"expect": True},
 )
 _HYPER = _Codec(
     "hyper", hypergraph_to_json, hypergraph_from_json,
-    raw_keys=("sides", "edges"),
-    raw_params=lambda H: {"n": H.side_sizes[0]},
     solve=lambda inst, target=None: max_matching_size(inst["hyper"], target=target).optimum,
     oracle=_hyper_oracle,
-    optional={"n": None, "d": None},
 )
 _SQUARE = _Codec(
     "square", square_to_json, square_from_json,
-    raw_keys=("n", "cells"),
-    raw_params=_no_params,
     solve=lambda inst, target=None: find_bounded_diagonal(inst["square"], 2).optimum,
     oracle=_square_oracle,
     canonical=_square_key,
 )
 _GRAPH = _Codec(
     "graph", graph_to_json, graph_from_json,
-    raw_keys=("vertices", "edges"),
-    raw_params=_no_params,
     solve=_solve_psi,
     oracle=lambda inst: _psi_oracle(inst["graph"]),
     psi_memo=True,
 )
 _PARTITION = _Codec(
     "pgraph", partitioned_graph_to_json, partitioned_graph_from_json,
-    raw_keys=("graph", "parts"),
-    raw_params=lambda P: {"deficiency": 0},
     solve=lambda inst, target=None: find_independent_transversal(
         inst["pgraph"], deficiency=inst["deficiency"]).optimum,
     oracle=_partition_oracle,
-    required=("deficiency",),
 )
 _LEMMA = _Codec(
     "bipartite", bipartite_graph_to_json, bipartite_graph_from_json,
-    raw_keys=("left", "right", "edges"),
-    raw_params=lambda G: {"ell": 2},
     solve=_solve_lemma,
     oracle=lambda inst: _psi_oracle(line_graph(inst["bipartite"])),
-    required=("ell",),
     psi_memo=True,
 )
 
@@ -610,22 +560,22 @@ def _check_kind(name, value, default):
         raise ValueError(f"parameter {name!r} must not be negative, got {value!r}")
 
 
-def _check_params(builder, params):
-    """Raise a ValueError unless `params` fits a stream builder or a draw.
+def _check_params(builder, params, what):
+    """`params` over the defaults of a stream builder or a draw, or a
+    ValueError unless `params` fits it.
 
     Both declare their parameters, each with its default, as keyword-only
     arguments.  A key that the builder does not declare is named with the
-    accepted ones, instead of being silently ignored, and so is a value not
-    of its default's kind, a negative count or an empty list.
+    accepted ones and the scope `what`, instead of being silently ignored,
+    and so is a value not of its default's kind, a negative count or an
+    empty list.
     """
     defaults = builder.__kwdefaults__
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        raise ValueError(
-            f"unknown parameter {', '.join(map(repr, unknown))}; "
-            f"accepted: {', '.join(defaults)}")
+    given = {**defaults, **params}
+    _fields(given, tuple(defaults), what, "parameter")
     for name, value in params.items():
         _check_kind(name, value, defaults[name])
+    return given
 
 
 # exhaustive stream builders: stream(*, params) -> iterator of instances;
@@ -769,9 +719,13 @@ class Statement:
     the statement has no finite domain).  `shipped` is the theorem-suite
     scope, which must report zero violations.  `cap` maps keywords of the
     stream builder to the largest value an exhaustive scope may ask for;
-    `_stream` checks it, the builder does not.  `raw_params`, when set,
-    replaces the codec's derivation of parameters from a decoded raw
-    object.
+    `_stream` checks it, the builder does not.
+
+    `params` declares the parameters that the hypothesis and conclusion
+    read, each as (kind, raw): `kind` is a value of its kind for
+    `_check_kind` (0 a count, True a bool), and `raw(obj)` derives it from
+    the object of a raw `gen` object.  An instance, a payload and a raw
+    object's decoding hold exactly the codec's key and these parameters.
     """
 
     theorem: bool
@@ -782,7 +736,30 @@ class Statement:
     exhaustive: object = None
     cap: dict = None
     shipped: Scope = None
-    raw_params: object = None
+    params: dict = field(default_factory=dict)
+
+    def encode(self, inst):
+        key = self.codec.key
+        return {key: self.codec.to_json(inst[key]), **{name: inst[name] for name in self.params}}
+
+    def decode(self, data, statement=None):
+        """The instance of a payload, or of a raw `gen` object, decoded once.
+
+        A payload that holds the codec's key must hold exactly that key and
+        the statement's parameters, each of its kind.  Any other object is
+        read as a raw object by the codec's reader, and its parameters are
+        derived from the decoded object (n from the side sizes, say), so
+        generator output pipes straight into the verifier.  A ValueError
+        names the field at fault, and `statement` the payload.
+        """
+        codec = self.codec
+        if codec.key not in data:
+            obj = codec.from_json(data)
+            return {codec.key: obj, **{name: raw(obj) for name, (_, raw) in self.params.items()}}
+        _fields(data, (codec.key, *self.params), f"{statement or codec.key} payload")
+        for name, (kind, _) in self.params.items():
+            _check_kind(name, data[name], kind)
+        return {**data, codec.key: codec.from_json(data[codec.key])}
 
 
 def _theorem(codec, hypothesis, conclusion, randomized, shipped, **more):
@@ -797,24 +774,38 @@ def _randomized(trials, seed, **params):
     return Scope("randomized", trials=trials, seed=seed, params=params)
 
 
-def _n_from_a_side(H):
-    return {"n": (H.side_sizes[0] + 1) // 2}
+def _count(raw):
+    """The declaration of a parameter that is a count, derived by `raw`."""
+    return 0, raw
+
+
+def _half_the_members(F):
+    return (len(F.members) + 1) // 2
+
+
+def _a_side(H):
+    return H.side_sizes[0]
+
+
+def _half_the_a_side(H):
+    return (H.side_sizes[0] + 1) // 2
 
 
 STATEMENTS = {
     "DRISKO_1_5": _theorem(
         _FAMILY, _hyp_drisko, _reaches("n"), _draw_family_profile(_drisko_sizes),
-        _randomized(300, 190041, n_values=[2, 3])),
+        _randomized(300, 190041, n_values=[2, 3]), params={"n": _count(_half_the_members)}),
     "IMPROVED_1_7": _theorem(
         _FAMILY, _hyp_improved, _reaches("n"), _draw_family_profile(_improved_sizes),
-        _randomized(300, 190042, n_values=[2, 3])),
+        _randomized(300, 190042, n_values=[2, 3]), params={"n": _count(_half_the_members)}),
     "ACCOMMODATING_1_8": _theorem(
         _FAMILY, _hyp_accommodating, _con_accommodating, _draw_accommodating,
-        _randomized(120, 190043, n=2), exhaustive=_ex_accommodating, cap={"n": 6}),
+        _randomized(120, 190043, n=2), exhaustive=_ex_accommodating, cap={"n": 6},
+        params={"n": _count(_half_the_members), "expect": (True, lambda F: True)}),
     "ALMOST_DRISKO_1_9": _theorem(
         _HYPER, _hyp_almost_drisko, _reaches("n"), _draw_almost_drisko,
         _randomized(300, 190044, n_values=[2, 3]),
-        raw_params=lambda H: {"n": H.side_sizes[1]}),
+        params={"n": _count(lambda H: H.side_sizes[1])}),
     "CAMWAN_1_10": _theorem(
         _SQUARE, _hyp_camwan, _con_full_diagonal, _draw_square(cons.random_latin),
         Scope("exhaustive", params={"max_order": 4}),
@@ -828,34 +819,37 @@ STATEMENTS = {
         cap={"max_order": cons.EXHAUSTIVE_ROW_LATIN_CAP}),
     "TOPHALL_2_3": _theorem(
         _PARTITION, _hyp_tophall, _con_transversal, _draw_tophall([0]),
-        _randomized(120, 190045)),
+        _randomized(120, 190045), params={"deficiency": _count(lambda P: 0)}),
     "TOPHALL_DEF_2_4": _theorem(
         _PARTITION, _hyp_tophall, _con_transversal, _draw_tophall([1, 2]),
-        _randomized(120, 190046)),
+        _randomized(120, 190046), params={"deficiency": _count(lambda P: 0)}),
     "ETA_GE_PSI_2_5": _theorem(
         _GRAPH, _always, _con_eta_psi, _draw_eta_psi,
         Scope("exhaustive", params={"max_vertices": 6}),
         exhaustive=_ex_eta_psi, cap={"max_vertices": 8}),
     "LEMMA_3_1": _theorem(
         _LEMMA, _hyp_lemma31, _reaches("ell"), _draw_lemma31,
-        _randomized(200, 190047, ells=[2, 3])),
-    "CONJ_RBS_1_1": _conjecture(_HYPER, _hyp_rbs, _reaches("n", 1), _draw_rbs),
-    "CONJ_STEIN_1_2": _conjecture(_HYPER, _hyp_stein, _reaches("n", 1), _draw_stein),
-    "CONJ_SYM_1_3": _conjecture(_HYPER, _hyp_sym, _reaches("n", 1), _draw_sym),
+        _randomized(200, 190047, ells=[2, 3]), params={"ell": _count(lambda G: 2)}),
+    "CONJ_RBS_1_1": _conjecture(_HYPER, _hyp_rbs, _reaches("n", 1), _draw_rbs,
+                                params={"n": _count(_a_side)}),
+    "CONJ_STEIN_1_2": _conjecture(_HYPER, _hyp_stein, _reaches("n", 1), _draw_stein,
+                                  params={"n": _count(_a_side)}),
+    "CONJ_SYM_1_3": _conjecture(_HYPER, _hyp_sym, _reaches("n", 1), _draw_sym,
+                                params={"n": _count(_a_side)}),
     "CONJ_AB_1_4": _conjecture(
         _FAMILY, _hyp_ab, _reaches("n", 1), _draw_family_profile(_ab_sizes),
-        raw_params=lambda F: {"n": len(F.members)}),
+        params={"n": _count(lambda F: len(F.members))}),
     "CONJ_DRISKO_1_6": _conjecture(
         _HYPER, _hyp_conj_drisko, _reaches("n"), _draw_conj_drisko,
-        raw_params=_n_from_a_side),
+        params={"n": _count(_half_the_a_side)}),
     "CONJ_FRACD_5_1": _conjecture(
         _HYPER, _hyp_fracd, _con_fracd, _draw_fracd,
         exhaustive=_ex_fracd, cap={"n": 3, "d": 9},
-        raw_params=lambda H: {"n": H.side_sizes[0], "d": min_degree(H, "A")}),
+        params={"n": _count(_a_side), "d": _count(lambda H: min_degree(H, "A"))}),
     "CONJ_ASYM_5_2": _conjecture(_HYPER, _hyp_asym, _con_asym, _draw_asym),
     "CONJ_GEN_5_3": _conjecture(
         _HYPER, _hyp_conj_gen, _reaches("n"), _draw_conj_drisko,
-        raw_params=_n_from_a_side),
+        params={"n": _count(_half_the_a_side)}),
     "REMARK_5_DOUBLE_DELTA": _conjecture(
         _HYPER, _hyp_double_delta, _con_nu_equals_a, _draw_double_delta),
 }
@@ -888,34 +882,13 @@ def feasibility_caps():
 
 
 def serialize_instance(statement, inst):
-    return _record(statement).codec.encode(inst)
+    """The payload of an instance: its object and the statement's parameters."""
+    return _record(statement).encode(inst)
 
 
 def deserialize_instance(statement, data):
-    """Decode a serialized instance, or a raw core-format object, once.
-
-    A raw object straight out of `gen` is decoded by the codec and its
-    statement parameters are derived from the decoded object (e.g. n from
-    the number of family members or the side sizes), so generator output
-    pipes directly into the verifier.  A raw object may hold only the keys
-    its codec's `to_json` writes: a parameter such as "n" belongs in the
-    wrapped form and would otherwise be silently replaced by the derived
-    one.  A payload that is neither, one with another key, or one whose
-    object its constructor rejects raises a ValueError.
-    """
-    rec = _record(statement)
-    codec = rec.codec
-    if codec.key in data:
-        return codec.decode(data, statement)
-    if not set(codec.raw_keys) <= set(data):
-        raise ValueError(f"cannot interpret payload for {statement}: keys {sorted(data)}")
-    unknown = sorted(set(data) - set(codec.raw_keys))
-    if unknown:
-        raise ValueError(
-            f"{statement} raw object has unknown field {', '.join(map(repr, unknown))}; "
-            f"accepted: {', '.join(codec.raw_keys)}")
-    obj = codec.from_json(data)
-    return codec._with_params(obj, (rec.raw_params or codec.raw_params)(obj))
+    """The instance of a payload or of a raw `gen` object (`Statement.decode`)."""
+    return _record(statement).decode(data, statement)
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +898,7 @@ def deserialize_instance(statement, data):
 def _revalidate(rec, payload):
     """Re-judge a candidate violation from its serialized form.  The solver
     gets a fresh psi table, so no entry of the sweep's table is trusted."""
-    inst = rec.codec.decode(payload)
+    inst = rec.decode(payload)
     hyp = rec.hypothesis(inst)
     con = rec.conclusion(inst, rec.codec.solve)
     result = {"hypothesis": hyp, "conclusion": con}
@@ -937,7 +910,7 @@ def _revalidate(rec, payload):
 
 def _record_violation(statement, rec, inst, report, cert_dir):
     # kept even when the re-check disagrees, and then counted as a disagreement
-    payload = rec.codec.encode(inst)
+    payload = rec.encode(inst)
     record = {"instance": payload, "recheck": _revalidate(rec, payload)}
     report.violations.append(record)
     if record["recheck"]["conclusion"] or record["recheck"].get("oracle_agrees") is False:
@@ -960,13 +933,13 @@ def _stream(statement, rec, scope):
     random eta/psi cap, say) rejects the scope even when it asks for no
     trials.  A stdin scope has no stream: its caller passes the instances.
     """
+    what = f"{statement} {scope.mode} scope"
     if scope.mode == "exhaustive":
         if rec.exhaustive is None:
             raise InfeasibleScopeError(
                 f"{statement} has no exhaustive instance domain; use a randomized scope"
             )
-        _check_params(rec.exhaustive, scope.params)
-        params = {**rec.exhaustive.__kwdefaults__, **scope.params}
+        params = _check_params(rec.exhaustive, scope.params, what)
         for name, cap in rec.cap.items():
             if params[name] > cap:
                 raise InfeasibleScopeError(
@@ -974,7 +947,7 @@ def _stream(statement, rec, scope):
                     f"asked for {params[name]}")
         return rec.exhaustive(**scope.params)
     if scope.mode == "randomized":
-        _check_params(rec.randomized, scope.params)
+        _check_params(rec.randomized, scope.params, what)
         draw = functools.partial(rec.randomized, **scope.params)
         rng = random.Random(scope.seed)
         first = draw(rng)

@@ -25,6 +25,8 @@ from trimatch.structures import (
 HYPER = '{"sides": [1, 1, 1], "edges": []}'
 GRAPH = '{"vertices": 2, "edges": []}'
 SQUARE = '{"n": 2, "cells": [[0, 1], [1, 0]]}'
+HYPER_EDGE = '{"sides": [1, 1, 1], "edges": [[0, 0, 0]]}'
+DRISKO_3 = family_to_json(gen_drisko_extremal(3))
 
 
 # the flags each gen construction reads, and a value for every gen flag
@@ -588,20 +590,56 @@ class TestErrorsAndManifest:
         assert "input line 3" in err
         assert "TOPHALL_DEF_2_4" in err and "'deficiency'" in err
 
-    @pytest.mark.parametrize("argv,field", [
-        (["psi"], "edges"),
-        (["psi-line"], "left"),
-        (["nu"], "sides"),
-        (["rainbow"], "graph"),
-        (["diagonal", "--bound", "2"], "n"),
-        (["transversal"], "graph"),
-        (["gen", "double-a"], "sides"),
+    # a line holds only its kind's keys, so only the graph verb keeps "vertices"
+    @pytest.mark.parametrize("argv,line,field", [
+        (["psi"], '{"vertices": 3}', "edges"),
+        (["psi-line"], "{}", "left"),
+        (["nu"], "{}", "sides"),
+        (["rainbow"], "{}", "graph"),
+        (["diagonal", "--bound", "2"], "{}", "n"),
+        (["transversal"], "{}", "graph"),
+        (["gen", "double-a"], "{}", "sides"),
     ])
-    def test_solver_verb_names_missing_field_and_line(self, argv, field, monkeypatch, capsys):
-        code, out, err = run_cli(argv, '\n{"vertices": 3}\n', monkeypatch, capsys)
+    def test_solver_verb_names_missing_field_and_line(self, argv, line, field, monkeypatch,
+                                                      capsys):
+        code, out, err = run_cli(argv, f"\n{line}\n", monkeypatch, capsys)
         assert code == 2
         assert out == ""
         assert f"error: input line 2: missing field '{field}'" in err
+
+    @pytest.mark.parametrize("argv,line,message", [
+        # a hypergraph statement that reads n crashed (exit 1) or judged the
+        # instance vacuous (exit 0) when the payload had no n; CONJ_FRACD_5_1
+        # did the same without d
+        *[(["verify", sid, "--stdin"], json.dumps({"hyper": json.loads(HYPER_EDGE)}),
+           f"missing field 'n' in {sid} payload")
+          for sid in ["ALMOST_DRISKO_1_9", "CONJ_DRISKO_1_6", "CONJ_GEN_5_3", "CONJ_RBS_1_1",
+                      "CONJ_STEIN_1_2", "CONJ_SYM_1_3"]],
+        (["verify", "CONJ_FRACD_5_1", "--stdin"],
+         json.dumps({"hyper": json.loads(HYPER_EDGE), "n": 1}),
+         "missing field 'd' in CONJ_FRACD_5_1 payload"),
+        # parameters that the statement does not read were accepted and ignored
+        (["verify", "DRISKO_1_5", "--stdin"], json.dumps({"family": DRISKO_3, "n": 3,
+                                                          "expect": False}),
+         "DRISKO_1_5 payload has unknown field 'expect'; accepted: family, n"),
+        (["verify", "CONJ_ASYM_5_2", "--stdin"],
+         json.dumps({"hyper": json.loads(HYPER_EDGE), "n": 7, "d": 2}),
+         "CONJ_ASYM_5_2 payload has unknown field 'd', 'n'; accepted: hyper"),
+        # a misspelt key of an object was dropped, and another object answered
+        (["nu"], '{"sides": [1, 1, 1], "edges": [], "edgs": [[0, 0, 0]]}',
+         "hypergraph has unknown field 'edgs'; accepted: sides, edges"),
+        (["transversal"],
+         '{"graph": {"vertices": 2, "edges": [], "edge": [[0, 1]]}, "parts": [[0, 1]]}',
+         "graph has unknown field 'edge'; accepted: vertices, edges"),
+        (["verify", "DRISKO_1_5", "--stdin"], json.dumps({"family": {**DRISKO_3, "x": 1},
+                                                          "n": 3}),
+         "family has unknown field 'x'; accepted: graph, members"),
+    ])
+    def test_every_field_is_declared_once(self, argv, line, message, monkeypatch, capsys):
+        code, out, err = run_cli(argv, f"\n{line}\n", monkeypatch, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: input line 2: {message}\n" in err
 
     @pytest.mark.parametrize("argv,good,line,message", [
         (["nu"], '{"sides": [1, 1, 1], "edges": [[0, 0, 0]]}',

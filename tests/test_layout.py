@@ -1,5 +1,6 @@
-"""The README library table, its command-line block and the package's
-import structure, checked against the code."""
+"""The README library table, its command-line block, its statement
+parameter table and the package's import structure, checked against the
+code."""
 
 import argparse
 import ast
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import trimatch
 from trimatch.cli import GENERATORS, build_parser
+from trimatch.verifier import STATEMENTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(trimatch.__file__).resolve().parent
@@ -117,3 +119,25 @@ def test_readme_command_block_lists_every_verb_and_gen_construction():
                              if action.option_strings and action.dest != "help")
                 for name, parser in subparsers(commands["gen"]).items()}
     assert {name: sorted(flags) for name, flags in constructions} == accepted
+
+
+def readme_statement_parameters():
+    """{statement: (object key, [(parameter, kind), ...])} from the payload
+    parameter table of README's Statement catalog."""
+    section = README.read_text(encoding="utf-8").split("## Statement catalog", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 4 and re.fullmatch(r"`\w+`", cells[0]):
+            rows[cells[0].strip("`")] = (cells[1].strip("`"),
+                                         re.findall(r"`(\w+)` \((count|bool)\)", cells[2]))
+    return rows
+
+
+def test_readme_lists_each_statements_payload_parameters():
+    kinds = {bool: "bool", int: "count"}
+    declared = {sid: (rec.codec.key,
+                      [(name, kinds[type(kind)]) for name, (kind, _) in rec.params.items()])
+                for sid, rec in STATEMENTS.items()}
+    assert readme_statement_parameters() == declared

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -306,6 +307,42 @@ class TestJson:
         data = partitioned_graph_to_json(P)
         assert data == {"graph": {"vertices": 4, "edges": [[0, 1]]}, "parts": [[0, 2], [3]]}
         assert partitioned_graph_from_json(data) == P
+
+    # (writer, reader, object, path to the object that gets the extra key)
+    KINDS = [
+        (bipartite_graph_to_json, bipartite_graph_from_json,
+         BipartiteGraph(3, 2, frozenset({(0, 0), (2, 1)})), ()),
+        (graph_to_json, graph_from_json, Graph(4, frozenset({(0, 1), (2, 3)})), ()),
+        (hypergraph_to_json, hypergraph_from_json,
+         TriHypergraph((2, 2, 2), ((0, 0, 0), (1, 1, 1))), ()),
+        (family_to_json, family_from_json, gen_drisko_extremal(2), ("graph",)),
+        (square_to_json, square_from_json, cyclic_latin(3), ()),
+        (partitioned_graph_to_json, partitioned_graph_from_json,
+         PartitionedGraph(Graph(3, frozenset({(0, 1)})), (frozenset({0, 2}),)), ("graph",)),
+    ]
+
+    @pytest.mark.parametrize("to_json,from_json,obj,path", KINDS)
+    def test_reader_accepts_exactly_the_keys_its_writer_writes(self, to_json, from_json, obj,
+                                                               path):
+        assert from_json(to_json(obj)) == obj
+        data = to_json(obj)
+        inner = data
+        for key in path:
+            inner = inner[key]
+        inner["edgs"] = []
+        with pytest.raises(ValueError, match=r"has unknown field 'edgs'; accepted: "):
+            from_json(data)
+
+    @pytest.mark.parametrize("from_json,data,message", [
+        (family_from_json, {"graph": 5, "members": []}, "bipartite graph is not an object: 5"),
+        (partitioned_graph_from_json, {"graph": [], "parts": []}, "graph is not an object: []"),
+        (partitioned_graph_from_json, {"graph": {"vertices": 1}, "parts": []},
+         "missing field 'edges' in graph"),
+        (hypergraph_from_json, "x", "hypergraph is not an object: 'x'"),
+    ])
+    def test_reader_names_a_bad_object(self, from_json, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json(data)
 
     def test_wire_format_keys(self):
         assert set(bipartite_graph_to_json(BipartiteGraph(1, 1))) == {"left", "right", "edges"}

@@ -286,22 +286,44 @@ ROUND_TRIP_SCOPES = [
 # bits of the sweep's, and now come from the sweep's rng itself, so a seed
 # names other squares (every one row-Latin, as before).
 STREAM_DIGESTS = {
-    "DRISKO_1_5": "ce02a6af736b3859111754ea3363d88801e7729844b35708d176607c5d6ca1fe",
-    "ALMOST_DRISKO_1_9": "c6d5c59954292205961e7aea68e659de09c0de692d029e9cb4bb85e8958fd226",
+    "DRISKO_1_5": "8dbbc11433f45efb0a1e379f0a97d9f60d99b07e0f092824640165f307774cac",
+    "ALMOST_DRISKO_1_9": "f43ee5374c53d61efb69fa2e06c88ac130e8b00750f630186627df7fe64b3b8c",
     "CAMWAN_1_10": "3d85413b6db5a70c04a8729f1ecb2b051fbe7f08c4dd2c0ceaddb123b8b649a8",
     "TOPHALL_2_3": "d57e524716cf1d489f9034b4da07ba039efca3a13a53b4d9dc3c18ac52c7c3f1",
     "ETA_GE_PSI_2_5": "0fb04a8c717905958a1d95511448125321e01428cac6412f532f7932a1c148f4",
     "LEMMA_3_1": "5afffc5177b1ad4ebfee6efa2a8353465e1d3e610d42684848ee5839fe776847",
-    "IMPROVED_1_7": "5b8ba3bdb87fa401babf4873fa1744d306a4a7c9436fe4000fd97881e846d2ac",
+    "IMPROVED_1_7": "fed035bd3872121d6d551da8a6df03f41381c51139fba7b007057db527665ac9",
     "ACCOMMODATING_1_8": "01c33ccee47bad914e2e941a3394a7c705cf099f8bdc449645ab3175f53164a1",
     "STRONG_CAMWAN_1_12": "0ace9d5466f4776993742861a288383cb92809611f1c40dbb39923ab2e432768",
     "TOPHALL_DEF_2_4": "b5081974d7c6132eac51fd2f7e05f7c7f37cbca342a590f4f021dbe1439f9d17",
+    "CONJ_RBS_1_1": "564f0369bb497e685779554e3e764bb57cd59ed6542dc6bce8fb23751f16f5f8",
+    "CONJ_STEIN_1_2": "a69e12f2c71df7cdbd4e73b613e5260b1fee75074092889d2e490ff4ac1edf1c",
+    "CONJ_SYM_1_3": "a3804b0a9a3f1a21456179599442e960bbc09ea00138b55d71aab968362d1b63",
+    "CONJ_AB_1_4": "b525b424ff83e63ed90d1842a3fdc39368c07c0e912ea8c8f5a66c52f9c8105c",
+    "CONJ_DRISKO_1_6": "2903cd43700170814e5d16656f0dccab094de0d37c436d112690449c211ee4f4",
+    "CONJ_FRACD_5_1": "4898d32ac45e16d7334f6e8cfaf70d3a945cf36fc6beacfb09d2364bb976c0af",
+    "CONJ_ASYM_5_2": "686ef139bef54bcc1ce39eb99bd724cd5eaf582ab13e3b59a406cbffc7a6e08c",
+    "CONJ_GEN_5_3": "2903cd43700170814e5d16656f0dccab094de0d37c436d112690449c211ee4f4",
+    "REMARK_5_DOUBLE_DELTA": "b8ce1fd83d67bd062e5b892d03ea14f0ec324519663cc99c90a0c745dcabe51e",
+}
+
+
+# The 11 digests above that moved when payloads came to hold exactly their
+# statement's parameters, as they were before: every family payload then
+# also carried "expect" (default true) and every hypergraph payload "n" and
+# "d" (default null), whether its statement read them or not.  Putting those
+# fields back reproduces each one, so only the payload bytes moved, not the
+# instances the streams draw.
+DROPPED_DEFAULTS = {"family": {"expect": True}, "hyper": {"n": None, "d": None}}
+DIGESTS_WITH_DROPPED_DEFAULTS = {
+    "DRISKO_1_5": "ce02a6af736b3859111754ea3363d88801e7729844b35708d176607c5d6ca1fe",
+    "ALMOST_DRISKO_1_9": "c6d5c59954292205961e7aea68e659de09c0de692d029e9cb4bb85e8958fd226",
+    "IMPROVED_1_7": "5b8ba3bdb87fa401babf4873fa1744d306a4a7c9436fe4000fd97881e846d2ac",
     "CONJ_RBS_1_1": "912afc3482ff7fc3a04d743c98d465f870d89b05a297229d71be1d16d0d9b66c",
     "CONJ_STEIN_1_2": "1ac4b892f5178204604f113d2c342f15cecbfedbc198e26263c865f202dbacc1",
     "CONJ_SYM_1_3": "b908f844baccb02932559ccec8c5ff55eae311b2621c4130d15285a1709bf6e3",
     "CONJ_AB_1_4": "5b1bea3b1141267d9d1de27d8cd8ace3b7ab56fb78e4d5e0d9be5a7967c4b9c2",
     "CONJ_DRISKO_1_6": "04c1d1e1c635675ab3d3791032152b45148224ff56d6dd56a1e2dc2aa7a765ee",
-    "CONJ_FRACD_5_1": "4898d32ac45e16d7334f6e8cfaf70d3a945cf36fc6beacfb09d2364bb976c0af",
     "CONJ_ASYM_5_2": "9b47408e51ca3d388354900b64022b5259871c7b83cefbd7067cb2a4b70700ed",
     "CONJ_GEN_5_3": "04c1d1e1c635675ab3d3791032152b45148224ff56d6dd56a1e2dc2aa7a765ee",
     "REMARK_5_DOUBLE_DELTA": "b478a5c17c62a8a56fe129cd1de6f9f33d82b49bf97e6e8a40a6c48a6b3d4f53",
@@ -318,6 +340,26 @@ class TestSerialization:
         instances = verifier._stream(sid, verifier.STATEMENTS[sid], scope)
         data = json.dumps([serialize_instance(sid, inst) for inst in instances], sort_keys=True)
         assert hashlib.sha256(data.encode()).hexdigest() == STREAM_DIGESTS[sid]
+
+    @pytest.mark.parametrize("sid,scope", [(sid, scope) for sid, scope in ROUND_TRIP_SCOPES
+                                           if sid in DIGESTS_WITH_DROPPED_DEFAULTS])
+    def test_dropped_default_fields_restore_the_old_digest(self, sid, scope):
+        rec = verifier.STATEMENTS[sid]
+        payloads = [{**DROPPED_DEFAULTS[rec.codec.key], **serialize_instance(sid, inst)}
+                    for inst in verifier._stream(sid, rec, scope)]
+        data = json.dumps(payloads, sort_keys=True)
+        assert hashlib.sha256(data.encode()).hexdigest() == DIGESTS_WITH_DROPPED_DEFAULTS[sid]
+
+    @pytest.mark.parametrize("sid,scope", ROUND_TRIP_SCOPES)
+    def test_instances_hold_the_codec_key_and_the_declared_parameters(self, sid, scope):
+        # the draws and streams cannot drift from the declaration: every
+        # instance holds exactly what a payload of its statement holds
+        rec = verifier.STATEMENTS[sid]
+        streams = [verifier._stream(sid, rec, scope)]
+        if rec.exhaustive is not None:
+            streams.append(itertools.islice(rec.exhaustive(), 5))
+        for inst in itertools.chain(*streams):
+            assert set(inst) == {rec.codec.key, *rec.params}
 
     @pytest.mark.parametrize("sid,scope", ROUND_TRIP_SCOPES)
     def test_round_trip_preserves_judgement(self, sid, scope):
@@ -380,13 +422,13 @@ class TestStdinStream:
         lines = ['{"graph": {"vertices": 2, "edges": [[0, 1]]}}', "", '{"edges": []}']
         code, out, err = self.run("ETA_GE_PSI_2_5", lines, monkeypatch, capsys)
         assert code == 2 and out == ""
-        assert "error: input line 3: cannot interpret payload for ETA_GE_PSI_2_5" in err
+        assert "error: input line 3: missing field 'vertices' in graph" in err
 
     def test_raw_hypergraph_without_edges_is_undecodable(self, monkeypatch, capsys):
         # CONJ_FRACD_5_1 derives d from the edges of a raw hypergraph
         code, _, err = self.run("CONJ_FRACD_5_1", ['{"sides": [2, 2, 2]}'], monkeypatch, capsys)
         assert code == 2
-        assert "error: input line 1: cannot interpret payload" in err
+        assert "error: input line 1: missing field 'edges' in hypergraph" in err
 
     @pytest.mark.parametrize("data", [[1, 2], 5, "graph", None])
     def test_payload_that_is_not_an_object_is_rejected(self, data, monkeypatch, capsys):
@@ -426,9 +468,9 @@ class TestStdinStream:
                         '"deficiency": -1}',
          "parameter 'deficiency' must not be negative, got -1"),
         ("CONJ_FRACD_5_1", '{"hyper": {"sides": [1, 1, 1], "edges": []}, "n": 1, "d": 1.5}',
-         "parameter 'd' expects null or an int, got 1.5"),
+         "parameter 'd' expects an int, got 1.5"),
         ("ALMOST_DRISKO_1_9", '{"hyper": {"sides": [1, 1, 1], "edges": []}, "d": false}',
-         "parameter 'd' expects null or an int, got False"),
+         "ALMOST_DRISKO_1_9 payload has unknown field 'd'; accepted: hyper, n"),
     ])
     def test_out_of_range_value_names_its_line(self, sid, line, message, monkeypatch, capsys):
         code, out, err = self.run(sid, [line], monkeypatch, capsys)
@@ -453,25 +495,25 @@ class TestStdinStream:
         assert (f"error: input line 1: {sid} payload has unknown field {unknown}; "
                 f"accepted: {accepted}") in err
 
-    @pytest.mark.parametrize("sid,line,unknown,accepted", [
+    @pytest.mark.parametrize("sid,line,kind,unknown,accepted", [
         # "n" was dropped and derived from the family: judged at n = 2, exit 0
-        ("DRISKO_1_5", json.dumps({**DRISKO_3, "n": 5}), "'n'", "graph, members"),
+        ("DRISKO_1_5", json.dumps({**DRISKO_3, "n": 5}), "family", "'n'", "graph, members"),
         ("ETA_GE_PSI_2_5", '{"vertices": 3, "edges": [[0, 1]], "extra": 1}',
-         "'extra'", "vertices, edges"),
+         "graph", "'extra'", "vertices, edges"),
         ("ALMOST_DRISKO_1_9", '{"sides": [1, 1, 1], "edges": [], "n": 1, "d": 1}',
-         "'d', 'n'", "sides, edges"),
+         "hypergraph", "'d', 'n'", "sides, edges"),
     ])
-    def test_unknown_raw_object_field_names_its_line(self, sid, line, unknown, accepted,
+    def test_unknown_raw_object_field_names_its_line(self, sid, line, kind, unknown, accepted,
                                                      monkeypatch, capsys):
         code, out, err = self.run(sid, [line], monkeypatch, capsys)
         assert code == 2 and out == ""
-        assert (f"error: input line 1: {sid} raw object has unknown field {unknown}; "
+        assert (f"error: input line 1: {kind} has unknown field {unknown}; "
                 f"accepted: {accepted}") in err
 
     def test_raw_graph_needs_its_edges(self, monkeypatch, capsys):
         code, out, err = self.run("ETA_GE_PSI_2_5", ['{"vertices": 3}'], monkeypatch, capsys)
         assert code == 2 and out == ""
-        assert "input line 1: cannot interpret payload for ETA_GE_PSI_2_5" in err
+        assert "input line 1: missing field 'edges' in graph" in err
 
     @pytest.mark.parametrize("sid", ["CONJ_DRISKO_1_6", "CONJ_GEN_5_3"])
     def test_raw_theorem19_hypergraph_reads_n_off_its_a_side(self, sid, monkeypatch, capsys):
