@@ -6,7 +6,7 @@ conjecture verification harness."""
 __version__ = "0.1.0"
 
 from .errors import BudgetExceededError, ConstructionError, InfeasibleScopeError
-from .game import canonical_graph_key, line_graph, psi, psi_line
+from .game import canonical_graph_key, line_graph, psi
 from .homology import (
     BettiVector,
     SimplicialComplex,
@@ -45,7 +45,6 @@ __all__ = [
     "canonical_graph_key",
     "line_graph",
     "psi",
-    "psi_line",
     "BettiVector",
     "SimplicialComplex",
     "betti",

@@ -38,7 +38,7 @@ from . import __version__
 from . import constructions as cons
 from . import verifier
 from .errors import BudgetExceededError, ConstructionError, InfeasibleScopeError
-from .game import psi, psi_line
+from .game import line_graph, psi
 from .homology import betti, graph_eta, independence_complex
 from .solver import (
     DEFAULT_NODE_BUDGET,
@@ -225,7 +225,7 @@ VERBS = {
                  lambda args, G: ({"psi": _value_to_json(psi(G))}, True), "psi = {psi}"),
     "psi-line": _Verb("game value on the line graph of a bipartite graph",
                       bipartite_graph_from_json,
-                      lambda args, G: ({"psi": _value_to_json(psi_line(G))}, True),
+                      lambda args, G: ({"psi": _value_to_json(psi(line_graph(G)))}, True),
                       "psi = {psi}"),
     "eta": _Verb("homological connectivity of the independence complex", graph_from_json,
                  lambda args, G: ({"eta": _value_to_json(graph_eta(G.adj, (1 << G.n) - 1))},

@@ -10,16 +10,16 @@ explosions.  psi(G) is the value under optimal play, given by
 
 with psi(empty) = 0 and psi = INFINITY as soon as some vertex is isolated.
 
-One search answers both questions asked of psi, the full value and a
-threshold psi >= k.  It computes min(psi, c) for a cap c by the same
-recursion with every branch capped:
+`psi(G, cap=c)` is the one entry point, and it answers both questions
+asked of psi, the full value and a threshold psi >= k.  It computes
+min(psi, c) for a cap c by the same recursion with every branch capped:
 
     min(psi(G), c) = max over edges e of min(psi(G - e), x_e),
     where x_e = min(psi(G * e), c - 1) + 1
 
 so the explosion branch is the search with cap c - 1, and the delete branch
 the search with cap x_e, the explosion's score.  psi(G) is the search with
-c = INFINITY; psi_at_least(G, k) is the search with c = k, then >= k.  The
+c = INFINITY, and psi(G) >= k iff the search with c = k returns k.  The
 search splits a state into connected components (the value is additive over
 them, by induction on the recursion) and sums them, stopping once the sum
 reaches the cap.  A nonempty graph without isolated vertices has psi >= 1,
@@ -71,9 +71,10 @@ budget is per call: `MEMO_LIMIT`, read when the call starts, bounds the
 entries one call adds, not the size of the table it was given, so a shared
 table never makes a call fail that would succeed alone.  Bounding the table
 itself is up to whoever shares it.  Within one call the search also caches
-the key of each component's mask tuple, and the cap-2 answer of each; each
-cache is emptied whenever it reaches `MEMO_LIMIT` entries, so it is bounded
-as well without ever failing a call.
+the key of each component's mask tuple; the cache is emptied whenever it
+reaches `MEMO_LIMIT` entries, so it is bounded as well without ever failing
+a call.  A cap-2 answer is recomputed each time it is asked: a cache of
+them did not pay for itself on the benchmark.
 """
 
 from .canonical import canonical_labelling
@@ -145,8 +146,6 @@ class _PsiEngine:
         # key per labelled component: different deletion orders reach the
         # same masks, and this skips canonical_graph_key then
         self.keys = {}
-        # psi >= 2 per labelled component, by `_closure_isolates`
-        self.at_least_2 = {}
 
     def value(self, vmask, adj, cap):
         if vmask == 0:
@@ -172,12 +171,7 @@ class _PsiEngine:
         if cap <= 1:
             return cap
         if cap == 2:
-            at_least_2 = self.at_least_2.get(adj)
-            if at_least_2 is None:
-                if len(self.at_least_2) >= self.limit:
-                    self.at_least_2.clear()
-                at_least_2 = self.at_least_2[adj] = _closure_isolates(vmask, adj)
-            return 2 if at_least_2 else 1
+            return 2 if _closure_isolates(vmask, adj) else 1
         key = self.keys.get(adj)
         if key is None:
             if len(self.keys) >= self.limit:
@@ -228,18 +222,15 @@ class _PsiEngine:
 def psi(graph, *, cap=INFINITY, memo=None):
     """min(psi, cap) for a Graph; psi is 0 for the empty graph.
 
-    With the default cap this is the exact game value.  An explicit memo
+    With the default cap this is the exact game value; psi >= k is
+    `psi(graph, cap=k) >= k`, and the game on the line graph of a bipartite
+    graph G is `psi(line_graph(G))`.  An explicit memo
     dict may be passed to share work across many calls, whatever their
     caps; sharing never changes a value.  BudgetExceededError is raised once
     this call would add more than `MEMO_LIMIT` entries to the table.
     """
     engine = _PsiEngine({} if memo is None else memo)
     return engine.value((1 << graph.n) - 1, graph.adj, cap)
-
-
-def psi_at_least(graph, k, *, memo=None):
-    """Exact test of psi(graph) >= k: the search of psi with cap k."""
-    return psi(graph, cap=k, memo=memo) >= k
 
 
 def line_graph(G):
@@ -258,8 +249,3 @@ def line_graph(G):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return _built(Graph, n=n, edges=frozenset(pairs), adj=tuple(adj))
-
-
-def psi_line(G):
-    """Game value played on the line graph of a bipartite graph."""
-    return psi(line_graph(G))

@@ -422,10 +422,10 @@ def family_to_hypergraph(F):
 # JSON wire formats (the contract for every CLI command)
 #
 # The decoders are the boundary for outside input.  Each accepts exactly the
-# keys its writer writes, nested objects included, through `_fields`, and
-# every count and index in a payload must be a JSON integer: the
-# constructors' int() would truncate 1.9 to 1 and read true as 1, so a float
-# or a bool is rejected here first.
+# keys its writer writes, nested objects included, through `_fields`.  Every
+# array in a payload must be a JSON list, and every count and index a JSON
+# integer: the constructors' int() would truncate 1.9 to 1 and read true as
+# 1, so a float or a bool is rejected here first.
 
 
 def _is_int(x):
@@ -438,8 +438,18 @@ def _int(x, name):
     return x
 
 
+def _list(x, name):
+    if not isinstance(x, list):
+        raise ValueError(f"field {name!r}: {x!r} is not a list")
+    return x
+
+
 def _ints(values, name):
-    return tuple(_int(x, name) for x in values)
+    return tuple(_int(x, name) for x in _list(values, name))
+
+
+def _rows(values, name):
+    return tuple(_ints(row, name) for row in _list(values, name))
 
 
 def _fields(data, keys, what, noun="field"):
@@ -466,7 +476,7 @@ def bipartite_graph_to_json(G):
 def bipartite_graph_from_json(data):
     left, right, edges = _fields(data, ("left", "right", "edges"), "bipartite graph")
     return BipartiteGraph(_int(left, "left"), _int(right, "right"),
-                          frozenset(_ints(e, "edges") for e in edges))
+                          frozenset(_rows(edges, "edges")))
 
 
 def graph_to_json(G):
@@ -475,7 +485,7 @@ def graph_to_json(G):
 
 def graph_from_json(data):
     vertices, edges = _fields(data, ("vertices", "edges"), "graph")
-    return Graph(_int(vertices, "vertices"), frozenset(_ints(e, "edges") for e in edges))
+    return Graph(_int(vertices, "vertices"), frozenset(_rows(edges, "edges")))
 
 
 def partitioned_graph_to_json(P):
@@ -485,7 +495,7 @@ def partitioned_graph_to_json(P):
 def partitioned_graph_from_json(data):
     graph, parts = _fields(data, ("graph", "parts"), "partitioned graph")
     return PartitionedGraph(graph_from_json(graph),
-                            tuple(frozenset(_ints(p, "parts")) for p in parts))
+                            tuple(map(frozenset, _rows(parts, "parts"))))
 
 
 def hypergraph_to_json(H):
@@ -494,7 +504,7 @@ def hypergraph_to_json(H):
 
 def hypergraph_from_json(data):
     sides, edges = _fields(data, ("sides", "edges"), "hypergraph")
-    return TriHypergraph(_ints(sides, "sides"), tuple(_ints(e, "edges") for e in edges))
+    return TriHypergraph(_ints(sides, "sides"), _rows(edges, "edges"))
 
 
 def family_to_json(F):
@@ -507,7 +517,7 @@ def family_to_json(F):
 def family_from_json(data):
     graph, members = _fields(data, ("graph", "members"), "family")
     return MatchingFamily(bipartite_graph_from_json(graph), tuple(
-        Matching(frozenset(_ints(e, "members") for e in m)) for m in members))
+        Matching(frozenset(_rows(m, "members"))) for m in _list(members, "members")))
 
 
 def square_to_json(L):
@@ -516,4 +526,4 @@ def square_to_json(L):
 
 def square_from_json(data):
     n, cells = _fields(data, ("n", "cells"), "square")
-    return LatinSquare(_int(n, "n"), tuple(_ints(row, "cells") for row in cells))
+    return LatinSquare(_int(n, "n"), _rows(cells, "cells"))

@@ -36,7 +36,7 @@ from . import constructions as cons
 from . import oracle
 from .canonical import graph_classes
 from .errors import InfeasibleScopeError
-from .game import line_graph, psi, psi_at_least
+from .game import line_graph, psi
 from .homology import graph_eta, topological_hall_subsets
 from .solver import (
     find_bounded_diagonal,
@@ -154,8 +154,10 @@ class _Codec:
     `to_json` writes.  The parameters that go with it are the statement's.
 
     `solve(inst, target=None)` returns the optimum the kind's conclusions
-    are stated in; given a target it may stop at any value that is at least
-    the target exactly when the optimum is.  The kinds solved by psi set
+    are stated in, whether or not a target is given; given one it may stop
+    at any value that is at least the target exactly when the optimum is.
+    The two kinds solved by psi, a graph and (for `LEMMA_3_1`) the line
+    graph of a bipartite graph, share one solve, min(psi, target), and set
     `psi_memo`: their `solve` also takes `memo`, the sweep's psi table, and
     uses a fresh one when it is None.  `oracle(inst)` returns the same
     optimum by brute force, or None when the instance is beyond its reach.
@@ -232,19 +234,20 @@ def _partition_oracle(inst):
     return oracle.transversal_oracle(P) if P.graph.n <= 16 else None
 
 
-def _psi_oracle(G):
+def _psi_graph(inst):
+    """The graph the game is played on: its own, or its bipartite graph's line graph."""
+    return inst["graph"] if "graph" in inst else line_graph(inst["bipartite"])
+
+
+def _psi_oracle(inst):
+    G = _psi_graph(inst)
     if G.n <= oracle.PSI_ORACLE_VERTEX_LIMIT and len(G.edges) <= PSI_ORACLE_EDGE_LIMIT:
         return oracle.psi_oracle(G)
     return None
 
 
 def _solve_psi(inst, target=None, memo=None):
-    return psi(inst["graph"], cap=INFINITY if target is None else target, memo=memo)
-
-
-def _solve_lemma(inst, target=None, memo=None):
-    # psi_at_least decides the threshold without the full value of psi
-    return target if psi_at_least(line_graph(inst["bipartite"]), target, memo=memo) else target - 1
+    return psi(_psi_graph(inst), cap=INFINITY if target is None else target, memo=memo)
 
 
 # Solver, game and homology functions are reached through this module's
@@ -252,8 +255,9 @@ def _solve_lemma(inst, target=None, memo=None):
 # reference), so that wrapping a module attribute reaches every call.
 _FAMILY = _Codec(
     "family", family_to_json, family_from_json,
+    # the solver rejects a target above the member count, which no rainbow matching reaches
     solve=lambda inst, target=None: find_rainbow_matching(
-        inst["family"], target=target).optimum,
+        inst["family"], target=target and min(target, len(inst["family"].members))).optimum,
     oracle=_family_oracle,
 )
 _HYPER = _Codec(
@@ -270,7 +274,7 @@ _SQUARE = _Codec(
 _GRAPH = _Codec(
     "graph", graph_to_json, graph_from_json,
     solve=_solve_psi,
-    oracle=lambda inst: _psi_oracle(inst["graph"]),
+    oracle=_psi_oracle,
     psi_memo=True,
 )
 _PARTITION = _Codec(
@@ -281,8 +285,8 @@ _PARTITION = _Codec(
 )
 _LEMMA = _Codec(
     "bipartite", bipartite_graph_to_json, bipartite_graph_from_json,
-    solve=_solve_lemma,
-    oracle=lambda inst: _psi_oracle(line_graph(inst["bipartite"])),
+    solve=_solve_psi,
+    oracle=_psi_oracle,
     psi_memo=True,
 )
 
@@ -682,8 +686,8 @@ def _draw_stein(rng, *, n=3):
     return {"hyper": cons.random_stein_instance(n, rng), "n": n}
 
 
-def _draw_sym(rng, *, n=3, d=None):
-    return {"hyper": cons.random_regular_simple(n, n if d is None else d, rng), "n": n}
+def _draw_sym(rng, *, n=3):
+    return {"hyper": cons.random_regular_simple(n, n, rng), "n": n}
 
 
 def _draw_conj_drisko(rng, *, n=2):

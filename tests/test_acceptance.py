@@ -11,7 +11,7 @@ import pytest
 from trimatch import constructions as cons
 from trimatch import oracle
 from trimatch.cli import main as cli_main
-from trimatch.game import line_graph, psi, psi_at_least
+from trimatch.game import line_graph, psi
 from trimatch.homology import betti, eta_homological, euler_characteristic_check, independence_complex
 from trimatch.solver import find_bounded_diagonal, find_rainbow_matching, max_matching_size
 from trimatch.structures import (
@@ -146,7 +146,7 @@ def test_criterion_5_line_graph_game_bound():
         for _ in range(1000):
             G = cons.random_lemma31_graph(ell, rng, 12)
             assert lemma31_hypothesis_holds(G, ell)
-            if not psi_at_least(line_graph(G), ell, memo=memo):
+            if psi(line_graph(G), cap=ell, memo=memo) < ell:
                 violations += 1
     elapsed = time.monotonic() - t0
     report("criterion 5: psi(L(G)) >= ell", violations == 0 and elapsed < 600,

@@ -7,7 +7,7 @@ from trimatch import game, oracle
 from trimatch.canonical import graph_classes
 from trimatch.constructions import random_graph, random_lemma31_graph
 from trimatch.errors import BudgetExceededError
-from trimatch.game import line_graph, psi, psi_at_least, psi_line
+from trimatch.game import line_graph, psi
 from trimatch.structures import BipartiteGraph, Graph, INFINITY, graph_from_masks
 from trimatch.verifier import PSI_ORACLE_EDGE_LIMIT, enumerate_graphs_up_to_iso
 
@@ -160,8 +160,8 @@ class TestStateFormat:
         rng = random.Random(31)
         for _ in range(10):
             L = line_graph(random_lemma31_graph(rng.choice((2, 3)), rng))
-            psi_at_least(L, 2, memo=table)
-            psi_at_least(L, 3, memo=table)
+            psi(L, cap=2, memo=table)
+            psi(L, cap=3, memo=table)
         digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
         assert (len(table), len(calls), digest) == self.PINNED
 
@@ -173,34 +173,35 @@ class TestStateFormat:
             assert psi(path3, cap=k) == min(1, k)
             assert psi(isolated, cap=k) == k
             assert psi(empty, cap=k) == 0
-            assert psi_at_least(empty, k) == (k <= 0)
         assert psi(isolated) == INFINITY
 
 
 class TestPsiAtLeast:
+    """psi >= k is psi(G, cap=k) >= k."""
+
     def test_agrees_with_value_exhaustively(self):
         for n in range(0, 6):
             for G in enumerate_graphs_up_to_iso(n):
                 v = psi(G)
                 for k in range(0, 5):
-                    assert psi_at_least(G, k) == (v >= k)
+                    assert (psi(G, cap=k) >= k) == (v >= k)
 
     def test_infinite_cases(self):
-        assert psi_at_least(Graph(1), 10)
-        assert psi_at_least(path(4), 7)
+        assert psi(Graph(1), cap=10) >= 10
+        assert psi(path(4), cap=7) >= 7
 
     def test_budget_counts_only_the_entries_a_call_adds(self, monkeypatch):
         alone = {}
-        assert psi_at_least(cycle(9), 3, memo=alone)
+        assert psi(cycle(9), cap=3, memo=alone) >= 3
         shared = {}
         for n in range(4, 9):
-            psi_at_least(cycle(n), 3, memo=shared)
+            psi(cycle(n), cap=3, memo=shared)
         assert len(shared) > len(alone)
         monkeypatch.setattr(game, "MEMO_LIMIT", len(alone))
-        assert psi_at_least(cycle(9), 3, memo=shared)
+        assert psi(cycle(9), cap=3, memo=shared) >= 3
         monkeypatch.setattr(game, "MEMO_LIMIT", len(alone) - 1)
         with pytest.raises(BudgetExceededError):
-            psi_at_least(cycle(9), 3)
+            psi(cycle(9), cap=3)
 
 
 class TestCappedPsi:
@@ -240,7 +241,7 @@ class TestCappedPsi:
         shared = {}
         for k in (1, 2, 3):
             for G, value in zip(graphs, fresh):
-                assert psi_at_least(G, k, memo=shared) == (value >= k), (G, k)
+                assert (psi(G, cap=k, memo=shared) >= k) == (value >= k), (G, k)
         assert any(not exact for _, exact in shared.values())
         for G, value in zip(graphs, fresh):
             assert psi(G, cap=2, memo=shared) == min(value, 2)
@@ -251,7 +252,6 @@ class TestCappedPsi:
         for G in (cycle(9), path(4), Graph(10, cycle(6).edges)):
             for k in (0, 1):
                 assert psi(G, cap=k, memo=memo) == k
-                assert psi_at_least(G, k, memo=memo)
         assert memo == {}
 
 
@@ -282,25 +282,7 @@ class TestCapTwoClosure:
         memo = {}
         for G in graphs:
             psi(G, cap=2, memo=memo)
-            psi_at_least(G, 2, memo=memo)
         assert calls == [] and memo == {}
-
-    def test_answer_cache_is_emptied_at_the_budget(self, monkeypatch):
-        # the line graph of a 3 x 3 host with 7 edges, psi = 2
-        L = Graph(7, frozenset({(0, 1), (0, 5), (1, 3), (1, 6), (2, 3), (2, 4), (3, 6),
-                                (4, 5), (4, 6), (5, 6)}))
-        real = game._closure_isolates
-        runs = []
-        monkeypatch.setattr(game, "_closure_isolates", lambda *a: runs.append(a) or real(*a))
-        alone = {}
-        assert psi(L, cap=3, memo=alone) == 2
-        roomy = len(runs)
-        assert roomy == len({adj for _, adj in runs}) > len(alone)
-        runs.clear()
-        # the cache outgrows a budget the memo entries fit in: it starts over
-        monkeypatch.setattr(game, "MEMO_LIMIT", len(alone))
-        assert psi(L, cap=3) == 2
-        assert len(runs) > roomy
 
 
 class TestLineGraph:
@@ -321,14 +303,14 @@ class TestLineGraph:
 
     def test_perfect_matching_gives_infinity(self):
         host = BipartiteGraph(3, 3, frozenset({(0, 0), (1, 1), (2, 2)}))
-        assert psi_line(host) == INFINITY
+        assert psi(line_graph(host)) == INFINITY
 
     def test_lemma_degree_profile_reaches_2(self):
         # left degrees (1, 2, 2) force at least two explosions
         host = BipartiteGraph(
             3, 3, frozenset({(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)})
         )
-        assert psi_line(host) >= 2
+        assert psi(line_graph(host)) >= 2
 
 
 class TestCanonicalKey:

@@ -19,7 +19,7 @@ from trimatch import game
 from trimatch import verifier
 from trimatch.canonical import graph_classes
 from trimatch.errors import BudgetExceededError, InfeasibleScopeError
-from trimatch.game import line_graph, psi, psi_at_least
+from trimatch.game import line_graph, psi
 from trimatch.solver import SolveResult, find_bounded_diagonal
 from trimatch.structures import (
     Graph,
@@ -559,14 +559,15 @@ class TestStreamParams:
             verify("LEMMA_3_1", scope)
         with pytest.raises(ValueError, match=r"unknown parameter 'foo'; accepted: max_order"):
             verify("CAMWAN_1_10", Scope("exhaustive", params={"foo": 1}))
-        with pytest.raises(ValueError, match=r"unknown parameter 'x', 'y'; accepted: n, d"):
+        with pytest.raises(ValueError, match=r"unknown parameter 'x', 'y'; accepted: n$"):
             hunt("CONJ_SYM_1_3", 2, 0, params={"x": 1, "y": 2})
 
     def test_given_and_default_values_agree(self):
         # a parameter passed at its default value asks for the same stream
         for sid, params in [("LEMMA_3_1", {"ells": [2, 3], "max_edges": 12}),
-                            ("CONJ_SYM_1_3", {"n": 3, "d": 3}),
+                            ("CONJ_SYM_1_3", {"n": 3}),
                             ("CONJ_ASYM_5_2", {"a_size": 3, "deg_a": 3, "bc_size": 6}),
+                            ("CONJ_ASYM_5_2", {"bc_size": None}),
                             ("REMARK_5_DOUBLE_DELTA",
                              {"a_size": 3, "deg_a": 5, "bc_size": 10})]:
             rec = verifier.STATEMENTS[sid]
@@ -582,7 +583,7 @@ class TestStreamParams:
         ("CAMWAN_1_10", "randomized", "n", "an int", True),
         ("DRISKO_1_5", "randomized", "n_values", "a list of ints", 5),
         ("DRISKO_1_5", "randomized", "n_values", "a list of ints", [2, "3"]),
-        ("CONJ_SYM_1_3", "randomized", "d", "null or an int", [3]),
+        ("CONJ_ASYM_5_2", "randomized", "bc_size", "null or an int", [3]),
     ])
     def test_value_of_the_wrong_kind_names_the_parameter(self, sid, scope, name, kind,
                                                          value):
@@ -598,7 +599,7 @@ class TestStreamParams:
         ("DRISKO_1_5", "randomized", "n_values", [2, -3], "must not be negative, got [2, -3]"),
         ("LEMMA_3_1", "randomized", "ells", [], "must not be empty"),
         ("STRONG_CAMWAN_1_12", "exhaustive", "max_order", -1, "must not be negative, got -1"),
-        ("CONJ_SYM_1_3", "randomized", "d", -2, "must not be negative, got -2"),
+        ("CONJ_ASYM_5_2", "randomized", "bc_size", -2, "must not be negative, got -2"),
     ])
     def test_negative_count_or_empty_list_names_the_parameter(self, sid, scope, name, value,
                                                              message):
@@ -611,8 +612,8 @@ class TestStreamParams:
 
     def test_values_of_each_kind_are_accepted(self):
         for sid, params in [("DRISKO_1_5", {"n_values": (2,)}),
-                            ("CONJ_SYM_1_3", {"n": 2, "d": None}),
-                            ("CONJ_SYM_1_3", {"n": 2, "d": 2}),
+                            ("CONJ_ASYM_5_2", {"bc_size": None}),
+                            ("CONJ_ASYM_5_2", {"bc_size": 6}),
                             ("CAMWAN_1_10", {"n": 0})]:
             assert verify(sid, Scope("randomized", trials=2, seed=0,
                                      params=params)).instances_checked == 2
@@ -751,6 +752,42 @@ class TestHunt:
         assert report.to_json()["disagreements"] == 0
 
 
+CODEC_KEYS = sorted({rec.codec.key for rec in verifier.STATEMENTS.values()})
+
+
+class TestCodecContract:
+    """Each codec's solve keeps the `_Codec` contract on small draws of its
+    statements: the optimum without a target, and the threshold with one."""
+
+    def test_there_are_six_codecs(self):
+        assert CODEC_KEYS == ["bipartite", "family", "graph", "hyper", "pgraph", "square"]
+
+    @pytest.mark.parametrize("key", CODEC_KEYS)
+    def test_solve_agrees_with_the_oracle(self, key):
+        shared = {}
+        reached = 0
+        for sid, scope in ROUND_TRIP_SCOPES:
+            rec = verifier.STATEMENTS[sid]
+            codec = rec.codec
+            if codec.key != key:
+                continue
+            # the psi kinds are solved with a fresh table and with one shared
+            # by every instance
+            solves = [codec.solve]
+            if codec.psi_memo:
+                solves.append(lambda inst, target=None: codec.solve(inst, target, memo=shared))
+            for inst in verifier._stream(sid, rec, scope):
+                best = codec.oracle(inst)
+                if best is None:
+                    continue
+                reached += 1
+                for solve in solves:
+                    assert solve(inst) == best, (sid, inst)
+                    for t in range(min(best, 8) + 2):
+                        assert (solve(inst, t) >= t) == (best >= t), (sid, inst, t)
+        assert reached > 0
+
+
 class TestGraphOracleViews:
     def test_planted_eta_psi_violation_disagrees_with_oracle(self, monkeypatch):
         monkeypatch.setattr(verifier, "psi", lambda G, **kw: 99)
@@ -767,7 +804,7 @@ class TestGraphOracleViews:
         assert viewed > 0
 
     def test_planted_lemma31_violation_disagrees_with_oracle(self, monkeypatch):
-        monkeypatch.setattr(verifier, "psi_at_least", lambda G, k, **kw: False)
+        monkeypatch.setattr(verifier, "psi", lambda G, **kw: 0)
         scope = Scope("randomized", trials=6, seed=3, params={"ells": [2], "max_edges": 5})
         report = verify("LEMMA_3_1", scope)
         assert len(report.violations) == report.hypothesis_hits == 6
@@ -820,7 +857,7 @@ class TestSweepTables:
         if sid == "ETA_GE_PSI_2_5":
             psi(inst["graph"], memo=memo)
         else:
-            psi_at_least(line_graph(inst["bipartite"]), inst["ell"], memo=memo)
+            psi(line_graph(inst["bipartite"]), cap=inst["ell"], memo=memo)
         return len(memo)
 
     @pytest.mark.parametrize("sid,scope", SWEEPS)
@@ -836,8 +873,7 @@ class TestSweepTables:
         instances = list(verifier._stream(sid, rec, scope))
         limit = max(self.alone_entries(sid, inst) for inst in instances)
         expected = verify(sid, scope).to_json()
-        name = "psi" if sid == "ETA_GE_PSI_2_5" else "psi_at_least"
-        real = getattr(verifier, name)
+        real = verifier.psi
         sizes = []
 
         def recording(*args, memo=None, **kw):
@@ -847,7 +883,7 @@ class TestSweepTables:
         # a per-call budget each instance just fits in when alone
         monkeypatch.setattr(game, "MEMO_LIMIT", limit)
         monkeypatch.setattr(verifier, "SWEEP_TABLE_LIMIT", limit)
-        monkeypatch.setattr(verifier, name, recording)
+        monkeypatch.setattr(verifier, "psi", recording)
         assert verify(sid, scope).to_json() == expected
         # the table was shared, and started over whenever it reached the limit
         assert 0 < max(sizes) < limit
@@ -879,20 +915,19 @@ class TestSweepTables:
         assert report.disagreements == len(report.violations)
 
     def test_every_psi_call_passes_through_the_module_names(self, monkeypatch):
-        # a tracer that wraps verifier.psi and verifier.psi_at_least must see
-        # one call per judged instance
-        calls = {"psi": 0, "psi_at_least": 0}
-        for name in calls:
-            real = getattr(verifier, name)
+        # a tracer that wraps verifier.psi must see one call per judged
+        # instance
+        calls = {"psi": 0}
+        real = verifier.psi
 
-            def counting(*args, _name=name, _real=real, **kw):
-                calls[_name] += 1
-                return _real(*args, **kw)
+        def counting(*args, **kw):
+            calls["psi"] += 1
+            return real(*args, **kw)
 
-            monkeypatch.setattr(verifier, name, counting)
+        monkeypatch.setattr(verifier, "psi", counting)
         for sid in ("ETA_GE_PSI_2_5", "LEMMA_3_1"):
             verify(sid, verifier.SHIPPED_SCOPES[sid])
-        assert calls == {"psi": 209, "psi_at_least": 200}
+        assert calls == {"psi": 409}
 
 
 def row_latin_squares(n):
